@@ -8,7 +8,6 @@ representatives in product codes.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -64,61 +63,46 @@ class ClassicalCode:
 def distance(code: ClassicalCode, budget: int = _SEARCH_BUDGET) -> int:
     """Exact minimum weight over nonzero codewords.
 
-    Enumerates all 2^k codewords for k <= 20 (Gray-code walk); otherwise
-    enumerates messages by ascending weight over the reduced generator,
-    stopping once the message weight exceeds the best codeword weight found
-    (every codeword has weight >= the weight of its message restricted to
-    the information set, which certifies the early exit).
+    Enumerates all 2^k - 1 nonzero codewords for k <= 20 (one Gray-code
+    coset walk per leading generator row); otherwise enumerates messages by
+    ascending weight over the reduced generator, stopping once the message
+    weight exceeds the best codeword weight found (every codeword has
+    weight >= the weight of its message restricted to the information set,
+    which certifies the early exit).
     """
     if code.k == 0:
         raise ValueError("distance undefined for trivial code")
     if code._distance is not None:
         return code._distance
-    best = None
-    argbest = 0
+    rows = code.g.bits
     if code.k <= FULL_ENUMERATION_MAX_K:
-        cur = 0
-        prev_gray = 0
-        for i in range(1, 1 << code.k):
-            gray = i ^ (i >> 1)
-            flip = gray ^ prev_gray
-            prev_gray = gray
-            cur ^= code.g.bits[flip.bit_length() - 1]
-            w = cur.bit_count()
-            if best is None or w < best:
-                best, argbest = w, cur
+        # Each nonzero codeword is exactly one row plus a combination of
+        # the rows before it.
+        best = min(
+            (f2la.min_weight_coset(row, rows[:j]) for j, row in enumerate(rows)),
+            key=int.bit_count,
+        )
     else:
-        spent = 0
-        for p in range(1, code.k + 1):
-            if best is not None and p > best:
+        best = None
+        for spent, (size, word) in enumerate(f2la.subset_xors(rows), 1):
+            if best is not None and size > best.bit_count():
                 break
-            for combo in itertools.combinations(range(code.k), p):
-                word = 0
-                for r in combo:
-                    word ^= code.g.bits[r]
-                w = word.bit_count()
-                if best is None or w < best:
-                    best, argbest = w, word
-                spent += 1
-                if spent > budget:
-                    raise ValueError("distance search budget exceeded")
-    code._distance = best
-    code._witness = argbest
-    return best
+            if best is None or word.bit_count() < best.bit_count():
+                best = word
+            if spent > budget:
+                raise ValueError("distance search budget exceeded")
+    code._distance = best.bit_count()
+    code._witness = best
+    return code._distance
 
 
 def distance_at_least(code: ClassicalCode, w: int) -> bool:
     """Certify d >= w by enumerating all messages of weight < w."""
     if code.k == 0:
         raise ValueError("distance undefined for trivial code")
-    for p in range(1, w):
-        for combo in itertools.combinations(range(code.k), p):
-            word = 0
-            for r in combo:
-                word ^= code.g.bits[r]
-            if 0 < word.bit_count() < w:
-                return False
-    return True
+    return not any(
+        0 < word.bit_count() < w for _, word in f2la.subset_xors(code.g.bits, w - 1)
+    )
 
 
 def distance_certificate(code: ClassicalCode) -> dict:
@@ -142,35 +126,15 @@ def find_information_set(code: ClassicalCode, t: Optional[Iterable[int]] = None)
     allowed = sorted(set(range(code.n) if t is None else t))
     if any(i < 0 or i >= code.n for i in allowed):
         raise ValueError("index set out of range")
-    work = list(code.g.bits)
-    pivot_row = 0
-    chosen = []
-    for col in allowed:
-        sel = None
-        for r in range(pivot_row, len(work)):
-            if (work[r] >> col) & 1:
-                sel = r
-                break
-        if sel is None:
-            continue
-        work[pivot_row], work[sel] = work[sel], work[pivot_row]
-        for r in range(len(work)):
-            if r != pivot_row and (work[r] >> col) & 1:
-                work[r] ^= work[pivot_row]
-        chosen.append(col)
-        pivot_row += 1
-        if pivot_row == code.k:
-            break
+    red = f2la.rref(f2la.restrict_columns(code.g, allowed))
+    chosen = [allowed[p] for p in red.pivot_columns]
     if len(chosen) < code.k:
         raise ValueError(
             f"no information set inside the given columns: rank {len(chosen)} < k={code.k}"
         )
-    info = InformationSet(tuple(chosen))
-    comp = f2la.vector_from_indices(set(range(code.n)) - set(chosen))
-    restricted = _restrict_columns(code.h, f2la.indices_of(comp))
-    if f2la.rank(restricted) != code.n - code.k:
+    if not is_puncture(code, chosen):
         raise AssertionError("information set complement is not full rank in h")
-    return info
+    return InformationSet(tuple(chosen))
 
 
 def disjoint_information_set(code: ClassicalCode, r: Iterable[int]) -> InformationSet:
@@ -200,14 +164,8 @@ def classical_clean(code: ClassicalCode, gamma: Iterable[int]) -> int:
 
 def clean_with_target(h: BinaryMatrix, cols: list[int], target: int) -> Optional[int]:
     """Row-space element of h matching `target` on the listed columns."""
-    restricted = _restrict_columns(h, cols)
-    y = f2la.solve(f2la.transpose(restricted), target)
-    if y is None:
-        return None
-    out = 0
-    for r in f2la.indices_of(y):
-        out ^= h.bits[r]
-    return out
+    y = f2la.solve(f2la.transpose(f2la.restrict_columns(h, cols)), target)
+    return None if y is None else f2la.row_combination(h, y)
 
 
 def is_puncture(code: ClassicalCode, gamma: Iterable[int]) -> bool:
@@ -218,18 +176,7 @@ def is_puncture(code: ClassicalCode, gamma: Iterable[int]) -> bool:
     """
     gamma_set = set(gamma)
     comp = [i for i in range(code.n) if i not in gamma_set]
-    return f2la.rank(_restrict_columns(code.h, comp)) == f2la.rank(code.h)
-
-
-def _restrict_columns(m: BinaryMatrix, cols: list[int]) -> BinaryMatrix:
-    out = []
-    for word in m.bits:
-        w = 0
-        for j, c in enumerate(cols):
-            if (word >> c) & 1:
-                w |= 1 << j
-        out.append(w)
-    return BinaryMatrix(m.rows, len(cols), out)
+    return f2la.rank(f2la.restrict_columns(code.h, comp)) == f2la.rank(code.h)
 
 
 # -- common seed constructions ----------------------------------------------

@@ -7,8 +7,8 @@ Every command prints one canonical JSON report envelope to stdout:
 Exit codes: 0 ok / property holds, 1 property violated (not correctable,
 not codespace-preserving, hierarchy bound broken), 2 usage or parse error.
 Output is byte-identical for identical inputs; randomized searches take a
---seed (default 0).  --jobs (or HGPFORGE_JOBS) sets the worker count for
-parallelizable searches without affecting results.
+--seed (default 0).  `distance --jobs N` is accepted and ignored; searches
+run in one thread.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 from typing import Optional
 
@@ -56,12 +55,6 @@ def _read_text(path: str) -> str:
 
 def _sparse_rows(m: f2la.BinaryMatrix) -> list[list[int]]:
     return [f2la.indices_of(m.bits[r]) for r in range(m.rows)]
-
-
-def _matrix_from_sparse(rows: list[list[int]], cols: int) -> f2la.BinaryMatrix:
-    return f2la.BinaryMatrix(
-        len(rows), cols, [f2la.vector_from_indices(r) for r in rows]
-    )
 
 
 def write_bundle(path: str, code: css.CssCode, sources: Optional[list[str]] = None) -> dict:
@@ -107,12 +100,7 @@ def read_bundle(path: str) -> css.CssCode:
     if not isinstance(payload, dict) or payload.get("format") != BUNDLE_FORMAT:
         raise CliError(f"{path} is not a {BUNDLE_FORMAT} file")
     try:
-        factors = [
-            f2la.BinaryMatrix.from_rows(entry["data"])
-            if entry["data"]
-            else f2la.BinaryMatrix.zeros(entry["rows"], entry["cols"])
-            for entry in payload["factors"]
-        ]
+        factors = [_read_factor(entry) for entry in payload["factors"]]
         pc = product.build_product(factors)
         code = css.assemble_css(pc, payload["level"])
         stored_hx, stored_hz = payload["Hx"], payload["Hz"]
@@ -121,6 +109,19 @@ def read_bundle(path: str) -> css.CssCode:
     if _sparse_rows(code.hx) != stored_hx or _sparse_rows(code.hz) != stored_hz:
         raise CliError(f"bundle {path} is inconsistent with its factors")
     return code
+
+
+def _read_factor(entry: dict) -> f2la.BinaryMatrix:
+    """A seed matrix from its bundle entry; the stored shape must match."""
+    data, rows, cols = entry["data"], entry["rows"], entry["cols"]
+    if not isinstance(data, list):
+        raise CliError("factor data must be a list of row strings")
+    m = f2la.BinaryMatrix.from_rows(data) if data else f2la.BinaryMatrix.zeros(0, cols)
+    if (m.rows, m.cols) != (rows, cols):
+        raise CliError(
+            f"factor data is {m.rows}x{m.cols} but the bundle declares {rows}x{cols}"
+        )
+    return m
 
 
 def _parse_region(text: str) -> list[int]:
@@ -291,7 +292,6 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="hgpforge",
         description="hypergraph product code construction and verification",
     )
-    default_jobs = int(os.environ.get("HGPFORGE_JOBS", "1"))
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("build", help="build a product code bundle from seed matrices")
@@ -307,7 +307,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("distance", help="brute-force code distance")
     p.add_argument("bundle")
     p.add_argument("--max-weight", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=default_jobs)
+    p.add_argument("--jobs", type=int, default=1, help="accepted and ignored")
     p.set_defaults(func=cmd_distance)
 
     p = sub.add_parser("correctable", help="cleaning-lemma verdict for a region")

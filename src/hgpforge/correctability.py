@@ -9,12 +9,11 @@ branch always comes with an explicit witness logical.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from . import f2la
-from .css import CssCode, PauliOperator, pauli_mul
+from . import classical, f2la
+from .css import CssCode, PauliOperator, lightest_logical, pauli_mul
 from .f2la import BinaryMatrix
 
 # Regions up to this size get an exhaustive minimum-weight witness search;
@@ -67,65 +66,35 @@ def is_correctable(code: CssCode, region: Region | Iterable[int]) -> Correctabil
         raise ValueError("region index out of range")
     if not region.qubits:
         return CorrectabilityVerdict(True)
-    x_wit = _witness(code.hz, code.hx_space, region)
-    z_wit = _witness(code.hx, code.hz_space, region)
-    if x_wit is None and z_wit is None:
+    candidates = [
+        (v, kind)
+        for v, kind in (
+            (_witness(code.hz, code.hx_space, region), "X"),
+            (_witness(code.hx, code.hz_space, region), "Z"),
+        )
+        if v is not None
+    ]
+    if not candidates:
         return CorrectabilityVerdict(True)
-    best, best_type = x_wit, "X"
-    if z_wit is not None and (
-        best is None
-        or z_wit.bit_count() < best.bit_count()
-        or (z_wit.bit_count() == best.bit_count() and _lex_key(z_wit) < _lex_key(best))
-    ):
-        best, best_type = z_wit, "Z"
-    if best_type == "X":
-        op = PauliOperator(code.n, x=best)
-    else:
-        op = PauliOperator(code.n, z=best)
-    return CorrectabilityVerdict(False, op, best_type)
-
-
-def _lex_key(v: int) -> list[int]:
-    return sorted(f2la.indices_of(v))
+    # min keeps the first candidate on a full tie, so X wins over Z.
+    best, kind = min(candidates, key=lambda c: (c[0].bit_count(), f2la.indices_of(c[0])))
+    op = PauliOperator(code.n, x=best) if kind == "X" else PauliOperator(code.n, z=best)
+    return CorrectabilityVerdict(False, op, kind)
 
 
 def _witness(h_kernel: BinaryMatrix, stab_space: f2la.RowSpace, region: Region) -> Optional[int]:
     """Minimum-weight v inside region with h_kernel v = 0, v not in the
     stabilizer row space."""
     cols = sorted(region.qubits)
-    restricted = _restrict_columns(h_kernel, cols)
-    inside = f2la.kernel_basis(restricted)
-    lifted = [_lift(v, cols) for v in inside.bits]
-    offending = [v for v in lifted if not stab_space.contains(v)]
-    if not offending:
-        return None
-    if len(cols) > _WITNESS_ENUM_MAX:
-        return offending[0]
-    for w in range(1, len(cols) + 1):
-        for combo in itertools.combinations(cols, w):
-            v = f2la.vector_from_indices(combo)
-            if f2la.mat_vec(h_kernel, v) == 0 and not stab_space.contains(v):
-                return v
-    raise AssertionError("witness existed in the kernel scan but not in enumeration")
-
-
-def _restrict_columns(m: BinaryMatrix, cols: list[int]) -> BinaryMatrix:
-    out = []
-    for word in m.bits:
-        w = 0
-        for j, c in enumerate(cols):
-            if (word >> c) & 1:
-                w |= 1 << j
-        out.append(w)
-    return BinaryMatrix(m.rows, len(cols), out)
-
-
-def _lift(v: int, cols: list[int]) -> int:
-    out = 0
-    for j, c in enumerate(cols):
-        if (v >> j) & 1:
-            out |= 1 << c
-    return out
+    inside = f2la.kernel_basis(f2la.restrict_columns(h_kernel, cols))
+    lifted = (f2la.lift(v, cols) for v in inside.bits)
+    offending = next((v for v in lifted if not stab_space.contains(v)), None)
+    if offending is None or len(cols) > _WITNESS_ENUM_MAX:
+        return offending
+    found = lightest_logical(h_kernel, stab_space, cols)
+    if found is None:
+        raise AssertionError("witness existed in the kernel scan but not in enumeration")
+    return found
 
 
 def clean_logical(code: CssCode, op: PauliOperator, region: Region | Iterable[int]) -> PauliOperator:
@@ -137,35 +106,21 @@ def clean_logical(code: CssCode, op: PauliOperator, region: Region | Iterable[in
     """
     region = region if isinstance(region, Region) else Region.of(region)
     mask = region.mask()
+    cols = sorted(region.qubits)
     result = op
     if op.x & mask:
-        stab = _match_on_region(code.hx, op.x, sorted(region.qubits))
+        stab = classical.clean_with_target(code.hx, cols, f2la.restrict(op.x, cols))
         if stab is None:
             raise ValueError("region is not cleanable for the X part")
         result = pauli_mul(result, PauliOperator(code.n, x=stab))
     if op.z & mask:
-        stab = _match_on_region(code.hz, op.z, sorted(region.qubits))
+        stab = classical.clean_with_target(code.hz, cols, f2la.restrict(op.z, cols))
         if stab is None:
             raise ValueError("region is not cleanable for the Z part")
         result = pauli_mul(result, PauliOperator(code.n, z=stab))
     if (result.x | result.z) & mask:
         raise AssertionError("cleaned operator still touches the region")
     return result
-
-
-def _match_on_region(h: BinaryMatrix, part: int, cols: list[int]) -> Optional[int]:
-    target = 0
-    for j, c in enumerate(cols):
-        if (part >> c) & 1:
-            target |= 1 << j
-    restricted = _restrict_columns(h, cols)
-    y = f2la.solve(f2la.transpose(restricted), target)
-    if y is None:
-        return None
-    out = 0
-    for r in f2la.indices_of(y):
-        out ^= h.bits[r]
-    return out
 
 
 def union_lemma_check(code: CssCode, r1: Region | Iterable[int], r2: Region | Iterable[int]) -> bool:

@@ -15,7 +15,6 @@ lack the product structure needed for canonical bases.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -213,15 +212,13 @@ class CssCode:
 
 def _check_logical(code: CssCode, v: int, kind: str):
     if kind == "X":
-        if f2la.mat_vec(code.hz, v) != 0:
-            raise ValueError("X representative is not in ker Hz")
-        if code.hx_space.contains(v):
-            raise ValueError("X representative lies in the stabilizer row space")
+        checks, name, space = code.hz, "Hz", code.hx_space
     else:
-        if f2la.mat_vec(code.hx, v) != 0:
-            raise ValueError("Z representative is not in ker Hx")
-        if code.hz_space.contains(v):
-            raise ValueError("Z representative lies in the stabilizer row space")
+        checks, name, space = code.hx, "Hx", code.hz_space
+    if f2la.mat_vec(checks, v) != 0:
+        raise ValueError(f"{kind} representative is not in ker {name}")
+    if space.contains(v):
+        raise ValueError(f"{kind} representative lies in the stabilizer row space")
 
 
 def assemble_css(pc: ProductComplex, level: int) -> CssCode:
@@ -290,11 +287,12 @@ def brute_distance(
 ) -> DistanceResult:
     """Exact minimum logical weights by coset enumeration.
 
-    d_z scans ker Hx modulo the Z-stabilizer row space (d_x symmetric).
-    Each nonzero logical class is paired with a Gray-code walk over the
-    stabilizer combinations; weight classes are split across `jobs`
-    workers with a deterministic min-reduce.  Raises when the enumeration
-    exceeds `budget` and no `max_weight` bounded pass is requested.
+    d_z scans ker Hx modulo the Z-stabilizer row space (d_x symmetric),
+    walking every nonzero logical class plus every stabilizer combination
+    in Gray-code order.  When that enumeration exceeds `budget`, a
+    `max_weight` bounded search by ascending weight takes over; without
+    one it raises.  `jobs` is accepted and ignored: the search runs in one
+    thread.
     """
     if code.k == 0:
         raise ValueError("no logical operators")
@@ -310,13 +308,9 @@ def _min_logical_weight(
     jobs: int,
     budget: int,
 ) -> int:
-    stab = f2la.rref(h_stab)
-    stab_rows = stab.nonzero_rows()
     space = RowSpace(h_stab)
-    logical_rows = []
-    for v in f2la.kernel_basis(h_kernel).bits:
-        if space.extend(v):
-            logical_rows.append(v)
+    stab_rows = list(space.basis)
+    logical_rows = [v for v in f2la.kernel_basis(h_kernel).bits if space.extend(v)]
     k = len(logical_rows)
     if k == 0:
         raise ValueError("no logical operators")
@@ -326,45 +320,34 @@ def _min_logical_weight(
             raise ValueError(
                 f"enumeration of {cost} cosets exceeds budget; pass max_weight"
             )
-        return _bounded_weight_search(h_kernel, h_stab, max_weight)
-
-    def class_min(class_index: int) -> int:
-        base = 0
-        for i in f2la.indices_of(class_index):
-            base ^= logical_rows[i]
-        best = base.bit_count()
-        cur = base
-        prev_gray = 0
-        for i in range(1, 1 << len(stab_rows)):
-            gray = i ^ (i >> 1)
-            flip = gray ^ prev_gray
-            prev_gray = gray
-            cur ^= stab_rows[flip.bit_length() - 1]
-            w = cur.bit_count()
-            if w < best:
-                best = w
-        return best
-
-    classes = range(1, 1 << k)
-    if jobs > 1:
-        chunks = [list(classes)[i::jobs] for i in range(jobs)]
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            mins = pool.map(
-                lambda chunk: min((class_min(c) for c in chunk), default=None), chunks
-            )
-        return min(m for m in mins if m is not None)
-    return min(class_min(c) for c in classes)
+        v = lightest_logical(h_kernel, RowSpace(h_stab), range(h_kernel.cols), max_weight)
+        if v is None:
+            raise ValueError(f"no logical operator of weight <= {max_weight} found")
+        return v.bit_count()
+    # Each nontrivial logical coset word is exactly one logical row plus a
+    # combination of the logical rows before it and of the stabilizers.
+    return min(
+        f2la.min_weight_coset(row, logical_rows[:j] + stab_rows).bit_count()
+        for j, row in enumerate(logical_rows)
+    )
 
 
-def _bounded_weight_search(h_kernel: BinaryMatrix, h_stab: BinaryMatrix, max_weight: int) -> int:
-    space = RowSpace(h_stab)
+def lightest_logical(
+    h_kernel: BinaryMatrix,
+    stab_space: RowSpace,
+    cols: Sequence[int],
+    max_weight: Optional[int] = None,
+) -> Optional[int]:
+    """First v supported on cols with h_kernel v = 0 outside the stabilizer
+    row space, by ascending weight, ties broken by lexicographic support."""
     n = h_kernel.cols
-    for w in range(1, max_weight + 1):
-        for combo in itertools.combinations(range(n), w):
-            v = f2la.vector_from_indices(combo)
-            if f2la.mat_vec(h_kernel, v) == 0 and not space.contains(v):
-                return w
-    raise ValueError(f"no logical operator of weight <= {max_weight} found")
+    syndromes = f2la.transpose(h_kernel).bits
+    # The bits above n carry the syndrome of the low n bits.
+    words = [(syndromes[c] << n) | (1 << c) for c in cols]
+    for _, v in f2la.subset_xors(words, max_weight):
+        if v >> n == 0 and not stab_space.contains(v):
+            return v
+    return None
 
 
 # -- canonical logical basis -------------------------------------------------
@@ -504,10 +487,7 @@ def alternative_representative(
         gamma = sorted({h.fixed_values[pos] for h in avoid})
         fac = pc.factors[d]
         unit = rep.factors[d]
-        target = 0
-        for j, c in enumerate(gamma):
-            if (unit >> c) & 1:
-                target |= 1 << j
+        target = f2la.restrict(unit, gamma)
         # X reps deform by rows of A (X-stabilizer translates); Z reps by
         # rows of A^T.  Both are "clean the unit factor off gamma".
         matrix = fac.a if rep.kind == "X" else f2la.transpose(fac.a)

@@ -278,13 +278,10 @@ class PreservationResult:
 def _kernel_images(code: CssCode, copies: int) -> tuple[list[tuple[int, ...]], int]:
     basis = code.x_domain_basis()
     kdim = len(basis)
-    per_qubit = []
-    for i in range(code.n):
-        per_qubit.append(tuple(j for j, row in enumerate(basis) if (row >> i) & 1))
-    images = []
-    for c in range(copies):
-        off = c * kdim
-        images.extend(tuple(off + j for j in cols) for cols in per_qubit)
+    per_qubit = f2la.column_supports(basis, code.n)
+    images = [
+        tuple(c * kdim + j for j in cols) for c in range(copies) for cols in per_qubit
+    ]
     return images, copies * kdim
 
 
@@ -341,17 +338,16 @@ def logical_action(
     copies = _infer_copies(f, code, copies)
     basis = code.logicals or canonical_logical_basis(code)
     l_rows = [rep.pauli.x for rep in basis.x_reps]
-    g_rows = f2la.rref(code.hx).nonzero_rows()
+    g_rows = code.hx_space.basis
     k, r = len(l_rows), len(g_rows)
     a_total = copies * k
-    images = []
-    for c in range(copies):
-        for i in range(code.n):
-            vars_a = tuple(c * k + j for j, row in enumerate(l_rows) if (row >> i) & 1)
-            vars_b = tuple(
-                a_total + c * r + j for j, row in enumerate(g_rows) if (row >> i) & 1
-            )
-            images.append(vars_a + vars_b)
+    a_cols = f2la.column_supports(l_rows, code.n)
+    b_cols = f2la.column_supports(g_rows, code.n)
+    images = [
+        tuple(c * k + j for j in a_cols[i]) + tuple(a_total + c * r + j for j in b_cols[i])
+        for c in range(copies)
+        for i in range(code.n)
+    ]
     full = substitute(f, images, a_total + copies * r)
     reduced: dict[Monomial, int] = {}
     for mono, c in full._terms.items():
@@ -621,11 +617,7 @@ def _preservation_congruences(code: CssCode, modulus_log2: int) -> list[list[int
     """Linear congruence rows over Z_{2^m} cutting out the preserving
     transversal phase patterns f(x) = sum c_i x_i."""
     m = modulus_log2
-    basis = code.x_domain_basis()
-    touching = [
-        tuple(j for j, row in enumerate(basis) if (row >> i) & 1)
-        for i in range(code.n)
-    ]
+    touching = f2la.column_supports(code.x_domain_basis(), code.n)
     rows: list[list[int]] = []
     for r in range(code.hx.rows):
         g = code.hx.bits[r]

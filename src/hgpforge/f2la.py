@@ -10,8 +10,9 @@ Matrices are immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 
 def _full_mask(cols: int) -> int:
@@ -114,10 +115,7 @@ class BinaryMatrix:
         return all(w == 0 for w in self.bits)
 
     def to_strings(self) -> list[str]:
-        return [
-            "".join("1" if (w >> j) & 1 else "0" for j in range(self.cols))
-            for w in self.bits
-        ]
+        return [vector_to_string(w, self.cols) for w in self.bits]
 
     # -- dunder ------------------------------------------------------------
 
@@ -188,10 +186,9 @@ def rank(m: BinaryMatrix) -> int:
 def transpose(m: BinaryMatrix) -> BinaryMatrix:
     out = [0] * m.cols
     for r, word in enumerate(m.bits):
-        while word:
-            low = word & -word
-            out[low.bit_length() - 1] |= 1 << r
-            word ^= low
+        bit = 1 << r
+        for c in indices_of(word):
+            out[c] |= bit
     return BinaryMatrix(m.cols, m.rows, out)
 
 
@@ -199,31 +196,26 @@ def matmul(a: BinaryMatrix, b: BinaryMatrix) -> BinaryMatrix:
     """Matrix product over GF(2); requires cols(a) == rows(b)."""
     if a.cols != b.rows:
         raise ValueError(f"dimension mismatch: {a.cols} cols vs {b.rows} rows")
-    out = []
-    for word in a.bits:
-        acc = 0
-        w = word
-        while w:
-            low = w & -w
-            acc ^= b.bits[low.bit_length() - 1]
-            w ^= low
-        out.append(acc)
-    return BinaryMatrix(a.rows, b.cols, out)
+    return BinaryMatrix(a.rows, b.cols, [row_combination(b, word) for word in a.bits])
+
+
+def row_combination(m: BinaryMatrix, v: int) -> int:
+    """XOR of the rows of m selected by the bits of v (the product v^T m)."""
+    acc = 0
+    for r in indices_of(v):
+        acc ^= m.bits[r]
+    return acc
 
 
 def kron(a: BinaryMatrix, b: BinaryMatrix) -> BinaryMatrix:
     """Kronecker product; entry ((ia*rb + ib), (ja*cb + jb)) = a[ia,ja]*b[ib,jb]."""
     out = []
-    for ia in range(a.rows):
-        arow = a.bits[ia]
-        for ib in range(b.rows):
+    for arow in a.bits:
+        cols_a = indices_of(arow)
+        for brow in b.bits:
             word = 0
-            w = arow
-            while w:
-                low = w & -w
-                ja = low.bit_length() - 1
-                word |= b.bits[ib] << (ja * b.cols)
-                w ^= low
+            for ja in cols_a:
+                word |= brow << (ja * b.cols)
             out.append(word)
     return BinaryMatrix(a.rows * b.rows, a.cols * b.cols, out)
 
@@ -248,55 +240,97 @@ def kernel_basis(m: BinaryMatrix) -> BinaryMatrix:
     """
     red = rref(m)
     pivot_set = set(red.pivot_columns)
-    rows = []
-    for f in range(m.cols):
-        if f in pivot_set:
-            continue
-        v = 1 << f
-        for i, p in enumerate(red.pivot_columns):
-            if (red.reduced.bits[i] >> f) & 1:
-                v |= 1 << p
-        rows.append(v)
+    columns = transpose(red.reduced).bits
+    rows = [
+        (1 << f) | lift(columns[f], red.pivot_columns)
+        for f in range(m.cols)
+        if f not in pivot_set
+    ]
     return BinaryMatrix(len(rows), m.cols, rows)
 
 
 def solve(m: BinaryMatrix, b: int) -> Optional[int]:
     """Solve m @ x = b for a packed vector x, or None if inconsistent.
 
-    Free variables are set to zero, so the returned solution is the unique
-    representative with support inside the pivot columns.
+    Reduces the augmented matrix [m | b]; the system is inconsistent iff
+    the augmented column carries a pivot.  Free variables are set to zero,
+    so the returned solution is the unique representative with support
+    inside the pivot columns.
     """
     if b < 0 or b & ~_full_mask(m.rows):
         raise ValueError("right-hand side does not fit the row count")
-    # Augment each row word with its b-bit one position past the last column.
     aug = [m.bits[r] | (((b >> r) & 1) << m.cols) for r in range(m.rows)]
-    pivots = []
-    pivot_row = 0
-    for col in range(m.cols):
-        sel = None
-        for r in range(pivot_row, m.rows):
-            if (aug[r] >> col) & 1:
-                sel = r
-                break
-        if sel is None:
-            continue
-        aug[pivot_row], aug[sel] = aug[sel], aug[pivot_row]
-        for r in range(m.rows):
-            if r != pivot_row and (aug[r] >> col) & 1:
-                aug[r] ^= aug[pivot_row]
-        pivots.append(col)
-        pivot_row += 1
-        if pivot_row == m.rows:
-            break
-    body_mask = _full_mask(m.cols)
-    for r in range(pivot_row, m.rows):
-        if aug[r] >> m.cols and not (aug[r] & body_mask):
-            return None
+    red = rref(BinaryMatrix(m.rows, m.cols + 1, aug))
+    if red.pivot_columns and red.pivot_columns[-1] == m.cols:
+        return None
     x = 0
-    for i, col in enumerate(pivots):
-        if aug[i] >> m.cols:
+    for word, col in zip(red.reduced.bits, red.pivot_columns):
+        if word >> m.cols:
             x |= 1 << col
     return x
+
+
+def restrict(v: int, cols: Sequence[int]) -> int:
+    """Packed vector whose bit j is bit cols[j] of v."""
+    out = 0
+    for j, c in enumerate(cols):
+        if (v >> c) & 1:
+            out |= 1 << j
+    return out
+
+
+def lift(v: int, cols: Sequence[int]) -> int:
+    """Inverse of restrict: bit j of v moves to bit cols[j]."""
+    out = 0
+    for j, c in enumerate(cols):
+        if (v >> j) & 1:
+            out |= 1 << c
+    return out
+
+
+def restrict_columns(m: BinaryMatrix, cols: Sequence[int]) -> BinaryMatrix:
+    """The submatrix on the listed columns, in the listed order."""
+    return BinaryMatrix(m.rows, len(cols), [restrict(word, cols) for word in m.bits])
+
+
+def column_supports(rows: Sequence[int], cols: int) -> list[tuple[int, ...]]:
+    """For each column i, the indices of the rows with a 1 in column i."""
+    t = transpose(BinaryMatrix(len(rows), cols, rows))
+    return [tuple(indices_of(word)) for word in t.bits]
+
+
+def subset_xors(
+    words: Sequence[int], max_size: Optional[int] = None
+) -> Iterator[tuple[int, int]]:
+    """(size, XOR) of every nonempty subset of words of at most max_size.
+
+    Subsets come by ascending size, and within a size in
+    itertools.combinations order, so the first hit of a search is a
+    smallest one with lexicographic tie-breaking.
+    """
+    top = len(words) if max_size is None else min(max_size, len(words))
+    for size in range(1, top + 1):
+        for combo in itertools.combinations(words, size):
+            acc = 0
+            for w in combo:
+                acc ^= w
+            yield size, acc
+
+
+def min_weight_coset(base: int, rows: Sequence[int]) -> int:
+    """Lowest-weight word of the coset base + span(rows).
+
+    Walks all 2^len(rows) combinations in Gray-code order, one XOR per
+    step, inside this call; ties keep the first word reached.
+    """
+    best = cur = base
+    best_weight = base.bit_count()
+    for i in range(1, 1 << len(rows)):
+        cur ^= rows[(i & -i).bit_length() - 1]
+        w = cur.bit_count()
+        if w < best_weight:
+            best, best_weight = cur, w
+    return best
 
 
 class RowSpace:
@@ -324,6 +358,11 @@ class RowSpace:
     @property
     def rank(self) -> int:
         return len(self._basis)
+
+    @property
+    def basis(self) -> tuple[int, ...]:
+        """The reduced basis rows, pivots ascending."""
+        return tuple(self._basis)
 
     def reduce(self, v: int) -> int:
         for word, p in zip(self._basis, self._pivots):

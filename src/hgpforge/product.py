@@ -84,6 +84,14 @@ class Sector:
             out[i] = out[i + 1] * self.shape[i + 1]
         return tuple(out)
 
+    def coords(self, rem: int) -> tuple[int, ...]:
+        """Mixed-radix digits of a position inside the sector."""
+        out = []
+        for stride in self.strides():
+            digit, rem = divmod(rem, stride)
+            out.append(digit)
+        return tuple(out)
+
 
 class SectorTable:
     """Ordered sectors of one level, with subset -> index lookup."""
@@ -238,12 +246,7 @@ def coords_of(pc: ProductComplex, level: int, index: int) -> tuple[int, tuple[in
         raise ValueError("flat index out of range")
     for mu, sec in enumerate(table.sectors):
         if index < sec.offset + sec.size:
-            rem = index - sec.offset
-            coords = []
-            for stride in sec.strides():
-                coords.append(rem // stride)
-                rem %= stride
-            return mu, tuple(coords)
+            return mu, sec.coords(index - sec.offset)
     raise AssertionError("unreachable: offsets do not cover the level")
 
 
@@ -283,19 +286,8 @@ def sector_support_coords(
 ) -> list[tuple[int, ...]]:
     """Coordinates of the support of v restricted to sector mu."""
     sec = pc.tables[level][mu]
-    out = []
-    word = v >> sec.offset
-    word &= (1 << sec.size) - 1
-    while word:
-        low = word & -word
-        rem = low.bit_length() - 1
-        coords = []
-        for stride in sec.strides():
-            coords.append(rem // stride)
-            rem %= stride
-        out.append(tuple(coords))
-        word ^= low
-    return out
+    word = (v >> sec.offset) & ((1 << sec.size) - 1)
+    return [sec.coords(rem) for rem in f2la.indices_of(word)]
 
 
 def block_hamming_weight(

@@ -143,14 +143,17 @@ class CnzVerification:
 def verify_logical_cnz(bundle: ToricBundle) -> CnzVerification:
     """Extract the logical polynomial and check the C^(t-1)Z pattern.
 
-    Requires every expected transversal-intersection monomial to appear
-    with coefficient 1 mod 2 and the logical level to reach t.
+    Requires the logical polynomial to equal the expected pattern exactly:
+    every transversal-intersection monomial with coefficient 1 mod 2 and
+    no other term.  An extra term, such as a linear one from a dressed
+    Z logical, fails the check even when the level is still t.
     """
     poly = logical_action(bundle.circuit, bundle.code, copies=bundle.copies)
     expected = expected_logical_monomials(bundle)
     missing = [mono for mono in expected if poly.coefficient(mono) != 1]
     level = diagonal.hierarchy_level(poly)
-    verified = bool(expected) and not missing and level == bundle.t
+    pattern = PhasePolynomial(poly.nvars, poly.modulus_log2, dict.fromkeys(expected, 1))
+    verified = bool(expected) and poly == pattern
     return CnzVerification(
         verified,
         poly,

@@ -235,3 +235,27 @@ class TestToricCnz:
         assert report["results"]["preserves"] is True
         assert report["results"]["level"] == 3
         assert len(report["results"]["logical_terms"]) == 6
+
+
+class TestContract:
+    def test_jobs_environment_variable_is_not_read(self, capsys, toric_bundle, monkeypatch):
+        unset = main(["distance", toric_bundle]), capsys.readouterr().out
+        monkeypatch.setenv("HGPFORGE_JOBS", "abc")
+        assert (main(["distance", toric_bundle]), capsys.readouterr().out) == unset
+        assert unset[0] == 0
+
+    def test_non_integer_jobs_is_usage_error(self, capsys, toric_bundle):
+        assert main(["distance", toric_bundle, "--jobs", "abc"]) == 2
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [("rows", 5, "declares 5x3"), ("cols", 4, "declares 3x4"), ("data", "111", "list")],
+    )
+    def test_factor_layout_is_checked(self, capsys, tmp_path, toric_bundle, field, value, message):
+        payload = json.loads(open(toric_bundle).read())
+        payload["factors"][0][field] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        assert main(["distance", str(bad)]) == 2
+        report = json.loads(capsys.readouterr().out)
+        assert report["status"] == "error" and message in report["results"]["error"]

@@ -1,0 +1,177 @@
+"""Property tests of the shared GF(2) primitives against brute force.
+
+Every instance is small enough that the oracle enumerates all 2^n vectors
+or all subsets outright.
+"""
+
+import itertools
+from functools import reduce
+from operator import xor
+from unittest import mock
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hgpforge import classical, css, f2la
+from hgpforge.f2la import BinaryMatrix
+
+MAX_N = 7
+SETTINGS = settings(max_examples=60, deadline=None)
+
+
+@st.composite
+def matrices(draw, max_rows=5, max_cols=MAX_N, min_cols=0):
+    rows = draw(st.integers(0, max_rows))
+    cols = draw(st.integers(min_cols, max_cols))
+    words = draw(st.lists(st.integers(0, (1 << cols) - 1), min_size=rows, max_size=rows))
+    return BinaryMatrix(rows, cols, words)
+
+
+@st.composite
+def column_lists(draw, n):
+    """Distinct columns of an n-column matrix, in any order."""
+    perm = draw(st.permutations(range(n)))
+    return perm[: draw(st.integers(0, n))]
+
+
+def span(rows):
+    out = {0}
+    for row in rows:
+        out |= {v ^ row for v in out}
+    return out
+
+
+def codewords(h):
+    return [x for x in range(1 << h.cols) if f2la.mat_vec(h, x) == 0]
+
+
+class TestSolve:
+    @SETTINGS
+    @given(matrices(), st.data())
+    def test_against_enumeration(self, m, data):
+        b = data.draw(st.integers(0, (1 << m.rows) - 1))
+        x = f2la.solve(m, b)
+        solvable = any(f2la.mat_vec(m, y) == b for y in range(1 << m.cols))
+        assert (x is not None) == solvable
+        if x is not None:
+            assert f2la.mat_vec(m, x) == b
+            pivots = f2la.vector_from_indices(f2la.rref(m).pivot_columns)
+            assert x & ~pivots == 0
+
+
+class TestRestrictLift:
+    @SETTINGS
+    @given(st.integers(0, MAX_N).flatmap(lambda n: st.tuples(column_lists(n), st.integers(0, (1 << n) - 1))))
+    def test_lift_inverts_restrict_on_the_columns(self, case):
+        cols, v = case
+        mask = f2la.vector_from_indices(cols)
+        assert f2la.lift(f2la.restrict(v, cols), cols) == v & mask
+        for j, c in enumerate(cols):
+            assert (f2la.restrict(v, cols) >> j) & 1 == (v >> c) & 1
+
+    @SETTINGS
+    @given(matrices(min_cols=1), st.data())
+    def test_restrict_columns_picks_entries(self, m, data):
+        cols = data.draw(column_lists(m.cols))
+        sub = f2la.restrict_columns(m, cols)
+        assert (sub.rows, sub.cols) == (m.rows, len(cols))
+        for r in range(m.rows):
+            for j, c in enumerate(cols):
+                assert sub.get(r, j) == m.get(r, c)
+
+
+class TestSubsetXors:
+    @SETTINGS
+    @given(st.lists(st.integers(0, 255), max_size=6), st.one_of(st.none(), st.integers(0, 7)))
+    def test_order_is_nested_combinations(self, words, max_size):
+        top = len(words) if max_size is None else min(max_size, len(words))
+        expected = [
+            (size, reduce(xor, combo, 0))
+            for size in range(1, top + 1)
+            for combo in itertools.combinations(words, size)
+        ]
+        assert list(f2la.subset_xors(words, max_size)) == expected
+
+
+class TestMinWeightCoset:
+    @SETTINGS
+    @given(st.lists(st.integers(0, 511), max_size=7), st.integers(0, 511))
+    def test_equals_brute_minimum(self, rows, base):
+        word = f2la.min_weight_coset(base, rows)
+        coset = {base ^ v for v in span(rows)}
+        assert word in coset
+        assert word.bit_count() == min(v.bit_count() for v in coset)
+
+
+class TestColumnSupports:
+    @SETTINGS
+    @given(matrices())
+    def test_matches_scan(self, m):
+        supports = f2la.column_supports(m.bits, m.cols)
+        assert supports == [
+            tuple(r for r in range(m.rows) if m.get(r, c)) for c in range(m.cols)
+        ]
+
+
+class TestInformationSet:
+    @SETTINGS
+    @given(matrices(max_rows=4, min_cols=1), st.data())
+    def test_lexicographically_smallest_inside_t(self, h, data):
+        code = classical.ClassicalCode(h)
+        t = sorted(set(data.draw(column_lists(h.cols))))
+        candidates = [
+            combo
+            for combo in itertools.combinations(t, code.k)
+            if f2la.rank(f2la.restrict_columns(code.g, combo)) == code.k
+        ]
+        try:
+            info = classical.find_information_set(code, t)
+        except ValueError:
+            assert not candidates
+            return
+        assert info.indices == candidates[0]
+
+
+class TestDistance:
+    @SETTINGS
+    @given(matrices(max_rows=4, min_cols=1), st.booleans())
+    def test_certificate_is_a_minimum_weight_codeword(self, h, full_enumeration):
+        code = classical.ClassicalCode(h)
+        if code.k == 0:
+            return
+        limit = classical.FULL_ENUMERATION_MAX_K if full_enumeration else 0
+        with mock.patch.object(classical, "FULL_ENUMERATION_MAX_K", limit):
+            cert = classical.distance_certificate(code)
+        witness = int(cert["witness"][::-1], 2)
+        brute = min(x.bit_count() for x in codewords(h) if x)
+        assert witness and f2la.mat_vec(h, witness) == 0
+        assert witness.bit_count() == cert["d"] == brute
+
+    @SETTINGS
+    @given(matrices(max_rows=4, min_cols=1), st.integers(1, MAX_N + 1))
+    def test_distance_at_least(self, h, w):
+        code = classical.ClassicalCode(h)
+        if code.k == 0:
+            return
+        brute = min(x.bit_count() for x in codewords(h) if x)
+        assert classical.distance_at_least(code, w) == (brute >= w)
+
+
+class TestLightestLogical:
+    @SETTINGS
+    @given(matrices(max_rows=4, min_cols=1), st.data())
+    def test_first_by_weight_then_support(self, h, data):
+        stab_rows = data.draw(st.lists(st.sampled_from(codewords(h)), max_size=3))
+        space = f2la.RowSpace(BinaryMatrix(len(stab_rows), h.cols, stab_rows))
+        cols = sorted(set(data.draw(column_lists(h.cols))))
+        expected = next(
+            (
+                f2la.vector_from_indices(combo)
+                for size in range(1, len(cols) + 1)
+                for combo in itertools.combinations(cols, size)
+                if f2la.mat_vec(h, f2la.vector_from_indices(combo)) == 0
+                and not space.contains(f2la.vector_from_indices(combo))
+            ),
+            None,
+        )
+        assert css.lightest_logical(h, space, cols) == expected

@@ -170,3 +170,20 @@ class TestExpectedMonomials:
     def test_t2_has_two(self):
         bundle = toric_cnz.build_bundle(2, 3)
         assert len(toric_cnz.expected_logical_monomials(bundle)) == 2
+
+
+class TestExactPattern:
+    def test_extra_logical_term_fails_verification(self):
+        # Z on every qubit of copy 0's first canonical Z representative still
+        # preserves the codespace but adds the linear logical term (0,).
+        bundle = toric_cnz.build_bundle(3, 2)
+        z_rep = css.canonical_logical_basis(bundle.code).z_reps[0]
+        extra = diagonal.poly_from_circuit(
+            [(1, (q,)) for q in sorted(z_rep.pauli.support)], 1, nvars=bundle.circuit.nvars
+        )
+        dressed = toric_cnz.ToricBundle(3, 2, 3, bundle.code, bundle.circuit + extra)
+        assert toric_cnz.verify_invariance(dressed)
+        ver = toric_cnz.verify_logical_cnz(dressed)
+        assert ((0,), 1) in ver.logical_poly.terms()
+        assert ver.level == 3 and not ver.missing
+        assert not ver.verified
