@@ -291,13 +291,18 @@ def brute_distance(
     walking every nonzero logical class plus every stabilizer combination
     in Gray-code order.  When that enumeration exceeds `budget`, a
     `max_weight` bounded search by ascending weight takes over; without
-    one it raises.  `jobs` is accepted and ignored: the search runs in one
-    thread.
+    one it raises.  A `max_weight` W must be >= 1 and bounds the distance
+    d on both paths: d > W raises "no logical operator of weight <= W
+    found".  Above the budget W also caps each type's search, so a type
+    heavier than W raises the same even when the other type is lighter.
+    `jobs` is accepted and ignored: the search runs in one thread.
     """
     if code.k == 0:
         raise ValueError("no logical operators")
     d_z = _min_logical_weight(code.hx, code.hz, max_weight, jobs, budget)
     d_x = _min_logical_weight(code.hz, code.hx, max_weight, jobs, budget)
+    if max_weight is not None and min(d_x, d_z) > max_weight:
+        raise ValueError(f"no logical operator of weight <= {max_weight} found")
     return DistanceResult(d_x=d_x, d_z=d_z)
 
 
@@ -308,6 +313,8 @@ def _min_logical_weight(
     jobs: int,
     budget: int,
 ) -> int:
+    if max_weight is not None and max_weight < 1:
+        raise ValueError("max_weight must be >= 1")
     space = RowSpace(h_stab)
     stab_rows = list(space.basis)
     logical_rows = [v for v in f2la.kernel_basis(h_kernel).bits if space.extend(v)]

@@ -8,10 +8,10 @@ drives both the Clifford-hierarchy level computation and the
 codespace-preservation check.
 
 Everything here is exact symbolic arithmetic mod 2^m; no state vectors are
-ever enumerated.  Substituting a GF(2)-linear parameterization into a
-polynomial expands each XOR multilinearly, pruning branches whose
-coefficient 2-adic valuation already exceeds the modulus, which keeps the
-kernel-substitution checks polynomial-sized in practice.
+ever enumerated.  The codespace check and the logical action share one
+pullback of f to codeword coordinates x = L a + G b, which expands each XOR
+multilinearly and prunes branches whose coefficient 2-adic valuation
+reaches the modulus, keeping it polynomial-sized in practice.
 """
 
 from __future__ import annotations
@@ -244,8 +244,10 @@ def substitute(
         if coeff % mod == 0:
             return
         if idx == len(factors):
-            key = acc
-            out[key] = (out.get(key, 0) + coeff) % mod
+            # A monomial whose coefficient cancels leaves the accumulator.
+            total = (out.pop(acc, 0) + coeff) % mod
+            if total:
+                out[acc] = total
             return
         img = factors[idx]
         v = (coeff & -coeff).bit_length() - 1 if coeff else m
@@ -275,16 +277,6 @@ class PreservationResult:
         return self.preserves
 
 
-def _kernel_images(code: CssCode, copies: int) -> tuple[list[tuple[int, ...]], int]:
-    basis = code.x_domain_basis()
-    kdim = len(basis)
-    per_qubit = f2la.column_supports(basis, code.n)
-    images = [
-        tuple(c * kdim + j for j in cols) for c in range(copies) for cols in per_qubit
-    ]
-    return images, copies * kdim
-
-
 def _infer_copies(f: PhasePolynomial, code: CssCode, copies: Optional[int]) -> int:
     if copies is None:
         if code.n == 0 or f.nvars % code.n:
@@ -299,28 +291,49 @@ def _infer_copies(f: PhasePolynomial, code: CssCode, copies: Optional[int]) -> i
     return copies
 
 
+def _pullback(
+    f: PhasePolynomial, code: CssCode, copies: int, lead_rows: Sequence[int]
+) -> tuple[PhasePolynomial, int]:
+    """f at x = L a + G b per copy (L = lead_rows, G = reduced Hx basis), and the a count."""
+    g_rows = code.hx_space.basis
+    k, r = len(lead_rows), len(g_rows)
+    a_total = copies * k
+    a_cols = f2la.column_supports(lead_rows, code.n)
+    b_cols = f2la.column_supports(g_rows, code.n)
+    images = [
+        tuple(c * k + j for j in a_cols[i]) + tuple(a_total + c * r + j for j in b_cols[i])
+        for c in range(copies)
+        for i in range(code.n)
+    ]
+    return substitute(f, images, a_total + copies * r), a_total
+
+
 def preserves_codespace(
     f: PhasePolynomial, code: CssCode, copies: Optional[int] = None
 ) -> PreservationResult:
     """Symbolic check that the diagonal circuit fixes the codespace.
 
-    For every X-stabilizer generator g (each row of Hx on each copy) the
-    difference f(x XOR g) - f(x) must vanish identically on the codeword
-    domain ker Hz; the domain restriction is a kernel-basis substitution,
-    so the verdict is exact and never enumerates states.
+    The X-stabilizer row g (each row of Hx on each copy) shifts the
+    pullback's b-coordinates by its coordinates w in G, so f(x XOR g) = f(x)
+    on ker Hz exactly when the pullback's b-dependent part is unchanged by
+    w.  The verdict is exact and never enumerates states.
     """
     copies = _infer_copies(f, code, copies)
-    images, udim = _kernel_images(code, copies)
+    if code.logicals is None and (code.complex is None or code.level is None):
+        span = code.hx_space.copy()
+        lead_rows = [v for v in code.x_domain_basis() if span.extend(v)]
+    else:
+        basis = code.logicals or canonical_logical_basis(code)
+        lead_rows = [rep.pauli.x for rep in basis.x_reps]
+    full, a_total = _pullback(f, code, copies, lead_rows)
+    moving = {mono: c for mono, c in full._terms.items() if max(mono, default=-1) >= a_total}
+    moving = PhasePolynomial(full.nvars, f.modulus_log2, moving)
+    # Each reduced basis row's lowest set bit is its pivot.
+    pivots = [(w & -w).bit_length() - 1 for w in code.hx_space.basis]
     for c in range(copies):
-        shift = c * code.n
-        for r in range(code.hx.rows):
-            row = code.hx.bits[r]
-            if row == 0:
-                continue
-            d = difference(f, row << shift)
-            if d.is_zero():
-                continue
-            if not substitute(d, images, udim).is_zero():
+        shift = a_total + c * len(pivots)
+        for r, row in enumerate(code.hx.bits):
+            if row and not difference(moving, f2la.restrict(row, pivots) << shift).is_zero():
                 return PreservationResult(False, c, r)
     return PreservationResult(True)
 
@@ -337,27 +350,13 @@ def logical_action(
     """
     copies = _infer_copies(f, code, copies)
     basis = code.logicals or canonical_logical_basis(code)
-    l_rows = [rep.pauli.x for rep in basis.x_reps]
-    g_rows = code.hx_space.basis
-    k, r = len(l_rows), len(g_rows)
-    a_total = copies * k
-    a_cols = f2la.column_supports(l_rows, code.n)
-    b_cols = f2la.column_supports(g_rows, code.n)
-    images = [
-        tuple(c * k + j for j in a_cols[i]) + tuple(a_total + c * r + j for j in b_cols[i])
-        for c in range(copies)
-        for i in range(code.n)
-    ]
-    full = substitute(f, images, a_total + copies * r)
-    reduced: dict[Monomial, int] = {}
-    for mono, c in full._terms.items():
-        if any(v >= a_total for v in mono):
-            raise AssertionError(
-                "stabilizer dependence failed to cancel; circuit does not "
-                "preserve the codespace"
-            )
-        reduced[mono] = c
-    return PhasePolynomial(a_total, f.modulus_log2, reduced)
+    full, a_total = _pullback(f, code, copies, [rep.pauli.x for rep in basis.x_reps])
+    if any(max(mono, default=-1) >= a_total for mono in full._terms):
+        raise AssertionError(
+            "stabilizer dependence failed to cancel; circuit does not "
+            "preserve the codespace"
+        )
+    return PhasePolynomial(a_total, f.modulus_log2, full._terms)
 
 
 # -- circuit text format -------------------------------------------------------
@@ -678,6 +677,10 @@ def transversal_nogo_harness(
     reports the maximum hierarchy level observed.  For hypergraph product
     codes with distance >= 3 the maximum must come out <= 2 (Clifford).
     """
+    if modulus_log2 < 1:
+        raise ValueError("modulus_log2 must be >= 1")
+    if samples < 0:
+        raise ValueError("samples must be >= 0")
     rows = _preservation_congruences(code, modulus_log2)
     gens = kernel_mod_power_of_two(rows, code.n, modulus_log2)
     rng = random.Random(seed)

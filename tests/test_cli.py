@@ -244,6 +244,39 @@ class TestContract:
         assert (main(["distance", toric_bundle]), capsys.readouterr().out) == unset
         assert unset[0] == 0
 
+    @pytest.mark.parametrize(
+        "max_weight, message",
+        [("1", "weight <= 1 found"), ("2", "weight <= 2 found"), ("0", ">= 1"), ("-3", ">= 1")],
+    )
+    def test_max_weight_below_distance_is_usage_error(
+        self, capsys, toric_bundle, max_weight, message
+    ):
+        assert main(["distance", toric_bundle, "--max-weight", max_weight]) == 2
+        report = json.loads(capsys.readouterr().out)
+        assert report["status"] == "error" and message in report["results"]["error"]
+
+    def test_max_weight_at_distance_reports_it(self, capsys, toric_bundle):
+        rc, report = run_json(capsys, ["distance", toric_bundle, "--max-weight", "3"])
+        assert rc == 0 and report["results"]["d"] == 3
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--mod", "2", "--samples", "-5"], "samples must be >= 0"),
+            (["--mod", "0"], "modulus_log2 must be >= 1"),
+            (["--mod", "-1"], "modulus_log2 must be >= 1"),
+        ],
+    )
+    def test_nogo_bad_arguments_are_usage_errors(self, capsys, toric_bundle, flags, message):
+        assert main(["nogo-transversal", toric_bundle, *flags]) == 2
+        report = json.loads(capsys.readouterr().out)
+        assert report["status"] == "error" and message in report["results"]["error"]
+
+    def test_nogo_zero_samples_surveys_generators_only(self, capsys, toric_bundle):
+        argv = ["nogo-transversal", toric_bundle, "--mod", "2", "--samples", "0"]
+        rc, report = run_json(capsys, argv)
+        assert rc == 0 and report["results"]["sample_count"] == 0
+
     def test_non_integer_jobs_is_usage_error(self, capsys, toric_bundle):
         assert main(["distance", toric_bundle, "--jobs", "abc"]) == 2
 

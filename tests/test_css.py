@@ -126,6 +126,25 @@ class TestBruteDistance:
             css.brute_distance(toric18, budget=4)
         assert css.brute_distance(toric18, budget=4, max_weight=3).d == 3
 
+    @pytest.mark.parametrize("budget", [css._DISTANCE_BUDGET, 4])
+    def test_max_weight_bounds_both_paths(self, toric18, budget):
+        # d = 3 on the L=3 toric code, by the coset walk and the bounded search
+        assert css.brute_distance(toric18, max_weight=3, budget=budget).d == 3
+        assert css.brute_distance(toric18, max_weight=5, budget=budget).d == 3
+        with pytest.raises(ValueError, match="no logical operator of weight <= 2 found"):
+            css.brute_distance(toric18, max_weight=2, budget=budget)
+
+    def test_max_weight_bounds_the_distance_not_each_type(self, toric3d):
+        # d_x = 4 > d_z = 2: W = d reports both exact weights, W < d raises
+        assert css.brute_distance(toric3d, max_weight=2) == css.DistanceResult(d_x=4, d_z=2)
+        with pytest.raises(ValueError, match="no logical operator of weight <= 1 found"):
+            css.brute_distance(toric3d, max_weight=1)
+
+    @pytest.mark.parametrize("max_weight", [0, -3])
+    def test_max_weight_below_one_is_rejected(self, toric18, max_weight):
+        with pytest.raises(ValueError, match="max_weight must be >= 1"):
+            css.brute_distance(toric18, max_weight=max_weight)
+
 
 class TestPauli:
     def test_xz_same_qubit(self):

@@ -582,3 +582,74 @@ class TestNogoHarness:
             return hierarchy_level(logical_action(f, code, copies=1))
 
         assert max(map(level_of, span)) == max(map(level_of, gens))
+
+
+class TestPreservationDifferential:
+    """The single-pullback check against the per-generator algorithm.
+
+    The reference substitutes difference(f, row << c*n) for every Hx row
+    into the images of a ker Hz basis and reports the first nonzero one.
+    """
+
+    @staticmethod
+    def per_generator(f, code, copies):
+        basis = code.x_domain_basis()
+        kdim = len(basis)
+        per_qubit = f2la.column_supports(basis, code.n)
+        images = [tuple(c * kdim + j for j in cols) for c in range(copies) for cols in per_qubit]
+        for c in range(copies):
+            for r, row in enumerate(code.hx.bits):
+                if row == 0:
+                    continue
+                d = difference(f, row << (c * code.n))
+                if not d.is_zero() and not substitute(d, images, copies * kdim).is_zero():
+                    return False, c, r
+        return True, None, None
+
+    @staticmethod
+    def random_code(rng, kind):
+        if kind == "hand-built":
+            # Hx rows are random words of ker Hz, zero and repeated rows included
+            n, nz, nx = rng.randrange(3, 9), rng.randrange(0, 4), rng.randrange(1, 5)
+            hz = BinaryMatrix(nz, n, [rng.getrandbits(n) for _ in range(nz)])
+            ker = f2la.kernel_basis(hz)
+            hx_rows = [f2la.row_combination(ker, rng.getrandbits(ker.rows)) for _ in range(nx)]
+            return css.CssCode(BinaryMatrix(nx, n, hx_rows), hz)
+        seeds = [
+            BinaryMatrix(r, c, [rng.getrandbits(c) for _ in range(r)])
+            for r, c in ((rng.randrange(1, 4), rng.randrange(1, 4)) for _ in range(2))
+        ]
+        code = css.assemble_css(product.build_product(seeds), 1)
+        if kind == "product":
+            return code
+        return css.CssCode(code.hx, code.hz)  # same checks, no complex, no basis
+
+    def test_agrees_with_per_generator_check(self):
+        rng = random.Random(2024)
+        kinds = ("product", "hand-built", "stripped product")
+        counts = {True: 0, False: 0}
+        seen_copies, seen_m = set(), set()
+        for i in range(300):
+            kind = kinds[i % 3]
+            code = self.random_code(rng, kind)
+            copies, m = rng.randrange(1, 4), rng.randrange(1, 4)
+            nvars = copies * code.n
+            # f(x) = h(parities of x against words of ker Hx) is constant on
+            # every X-stabilizer coset; a random extra term usually is not.
+            ker_hx = f2la.kernel_basis(code.hx).bits or [0]
+            parities = [
+                tuple(c * code.n + q for q in f2la.indices_of(rng.choice(ker_hx)))
+                for c in (rng.randrange(copies) for _ in range(3))
+            ]
+            h = random_poly(rng, len(parities), m, nterms=rng.randrange(1, 4))
+            f = substitute(h, parities, nvars)
+            if rng.random() < 0.6:
+                f = f + random_poly(rng, nvars, m, nterms=rng.randrange(1, 3))
+            res = preserves_codespace(f, code, copies=copies)
+            expected = self.per_generator(f, code, copies)
+            assert (res.preserves, res.violating_copy, res.violating_row) == expected, (i, kind)
+            counts[res.preserves] += 1
+            seen_copies.add(copies)
+            seen_m.add(m)
+        assert min(counts.values()) >= 50, counts
+        assert seen_copies == seen_m == {1, 2, 3}

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from hgpforge import css, diagonal, toric_cnz
+from hgpforge import css, diagonal, f2la, toric_cnz
 
 
 class TestBuildToric:
@@ -88,7 +88,13 @@ class TestInvariance:
         # invariance is established per stabilizer generator, not in aggregate
         bundle = toric_cnz.build_bundle(2, 3)
         code, f = bundle.code, bundle.circuit
-        images, udim = diagonal._kernel_images(code, bundle.copies)
+        basis = code.x_domain_basis()
+        kdim = len(basis)
+        per_qubit = f2la.column_supports(basis, code.n)
+        images = [
+            tuple(c * kdim + j for j in cols) for c in range(bundle.copies) for cols in per_qubit
+        ]
+        udim = bundle.copies * kdim
         for c in range(bundle.copies):
             for r in range(code.hx.rows):
                 d = diagonal.difference(f, code.hx.bits[r] << (c * code.n))
