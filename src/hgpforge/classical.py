@@ -14,9 +14,6 @@ from typing import Iterable, Optional
 from . import f2la
 from .f2la import BinaryMatrix
 
-# Full codeword enumeration is used up to this dimension; beyond it the
-# search switches to ascending message weight with a certified early exit.
-FULL_ENUMERATION_MAX_K = 20
 _SEARCH_BUDGET = 1 << 22
 
 
@@ -63,34 +60,19 @@ class ClassicalCode:
 def distance(code: ClassicalCode, budget: int = _SEARCH_BUDGET) -> int:
     """Exact minimum weight over nonzero codewords.
 
-    Enumerates all 2^k - 1 nonzero codewords for k <= 20 (one Gray-code
-    coset walk per leading generator row); otherwise enumerates messages by
-    ascending weight over the reduced generator, stopping once the message
-    weight exceeds the best codeword weight found (every codeword has
-    weight >= the weight of its message restricted to the information set,
-    which certifies the early exit).
+    One `f2la.lightest_word` walk: messages over the reduced generator by
+    ascending weight, stopped once the message weight reaches the lightest
+    codeword found.  The stop is exact because a codeword is at least as
+    heavy as its message, which it carries on the information set.  Raises
+    when the walk needs more than `budget` messages.
     """
     if code.k == 0:
         raise ValueError("distance undefined for trivial code")
     if code._distance is not None:
         return code._distance
-    rows = code.g.bits
-    if code.k <= FULL_ENUMERATION_MAX_K:
-        # Each nonzero codeword is exactly one row plus a combination of
-        # the rows before it.
-        best = min(
-            (f2la.min_weight_coset(row, rows[:j]) for j, row in enumerate(rows)),
-            key=int.bit_count,
-        )
-    else:
-        best = None
-        for spent, (size, word) in enumerate(f2la.subset_xors(rows), 1):
-            if best is not None and size > best.bit_count():
-                break
-            if best is None or word.bit_count() < best.bit_count():
-                best = word
-            if spent > budget:
-                raise ValueError("distance search budget exceeded")
+    best, exact = f2la.lightest_word(code.g.bits, budget=budget)
+    if not exact:
+        raise ValueError("distance search budget exceeded")
     code._distance = best.bit_count()
     code._witness = best
     return code._distance

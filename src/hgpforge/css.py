@@ -285,24 +285,25 @@ def brute_distance(
     jobs: int = 1,
     budget: int = _DISTANCE_BUDGET,
 ) -> DistanceResult:
-    """Exact minimum logical weights by coset enumeration.
+    """Exact minimum logical weights, one `f2la.lightest_word` walk each.
 
-    d_z scans ker Hx modulo the Z-stabilizer row space (d_x symmetric),
-    walking every nonzero logical class plus every stabilizer combination
-    in Gray-code order.  When that enumeration exceeds `budget`, a
-    `max_weight` bounded search by ascending weight takes over; without
-    one it raises.  A `max_weight` W must be >= 1 and bounds the distance
-    d on both paths: d > W raises "no logical operator of weight <= W
-    found".  Above the budget W also caps each type's search, so a type
-    heavier than W raises the same even when the other type is lighter.
-    `jobs` is accepted and ignored: the search runs in one thread.
+    d_z is the lightest word of ker Hx outside the Z-stabilizer row space
+    (d_x symmetric).  Without `max_weight`, more than `budget` logical
+    cosets ((2^k - 1) * 2^r) is refused before any search.  A `max_weight`
+    W >= 1 bounds d: every word of weight <= W is examined, a type with
+    too many cosets is cut off after `budget` subsets past size W, and
+    "no logical operator of weight <= W found" needs every type proven
+    heavier than W (a cut-off type beside one of weight <= W raises a
+    budget error).  `jobs` is accepted and ignored.
     """
     if code.k == 0:
         raise ValueError("no logical operators")
     d_z = _min_logical_weight(code.hx, code.hz, max_weight, jobs, budget)
     d_x = _min_logical_weight(code.hz, code.hx, max_weight, jobs, budget)
-    if max_weight is not None and min(d_x, d_z) > max_weight:
+    if max_weight is not None and all(d is None or d > max_weight for d in (d_x, d_z)):
         raise ValueError(f"no logical operator of weight <= {max_weight} found")
+    if d_x is None or d_z is None:
+        raise ValueError(f"distance search exceeded budget {budget} past weight {max_weight}")
     return DistanceResult(d_x=d_x, d_z=d_z)
 
 
@@ -312,38 +313,30 @@ def _min_logical_weight(
     max_weight: Optional[int],
     jobs: int,
     budget: int,
-) -> int:
+) -> Optional[int]:
+    """Lightest weight in ker h_kernel outside the row space of h_stab, or
+    None when the budget cut the search, which proves it above max_weight."""
     if max_weight is not None and max_weight < 1:
         raise ValueError("max_weight must be >= 1")
     space = RowSpace(h_stab)
-    stab_rows = list(space.basis)
-    logical_rows = [v for v in f2la.kernel_basis(h_kernel).bits if space.extend(v)]
-    k = len(logical_rows)
+    kernel = f2la.kernel_basis(h_kernel).bits
+    k = len(kernel) - space.rank
     if k == 0:
         raise ValueError("no logical operators")
-    cost = ((1 << k) - 1) * (1 << len(stab_rows))
-    if cost > budget:
-        if max_weight is None:
-            raise ValueError(
-                f"enumeration of {cost} cosets exceeds budget; pass max_weight"
-            )
-        v = lightest_logical(h_kernel, RowSpace(h_stab), range(h_kernel.cols), max_weight)
-        if v is None:
-            raise ValueError(f"no logical operator of weight <= {max_weight} found")
-        return v.bit_count()
-    # Each nontrivial logical coset word is exactly one logical row plus a
-    # combination of the logical rows before it and of the stabilizers.
-    return min(
-        f2la.min_weight_coset(row, logical_rows[:j] + stab_rows).bit_count()
-        for j, row in enumerate(logical_rows)
-    )
+    cost = ((1 << k) - 1) << space.rank
+    if cost > budget and max_weight is None:
+        raise ValueError(f"enumeration of {cost} cosets exceeds budget; pass max_weight")
+    # The walk covers under 2^(k+r) <= 2 * cost subsets, so when the cosets
+    # fit the budget it always runs to its exact end.
+    limit = None if cost <= budget else budget
+    word, exact = f2la.lightest_word(kernel, space, limit, max_weight or 0)
+    return word.bit_count() if exact else None
 
 
 def lightest_logical(
     h_kernel: BinaryMatrix,
     stab_space: RowSpace,
     cols: Sequence[int],
-    max_weight: Optional[int] = None,
 ) -> Optional[int]:
     """First v supported on cols with h_kernel v = 0 outside the stabilizer
     row space, by ascending weight, ties broken by lexicographic support."""
@@ -351,7 +344,7 @@ def lightest_logical(
     syndromes = f2la.transpose(h_kernel).bits
     # The bits above n carry the syndrome of the low n bits.
     words = [(syndromes[c] << n) | (1 << c) for c in cols]
-    for _, v in f2la.subset_xors(words, max_weight):
+    for _, v in f2la.subset_xors(words):
         if v >> n == 0 and not stab_space.contains(v):
             return v
     return None

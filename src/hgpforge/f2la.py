@@ -317,20 +317,34 @@ def subset_xors(
             yield size, acc
 
 
-def min_weight_coset(base: int, rows: Sequence[int]) -> int:
-    """Lowest-weight word of the coset base + span(rows).
+def lightest_word(
+    rows: Sequence[int],
+    outside: Optional[RowSpace] = None,
+    budget: Optional[int] = None,
+    exhaust: int = 0,
+) -> tuple[Optional[int], bool]:
+    """Lightest nonzero word of span(rows) that `outside` does not contain.
 
-    Walks all 2^len(rows) combinations in Gray-code order, one XOR per
-    step, inside this call; ties keep the first word reached.
+    Walks subset_xors of the reduced basis of span(rows).  Each reduced
+    row owns a pivot column, so a word of s rows has weight >= s: the walk
+    stops, exactly, once s reaches the lightest weight found.  Subsets of
+    at most `exhaust` rows are always walked; past that size the walk also
+    stops after `budget` subsets.  Returns (word, exact): the lightest word
+    found (first in walk order on ties, or None), and False when the budget
+    cut the walk, which proves every word outside heavier than `exhaust`.
     """
-    best = cur = base
-    best_weight = base.bit_count()
-    for i in range(1, 1 << len(rows)):
-        cur ^= rows[(i & -i).bit_length() - 1]
-        w = cur.bit_count()
-        if w < best_weight:
-            best, best_weight = cur, w
-    return best
+    cols = max(rows, default=0).bit_length()
+    basis = rref(BinaryMatrix(len(rows), cols, rows)).nonzero_rows()
+    best, best_weight = None, cols + 1
+    for spent, (size, word) in enumerate(subset_xors(basis), 1):
+        if size >= best_weight:
+            return best, True
+        if budget is not None and spent > budget and size > exhaust:
+            return best, False
+        weight = word.bit_count()
+        if weight < best_weight and (outside is None or not outside.contains(word)):
+            best, best_weight = word, weight
+    return best, True
 
 
 class RowSpace:

@@ -15,6 +15,7 @@ rather than assumed.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -24,6 +25,8 @@ from .diagonal import PhasePolynomial, PreservationResult, logical_action, prese
 from .product import ProductComplex
 
 QUBIT_LEVEL = 1
+# Largest layer build_bundle builds: one gate per cell and ordering, L^t * t!.
+MAX_GATES = 1 << 20
 
 
 def build_toric(t: int, length: int) -> CssCode:
@@ -96,6 +99,11 @@ class ToricBundle:
 
 
 def build_bundle(t: int, length: int) -> ToricBundle:
+    """Toric code and its C^(t-1)Z layer; refused above MAX_GATES gates
+    before anything is built."""
+    # Any t > 20 exceeds the cap, so the count is only computed while cheap.
+    if t >= 2 and length >= 2 and (t > 20 or length**t * math.factorial(t) > MAX_GATES):
+        raise ValueError(f"t={t}, L={length} exceeds the cap of {MAX_GATES} gates (L^t * t!)")
     code = build_toric(t, length)
     circuit = build_cnz_circuit(t, length, pc=code.complex)
     return ToricBundle(t, length, t, code, circuit)

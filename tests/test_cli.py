@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface and its file formats."""
 
 import json
+import time
 
 import pytest
 
@@ -292,3 +293,13 @@ class TestContract:
         assert main(["distance", str(bad)]) == 2
         report = json.loads(capsys.readouterr().out)
         assert report["status"] == "error" and message in report["results"]["error"]
+
+    def test_toric_cnz_over_the_gate_cap_is_refused_before_building(self, capsys, tmp_path):
+        # t=6, L=10 would need 10^6 * 6! = 7.2e8 gates, above the 2^20 cap
+        out = tmp_path / "c6z.txt"
+        start = time.monotonic()
+        assert main(["toric-cnz", "--t", "6", "--L", "10", "-o", str(out)]) == 2
+        assert time.monotonic() - start < 1.0
+        report = json.loads(capsys.readouterr().out)
+        assert report["status"] == "error" and "cap of 1048576 gates" in report["results"]["error"]
+        assert not out.exists()

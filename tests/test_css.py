@@ -145,6 +145,13 @@ class TestBruteDistance:
         with pytest.raises(ValueError, match="max_weight must be >= 1"):
             css.brute_distance(toric18, max_weight=max_weight)
 
+    def test_cut_off_type_with_the_other_type_within_w_is_a_budget_error(self, toric3d):
+        # d_z = 2 <= W, but the budget stops the d_x = 4 search past size 2
+        with pytest.raises(ValueError, match="exceeded budget 4 past weight 2"):
+            css.brute_distance(toric3d, max_weight=2, budget=4)
+        with pytest.raises(ValueError, match="no logical operator of weight <= 1 found"):
+            css.brute_distance(toric3d, max_weight=1, budget=4)
+
 
 class TestPauli:
     def test_xz_same_qubit(self):
@@ -386,3 +393,46 @@ class TestKunnethDistanceAgreement:
             assert brute.d_x == params.d_x
             assert brute.d_z == params.d_z
             done += 1
+
+
+def kernel_oracle_weight(h_kernel, h_stab):
+    """Lightest word of ker h_kernel outside the row space of h_stab, by
+    listing every kernel word and every stabilizer word."""
+
+    def span(rows):
+        words = {0}
+        for row in rows:
+            words |= {v ^ row for v in words}
+        return words
+
+    basis = f2la.kernel_basis(h_kernel).bits
+    kernel = span(basis)
+    assert all(f2la.mat_vec(h_kernel, x) == 0 for x in basis)
+    assert len(kernel) == 1 << (h_kernel.cols - f2la.rank(h_kernel))
+    return min(x.bit_count() for x in kernel - span(h_stab.bits))
+
+
+class TestDistanceDifferential:
+    def test_random_products_against_kernel_enumeration(self):
+        rng = random.Random(4)
+        checked = 0
+        while checked < 200:
+            t = rng.choice([2, 3])
+            # three-factor products of larger seeds rarely fit the bound
+            lo, hi = (2, 6) if t == 2 else (1, 4)
+            seeds = [
+                random_matrix(
+                    rng, rng.randrange(lo, hi), rng.randrange(lo, hi), rng.uniform(0.3, 0.7)
+                )
+                for _ in range(t)
+            ]
+            pc = product.build_product(seeds)
+            code = css.assemble_css(pc, rng.randrange(1, t))
+            if code.k == 0 or max(code.n - code.rank_hx, code.n - code.rank_hz) > 14:
+                continue
+            expected = css.DistanceResult(
+                d_x=kernel_oracle_weight(code.hz, code.hx),
+                d_z=kernel_oracle_weight(code.hx, code.hz),
+            )
+            assert css.brute_distance(code) == expected
+            checked += 1

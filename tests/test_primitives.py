@@ -7,7 +7,6 @@ or all subsets outright.
 import itertools
 from functools import reduce
 from operator import xor
-from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -93,14 +92,42 @@ class TestSubsetXors:
         assert list(f2la.subset_xors(words, max_size)) == expected
 
 
-class TestMinWeightCoset:
+class TestLightestWord:
     @SETTINGS
-    @given(st.lists(st.integers(0, 511), max_size=7), st.integers(0, 511))
-    def test_equals_brute_minimum(self, rows, base):
-        word = f2la.min_weight_coset(base, rows)
-        coset = {base ^ v for v in span(rows)}
-        assert word in coset
-        assert word.bit_count() == min(v.bit_count() for v in coset)
+    @given(
+        st.lists(st.integers(0, 511), max_size=7),
+        st.lists(st.integers(0, 511), max_size=3),
+        st.booleans(),
+    )
+    def test_equals_brute_minimum(self, rows, excluded, use_space):
+        space = f2la.RowSpace(BinaryMatrix(len(excluded), 9, excluded)) if use_space else None
+        candidates = [v for v in span(rows) if v and not (space and space.contains(v))]
+        word, exact = f2la.lightest_word(rows, space)
+        assert exact
+        if not candidates:
+            assert word is None
+            return
+        assert word in candidates
+        assert word.bit_count() == min(v.bit_count() for v in candidates)
+
+    @SETTINGS
+    @given(
+        st.lists(st.integers(0, 511), max_size=7),
+        st.lists(st.integers(0, 511), max_size=3),
+        st.integers(0, 20),
+        st.integers(0, 4),
+    )
+    def test_budget_cut_off(self, rows, excluded, budget, exhaust):
+        space = f2la.RowSpace(BinaryMatrix(len(excluded), 9, excluded))
+        candidates = [v for v in span(rows) if v and not space.contains(v)]
+        lightest = min((v.bit_count() for v in candidates), default=None)
+        word, exact = f2la.lightest_word(rows, space, budget, exhaust)
+        assert word is None or word in candidates
+        if exact:
+            assert (word and word.bit_count()) == lightest
+        else:
+            assert lightest is None or lightest > exhaust
+            assert word is None or word.bit_count() > exhaust
 
 
 class TestColumnSupports:
@@ -134,14 +161,12 @@ class TestInformationSet:
 
 class TestDistance:
     @SETTINGS
-    @given(matrices(max_rows=4, min_cols=1), st.booleans())
-    def test_certificate_is_a_minimum_weight_codeword(self, h, full_enumeration):
+    @given(matrices(max_rows=4, min_cols=1))
+    def test_certificate_is_a_minimum_weight_codeword(self, h):
         code = classical.ClassicalCode(h)
         if code.k == 0:
             return
-        limit = classical.FULL_ENUMERATION_MAX_K if full_enumeration else 0
-        with mock.patch.object(classical, "FULL_ENUMERATION_MAX_K", limit):
-            cert = classical.distance_certificate(code)
+        cert = classical.distance_certificate(code)
         witness = int(cert["witness"][::-1], 2)
         brute = min(x.bit_count() for x in codewords(h) if x)
         assert witness and f2la.mat_vec(h, witness) == 0
