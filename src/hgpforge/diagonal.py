@@ -11,7 +11,8 @@ Everything here is exact symbolic arithmetic mod 2^m; no state vectors are
 ever enumerated.  The codespace check and the logical action share one
 pullback of f to codeword coordinates x = L a + G b, which expands each XOR
 multilinearly and prunes branches whose coefficient 2-adic valuation
-reaches the modulus, keeping it polynomial-sized in practice.
+reaches the modulus, keeping it polynomial-sized in practice.  The no-go
+survey reads its congruences off the same per-qubit images.
 """
 
 from __future__ import annotations
@@ -26,6 +27,10 @@ from .correctability import Region, is_correctable
 from .css import CssCode, LogicalRep, PauliOperator, canonical_logical_basis
 
 Monomial = frozenset
+
+# Input caps: the modulus exponent m of a circuit or survey, and survey samples.
+MAX_MODULUS_LOG2 = 8
+MAX_SAMPLES = 1000
 
 
 class PhasePolynomial:
@@ -291,11 +296,19 @@ def _infer_copies(f: PhasePolynomial, code: CssCode, copies: Optional[int]) -> i
     return copies
 
 
-def _pullback(
-    f: PhasePolynomial, code: CssCode, copies: int, lead_rows: Sequence[int]
-) -> tuple[PhasePolynomial, int]:
-    """f at x = L a + G b per copy (L = lead_rows, G = reduced Hx basis), and the a count."""
-    g_rows = code.hx_space.basis
+def _lead_rows(code: CssCode) -> list[int]:
+    """L: the X logical representatives, or a bare code's Hx completion to ker Hz."""
+    if code.logicals is None and (code.complex is None or code.level is None):
+        span = code.hx_space.copy()
+        return [v for v in code.x_domain_basis() if span.extend(v)]
+    basis = code.logicals or canonical_logical_basis(code)
+    return [rep.pauli.x for rep in basis.x_reps]
+
+
+def _images(code: CssCode, copies: int) -> tuple[list[tuple[int, ...]], int, int]:
+    """Per-qubit images of x = L a + G b per copy (G the reduced Hx basis),
+    the a count and the variable count."""
+    lead_rows, g_rows = _lead_rows(code), code.hx_space.basis
     k, r = len(lead_rows), len(g_rows)
     a_total = copies * k
     a_cols = f2la.column_supports(lead_rows, code.n)
@@ -305,7 +318,13 @@ def _pullback(
         for c in range(copies)
         for i in range(code.n)
     ]
-    return substitute(f, images, a_total + copies * r), a_total
+    return images, a_total, a_total + copies * r
+
+
+def _pullback(f: PhasePolynomial, code: CssCode, copies: int) -> tuple[PhasePolynomial, int]:
+    """f at x = L a + G b per copy, and the a count."""
+    images, a_total, nvars = _images(code, copies)
+    return substitute(f, images, nvars), a_total
 
 
 def preserves_codespace(
@@ -319,13 +338,7 @@ def preserves_codespace(
     w.  The verdict is exact and never enumerates states.
     """
     copies = _infer_copies(f, code, copies)
-    if code.logicals is None and (code.complex is None or code.level is None):
-        span = code.hx_space.copy()
-        lead_rows = [v for v in code.x_domain_basis() if span.extend(v)]
-    else:
-        basis = code.logicals or canonical_logical_basis(code)
-        lead_rows = [rep.pauli.x for rep in basis.x_reps]
-    full, a_total = _pullback(f, code, copies, lead_rows)
+    full, a_total = _pullback(f, code, copies)
     moving = {mono: c for mono, c in full._terms.items() if max(mono, default=-1) >= a_total}
     moving = PhasePolynomial(full.nvars, f.modulus_log2, moving)
     # Each reduced basis row's lowest set bit is its pivot.
@@ -343,14 +356,13 @@ def logical_action(
 ) -> PhasePolynomial:
     """Reduced polynomial of the induced logical gate.
 
-    Substitutes x = L a + G b per copy (L the canonical X-representative
-    matrix, G the X-stabilizer row space) and verifies every b-dependent
-    term cancels, which must happen when the circuit preserves the
-    codespace.  Returns the polynomial over the k*copies logical variables.
+    Substitutes x = L a + G b per copy (L from `_lead_rows`, G the reduced
+    Hx basis) and verifies every b-dependent term cancels, which must happen
+    when the circuit preserves the codespace.  Returns the polynomial over
+    the k*copies logical variables.
     """
     copies = _infer_copies(f, code, copies)
-    basis = code.logicals or canonical_logical_basis(code)
-    full, a_total = _pullback(f, code, copies, [rep.pauli.x for rep in basis.x_reps])
+    full, a_total = _pullback(f, code, copies)
     if any(max(mono, default=-1) >= a_total for mono in full._terms):
         raise AssertionError(
             "stabilizer dependence failed to cancel; circuit does not "
@@ -379,8 +391,8 @@ def parse_circuit_text(text: str) -> PhasePolynomial:
     if len(head) != 2:
         raise ValueError(f"bad circuit header {lines[0]!r}")
     m = int(head[1])
-    if m < 1:
-        raise ValueError("modulus exponent must be >= 1")
+    if not 1 <= m <= MAX_MODULUS_LOG2:
+        raise ValueError(f"modulus exponent must be >= 1 and <= {MAX_MODULUS_LOG2}")
     gates: list[tuple[int, tuple[int, ...]]] = []
     for ln in lines[1:]:
         parts = ln.split()
@@ -613,33 +625,22 @@ def kernel_mod_power_of_two(
 
 
 def _preservation_congruences(code: CssCode, modulus_log2: int) -> list[list[int]]:
-    """Linear congruence rows over Z_{2^m} cutting out the preserving
-    transversal phase patterns f(x) = sum c_i x_i."""
-    m = modulus_log2
-    touching = f2la.column_supports(code.x_domain_basis(), code.n)
-    rows: list[list[int]] = []
-    for r in range(code.hx.rows):
-        g = code.hx.bits[r]
-        if g == 0:
-            continue
-        support = f2la.indices_of(g)
-        row = [0] * code.n
-        for i in support:
-            row[i] = 1
-        rows.append(row)
-        subsets: dict[tuple[int, ...], list[int]] = {}
-        for i in support:
-            cols = touching[i]
-            for size in range(1, m):
-                for t in itertools.combinations(cols, size):
-                    subsets.setdefault(t, []).append(i)
-        for t, members in sorted(subsets.items()):
-            row = [0] * code.n
-            coeff = 1 << len(t)
-            for i in members:
-                row[i] = coeff
-            rows.append(row)
-    return rows
+    """Rows over Z_{2^m} cutting out the codespace-preserving f(x) = sum c_i x_i.
+
+    Pulled back to x = L a + G b, f has the coefficient +-2^(|T|-1) * (sum
+    of c_i over the qubits i whose image holds T) on the monomial T, so
+    |T| <= m; one row per T holding a b-variable, in sorted order."""
+    images, a_total, _ = _images(code, 1)
+    members: dict[tuple[int, ...], set[int]] = {}
+    for i, img in enumerate(images):
+        for size in range(1, modulus_log2 + 1):
+            for t in itertools.combinations(img, size):
+                if t[-1] >= a_total:
+                    members.setdefault(t, set()).add(i)
+    return [
+        [1 << (len(t) - 1) if i in qubits else 0 for i in range(code.n)]
+        for t, qubits in sorted(members.items())
+    ]
 
 
 @dataclass(frozen=True)
@@ -667,20 +668,19 @@ def transversal_nogo_harness(
     modulus_log2: int,
     samples: int = 100,
     seed: int = 0,
-    verify: bool = True,
 ) -> NogoReport:
     """Survey every codespace-preserving transversal diagonal family.
 
-    Solves the preservation congruences for the coefficient vector of
-    f(x) = sum c_i x_i over Z_{2^m}, then extracts the logical action of
-    each solution-module generator plus `samples` random combinations and
-    reports the maximum hierarchy level observed.  For hypergraph product
-    codes with distance >= 3 the maximum must come out <= 2 (Clifford).
+    Solves the congruences read off the pullback for f(x) = sum c_i x_i
+    over Z_{2^m}, checks each solution-module generator plus `samples`
+    random combinations with `preserves_codespace`, and reports the maximum
+    hierarchy level of their logical actions.  For hypergraph product codes
+    with distance >= 3 the maximum must come out <= 2 (Clifford).
     """
-    if modulus_log2 < 1:
-        raise ValueError("modulus_log2 must be >= 1")
-    if samples < 0:
-        raise ValueError("samples must be >= 0")
+    if not 1 <= modulus_log2 <= MAX_MODULUS_LOG2:
+        raise ValueError(f"modulus_log2 must be >= 1 and <= {MAX_MODULUS_LOG2}")
+    if not 0 <= samples <= MAX_SAMPLES:
+        raise ValueError(f"samples must be >= 0 and <= {MAX_SAMPLES}")
     rows = _preservation_congruences(code, modulus_log2)
     gens = kernel_mod_power_of_two(rows, code.n, modulus_log2)
     rng = random.Random(seed)
@@ -699,11 +699,9 @@ def transversal_nogo_harness(
         f = PhasePolynomial(
             code.n, modulus_log2, {frozenset((i,)): c for i, c in enumerate(sol) if c}
         )
-        if verify:
-            ok = preserves_codespace(f, code, copies=1)
-            if not ok:
-                all_preserve = False
-                continue
+        if not preserves_codespace(f, code, copies=1):
+            all_preserve = False
+            continue
         levels.append(hierarchy_level(logical_action(f, code, copies=1)))
     return NogoReport(
         modulus_log2=modulus_log2,

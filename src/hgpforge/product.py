@@ -161,7 +161,7 @@ class Hypertube:
 class ProductComplex:
     """The full t-dimensional product: sector tables and boundary maps."""
 
-    def __init__(self, factors: Sequence[OneComplex], check: bool = True):
+    def __init__(self, factors: Sequence[OneComplex]):
         if not (1 <= len(factors) <= MAX_DIMENSION):
             raise ValueError(f"need between 1 and {MAX_DIMENSION} factors")
         self.factors = tuple(factors)
@@ -181,11 +181,10 @@ class ProductComplex:
         self._boundaries = {
             level: self._build_boundary(level) for level in range(1, self.t + 1)
         }
-        if check:
-            for level in range(2, self.t + 1):
-                prod = f2la.matmul(self._boundaries[level - 1], self._boundaries[level])
-                if not prod.is_zero():
-                    raise AssertionError(f"boundary composition at level {level} is nonzero")
+        for level in range(2, self.t + 1):
+            prod = f2la.matmul(self._boundaries[level - 1], self._boundaries[level])
+            if not prod.is_zero():
+                raise AssertionError(f"boundary composition at level {level} is nonzero")
 
     def dim(self, level: int) -> int:
         return self.tables[level].dim
@@ -217,10 +216,10 @@ class ProductComplex:
         return f"ProductComplex(t={self.t}, dims=[{dims}])"
 
 
-def build_product(factors: Sequence[OneComplex | BinaryMatrix], check: bool = True) -> ProductComplex:
+def build_product(factors: Sequence[OneComplex | BinaryMatrix]) -> ProductComplex:
     """Assemble the product complex; accepts raw seed matrices for convenience."""
     wrapped = [f if isinstance(f, OneComplex) else OneComplex(f) for f in factors]
-    return ProductComplex(wrapped, check=check)
+    return ProductComplex(wrapped)
 
 
 # -- coordinates -------------------------------------------------------------

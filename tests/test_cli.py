@@ -273,6 +273,56 @@ class TestContract:
         report = json.loads(capsys.readouterr().out)
         assert report["status"] == "error" and message in report["results"]["error"]
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--mod", str(diagonal.MAX_MODULUS_LOG2 + 1)], "modulus_log2 must be >= 1 and <= 8"),
+            (
+                ["--mod", "2", "--samples", str(diagonal.MAX_SAMPLES + 1)],
+                "samples must be >= 0 and <= 1000",
+            ),
+        ],
+    )
+    def test_nogo_over_a_cap_is_refused_before_any_congruence_row(
+        self, capsys, toric_bundle, monkeypatch, flags, message
+    ):
+        built = []
+        real = diagonal._preservation_congruences
+        monkeypatch.setattr(
+            diagonal, "_preservation_congruences", lambda *args: built.append(args) or real(*args)
+        )
+        assert main(["nogo-transversal", toric_bundle, *flags]) == 2
+        report = json.loads(capsys.readouterr().out)
+        assert report["status"] == "error" and message in report["results"]["error"]
+        assert built == []
+        # the spy sits on the survey's path: a value within the caps reaches it
+        assert main(["nogo-transversal", toric_bundle, "--mod", "2", "--samples", "0"]) == 0
+        assert len(built) == 1
+
+    def test_caps_admit_the_largest_values_in_use(self, capsys, toric_bundle):
+        # m <= 4 and samples <= 100 in the tests, golden fixtures, benchmark and README
+        assert diagonal.MAX_MODULUS_LOG2 >= 4 and diagonal.MAX_SAMPLES >= 100
+        top = str(diagonal.MAX_MODULUS_LOG2)
+        assert main(["nogo-transversal", toric_bundle, "--mod", top, "--samples", "0"]) == 0
+
+    def test_circuit_modulus_over_the_cap_is_refused_before_the_pullback(
+        self, capsys, tmp_path, toric_bundle, monkeypatch
+    ):
+        circ = tmp_path / "big_mod.txt"
+        circ.write_text(f"MOD {diagonal.MAX_MODULUS_LOG2 + 1}\nPHASE 1 0\n")
+        pulled = []
+        real = diagonal._images
+        monkeypatch.setattr(diagonal, "_images", lambda *args: pulled.append(args) or real(*args))
+        assert main(["verify-diagonal", toric_bundle, str(circ)]) == 2
+        report = json.loads(capsys.readouterr().out)
+        assert report["status"] == "error"
+        assert "modulus exponent must be >= 1 and <= 8" in report["results"]["error"]
+        assert pulled == []
+        # the spy sits on the check's path: a modulus within the cap reaches it
+        circ.write_text(f"MOD {diagonal.MAX_MODULUS_LOG2}\nPHASE 2 0\n")
+        assert main(["verify-diagonal", toric_bundle, str(circ)]) in (0, 1)
+        assert len(pulled) == 1
+
     def test_nogo_zero_samples_surveys_generators_only(self, capsys, toric_bundle):
         argv = ["nogo-transversal", toric_bundle, "--mod", "2", "--samples", "0"]
         rc, report = run_json(capsys, argv)

@@ -534,6 +534,22 @@ class TestNogoHarness:
         report = transversal_nogo_harness(code, 2, samples=5, seed=1)
         assert report.max_level == 0
 
+    def test_bare_code_survey_matches_its_product_code(self):
+        # a bare code takes its Hx completion to ker Hz as L; the solution
+        # module and the hierarchy levels do not depend on that choice
+        mixed = product.build_product(
+            [classical.cyclic_repetition_check(3), classical.cyclic_repetition_check(4)]
+        )
+        for code in (toric_code(2, 3), css.assemble_css(mixed, 1)):
+            bare = css.CssCode(code.hx, code.hz)
+            for m in (1, 2, 3):
+                report = transversal_nogo_harness(code, m, samples=5, seed=0)
+                bare_report = transversal_nogo_harness(bare, m, samples=5, seed=0)
+                assert bare_report.all_preserve
+                assert (bare_report.generator_count, bare_report.max_level) == (
+                    report.generator_count, report.max_level
+                )
+
     def test_solution_module_matches_exhaustive_semantics(self):
         # [[8,2,2]] toric, m=2: compare against brute enumeration of all 4^8
         # transversal phase patterns under the coset-constancy semantics
@@ -653,3 +669,95 @@ class TestPreservationDifferential:
             seen_m.add(m)
         assert min(counts.values()) >= 50, counts
         assert seen_copies == seen_m == {1, 2, 3}
+
+
+class TestCongruenceDifferential:
+    """Congruence rows read off the pullback images against the per-Hx-row
+    derivation from subsets of the ker Hz basis column supports."""
+
+    @staticmethod
+    def per_hx_row(code, m):
+        touching = f2la.column_supports(code.x_domain_basis(), code.n)
+        rows = []
+        for g in code.hx.bits:
+            if g == 0:
+                continue
+            support = f2la.indices_of(g)
+            rows.append([1 if i in support else 0 for i in range(code.n)])
+            subsets = {}
+            for i in support:
+                for size in range(1, m):
+                    for t in itertools.combinations(touching[i], size):
+                        subsets.setdefault(t, []).append(i)
+            for t, members in sorted(subsets.items()):
+                row = [0] * code.n
+                for i in members:
+                    row[i] = 1 << len(t)
+                rows.append(row)
+        return rows
+
+    @staticmethod
+    def random_code(rng, kind):
+        if kind == "hand-built":
+            n, nz, nx = rng.randrange(3, 9), rng.randrange(0, 4), rng.randrange(1, 5)
+            hz = BinaryMatrix(nz, n, [rng.getrandbits(n) for _ in range(nz)])
+            ker = f2la.kernel_basis(hz)
+            hx_rows = [f2la.row_combination(ker, rng.getrandbits(ker.rows)) for _ in range(nx)]
+            hx_rows[rng.randrange(nx)] = 0
+            hx_rows.append(rng.choice(hx_rows))
+            return css.CssCode(BinaryMatrix(len(hx_rows), n, hx_rows), hz)
+        t = 3 if kind == "3-factor product" else 2
+        top = 2 if t == 3 else 3
+        seeds = [
+            BinaryMatrix(r, c, [rng.getrandbits(c) for _ in range(r)])
+            for r, c in ((rng.randrange(1, top + 1), rng.randrange(1, top + 1)) for _ in range(t))
+        ]
+        code = css.assemble_css(product.build_product(seeds), rng.randrange(1, t))
+        if kind.endswith("product"):
+            return code
+        bare = css.CssCode(code.hx, code.hz)
+        if kind == "stripped product":
+            return bare
+        # a different logical basis: dress each representative with random
+        # stabilizers and mix pairs so that the pairing stays the identity
+        basis = css.canonical_logical_basis(code)
+        xs = [rep.pauli.x for rep in basis.x_reps]
+        zs = [rep.pauli.z for rep in basis.z_reps]
+        for _ in range(len(xs)):
+            i, j = rng.randrange(len(xs)), rng.randrange(len(xs))
+            if i != j:
+                xs[i] ^= xs[j]
+                zs[j] ^= zs[i]
+        xs = [x ^ f2la.row_combination(code.hx, rng.getrandbits(code.hx.rows)) for x in xs]
+        zs = [z ^ f2la.row_combination(code.hz, rng.getrandbits(code.hz.rows)) for z in zs]
+        bare.set_logical_basis(
+            [PauliOperator(code.n, x=x) for x in xs], [PauliOperator(code.n, z=z) for z in zs]
+        )
+        return bare
+
+    @staticmethod
+    def satisfies(gens, rows, mod):
+        return all(sum(r * g for r, g in zip(row, gen)) % mod == 0 for gen in gens for row in rows)
+
+    def test_same_solution_module_as_per_hx_row_derivation(self):
+        rng = random.Random(77)
+        kinds = (
+            "2-factor product", "3-factor product", "stripped product",
+            "hand-built", "logical basis",
+        )
+        seen = set()
+        for i in range(160):
+            kind = kinds[i % len(kinds)]
+            code = self.random_code(rng, kind)
+            m = 1 + (i // len(kinds)) % 4
+            mod = 1 << m
+            new_rows = diagonal._preservation_congruences(code, m)
+            old_rows = self.per_hx_row(code, m)
+            new_gens = kernel_mod_power_of_two(new_rows, code.n, m)
+            old_gens = kernel_mod_power_of_two(old_rows, code.n, m)
+            assert self.satisfies(new_gens, old_rows, mod), (i, kind, m)
+            assert self.satisfies(old_gens, new_rows, mod), (i, kind, m)
+            assert len(new_gens) == len(old_gens), (i, kind, m)
+            seen.add((kind, m, code.k > 0))
+        assert {(kind, m) for kind, m, _ in seen} == {(k, m) for k in kinds for m in (1, 2, 3, 4)}
+        assert {k for _, _, k in seen} == {True, False}
