@@ -9,15 +9,16 @@ codespace-preservation check.
 
 Everything here is exact symbolic arithmetic mod 2^m; no state vectors are
 ever enumerated.  The codespace check and the logical action share one
-pullback of f to codeword coordinates x = L a + G b, which expands each XOR
-multilinearly and prunes branches whose coefficient 2-adic valuation
-reaches the modulus, keeping it polynomial-sized in practice.  The no-go
-survey reads its congruences off the same per-qubit images.
+pullback of f to x = L a + G b (L the X logicals, G the independent Hx
+rows), which expands each XOR multilinearly and prunes branches whose
+coefficient 2-adic valuation reaches the modulus, keeping it polynomial-
+sized.  The no-go survey reads its congruences off the same images.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
@@ -28,9 +29,11 @@ from .css import CssCode, LogicalRep, PauliOperator, canonical_logical_basis
 
 Monomial = frozenset
 
-# Input caps: the modulus exponent m of a circuit or survey, and survey samples.
+# Input caps: the modulus exponent m of a circuit or survey, survey samples,
+# and the no-go survey's candidate congruence rows.
 MAX_MODULUS_LOG2 = 8
 MAX_SAMPLES = 1000
+MAX_CONGRUENCE_ROWS = 1 << 14
 
 
 class PhasePolynomial:
@@ -296,35 +299,39 @@ def _infer_copies(f: PhasePolynomial, code: CssCode, copies: Optional[int]) -> i
     return copies
 
 
-def _lead_rows(code: CssCode) -> list[int]:
-    """L: the X logical representatives, or a bare code's Hx completion to ker Hz."""
+def _coordinates(code: CssCode) -> tuple[list[int], list[int]]:
+    """L and G's Hx row indices: G is the Hx rows that extend the span of the rows
+    before them, L the X logicals or a bare code's completion of it to ker Hz."""
+    span = f2la.RowSpace(cols=code.n)
+    g_index = [r for r, row in enumerate(code.hx.bits) if span.extend(row)]
     if code.logicals is None and (code.complex is None or code.level is None):
-        span = code.hx_space.copy()
-        return [v for v in code.x_domain_basis() if span.extend(v)]
+        return [v for v in code.x_domain_basis() if span.extend(v)], g_index
     basis = code.logicals or canonical_logical_basis(code)
-    return [rep.pauli.x for rep in basis.x_reps]
+    return [rep.pauli.x for rep in basis.x_reps], g_index
 
 
-def _images(code: CssCode, copies: int) -> tuple[list[tuple[int, ...]], int, int]:
-    """Per-qubit images of x = L a + G b per copy (G the reduced Hx basis),
-    the a count and the variable count."""
-    lead_rows, g_rows = _lead_rows(code), code.hx_space.basis
-    k, r = len(lead_rows), len(g_rows)
+def _images(code: CssCode, copies: int) -> tuple[list[tuple[int, ...]], int, int, list[int]]:
+    """Per-qubit images of x = L a + G b per copy (G the independent Hx
+    rows), the a count, the variable count and G's Hx row indices."""
+    lead_rows, g_index = _coordinates(code)
+    k, r = len(lead_rows), len(g_index)
     a_total = copies * k
     a_cols = f2la.column_supports(lead_rows, code.n)
-    b_cols = f2la.column_supports(g_rows, code.n)
+    b_cols = f2la.column_supports([code.hx.bits[g] for g in g_index], code.n)
     images = [
         tuple(c * k + j for j in a_cols[i]) + tuple(a_total + c * r + j for j in b_cols[i])
         for c in range(copies)
         for i in range(code.n)
     ]
-    return images, a_total, a_total + copies * r
+    return images, a_total, a_total + copies * r, g_index
 
 
-def _pullback(f: PhasePolynomial, code: CssCode, copies: int) -> tuple[PhasePolynomial, int]:
-    """f at x = L a + G b per copy, and the a count."""
-    images, a_total, nvars = _images(code, copies)
-    return substitute(f, images, nvars), a_total
+def _pullback(
+    f: PhasePolynomial, code: CssCode, copies: int
+) -> tuple[PhasePolynomial, int, list[int]]:
+    """f at x = L a + G b per copy, the a count and G's Hx row indices."""
+    images, a_total, nvars, g_index = _images(code, copies)
+    return substitute(f, images, nvars), a_total, g_index
 
 
 def preserves_codespace(
@@ -332,21 +339,18 @@ def preserves_codespace(
 ) -> PreservationResult:
     """Symbolic check that the diagonal circuit fixes the codespace.
 
-    The X-stabilizer row g (each row of Hx on each copy) shifts the
-    pullback's b-coordinates by its coordinates w in G, so f(x XOR g) = f(x)
-    on ker Hz exactly when the pullback's b-dependent part is unchanged by
-    w.  The verdict is exact and never enumerates states.
+    The stabilizer G_j on copy c shifts the pullback's b-coordinates by a
+    unit vector, so f(x XOR G_j) = f(x) on ker Hz exactly when the b-dependent
+    part is unchanged by it.  A dependent Hx row is a sum of earlier rows, so
+    the first violating row is a G row.  Exact; never enumerates states.
     """
     copies = _infer_copies(f, code, copies)
-    full, a_total = _pullback(f, code, copies)
+    full, a_total, g_index = _pullback(f, code, copies)
     moving = {mono: c for mono, c in full._terms.items() if max(mono, default=-1) >= a_total}
     moving = PhasePolynomial(full.nvars, f.modulus_log2, moving)
-    # Each reduced basis row's lowest set bit is its pivot.
-    pivots = [(w & -w).bit_length() - 1 for w in code.hx_space.basis]
     for c in range(copies):
-        shift = a_total + c * len(pivots)
-        for r, row in enumerate(code.hx.bits):
-            if row and not difference(moving, f2la.restrict(row, pivots) << shift).is_zero():
+        for j, r in enumerate(g_index):
+            if not difference(moving, 1 << (a_total + c * len(g_index) + j)).is_zero():
                 return PreservationResult(False, c, r)
     return PreservationResult(True)
 
@@ -356,13 +360,13 @@ def logical_action(
 ) -> PhasePolynomial:
     """Reduced polynomial of the induced logical gate.
 
-    Substitutes x = L a + G b per copy (L from `_lead_rows`, G the reduced
-    Hx basis) and verifies every b-dependent term cancels, which must happen
-    when the circuit preserves the codespace.  Returns the polynomial over
-    the k*copies logical variables.
+    Substitutes x = L a + G b per copy (L from `_coordinates`, G the
+    independent Hx rows) and verifies every b-dependent term cancels, which
+    must happen when the circuit preserves the codespace.  Returns the
+    polynomial over the k*copies logical variables.
     """
     copies = _infer_copies(f, code, copies)
-    full, a_total = _pullback(f, code, copies)
+    full, a_total, _ = _pullback(f, code, copies)
     if any(max(mono, default=-1) >= a_total for mono in full._terms):
         raise AssertionError(
             "stabilizer dependence failed to cancel; circuit does not "
@@ -624,23 +628,31 @@ def kernel_mod_power_of_two(
     return gens
 
 
-def _preservation_congruences(code: CssCode, modulus_log2: int) -> list[list[int]]:
+def _preservation_congruences(code: CssCode, modulus_log2: int) -> list[tuple[int, ...]]:
     """Rows over Z_{2^m} cutting out the codespace-preserving f(x) = sum c_i x_i.
 
     Pulled back to x = L a + G b, f has the coefficient +-2^(|T|-1) * (sum
     of c_i over the qubits i whose image holds T) on the monomial T, so
-    |T| <= m; one row per T holding a b-variable, in sorted order."""
-    images, a_total, _ = _images(code, 1)
+    |T| <= m; one row per T holding a b-variable, each distinct row once, in
+    sorted order.  Refused above MAX_CONGRUENCE_ROWS candidate monomials,
+    counted from the image sizes before any row is built."""
+    images, a_total, _, _ = _images(code, 1)
+    bound = sum(math.comb(len(img), s) for img in images for s in range(1, modulus_log2 + 1))
+    if bound > MAX_CONGRUENCE_ROWS:
+        raise ValueError(
+            f"up to {bound} congruence rows exceed the cap of {MAX_CONGRUENCE_ROWS}"
+        )
     members: dict[tuple[int, ...], set[int]] = {}
     for i, img in enumerate(images):
         for size in range(1, modulus_log2 + 1):
             for t in itertools.combinations(img, size):
                 if t[-1] >= a_total:
                     members.setdefault(t, set()).add(i)
-    return [
-        [1 << (len(t) - 1) if i in qubits else 0 for i in range(code.n)]
-        for t, qubits in sorted(members.items())
-    ]
+    rows = {
+        tuple(1 << (len(t) - 1) if i in qubits else 0 for i in range(code.n))
+        for t, qubits in members.items()
+    }
+    return sorted(rows)
 
 
 @dataclass(frozen=True)

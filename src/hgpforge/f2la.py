@@ -373,11 +373,6 @@ class RowSpace:
     def rank(self) -> int:
         return len(self._basis)
 
-    @property
-    def basis(self) -> tuple[int, ...]:
-        """The reduced basis rows, pivots ascending."""
-        return tuple(self._basis)
-
     def reduce(self, v: int) -> int:
         for word, p in zip(self._basis, self._pivots):
             if (v >> p) & 1:
@@ -403,12 +398,6 @@ class RowSpace:
         self._basis.insert(idx, v)
         self._pivots.insert(idx, p)
         return True
-
-    def copy(self) -> "RowSpace":
-        out = RowSpace(cols=self.cols)
-        out._basis = list(self._basis)
-        out._pivots = list(self._pivots)
-        return out
 
 
 def compose_blocks(

@@ -35,13 +35,8 @@ def build_toric(t: int, length: int) -> CssCode:
         raise ValueError("need a product dimension t >= 2")
     if length < 2:
         raise ValueError("need lattice length >= 2")
-    return _assemble(t, length)
-
-
-def _assemble(t: int, length: int) -> CssCode:
     seeds = [classical.cyclic_repetition_check(length) for _ in range(t)]
-    pc = product.build_product(seeds)
-    return css.assemble_css(pc, QUBIT_LEVEL)
+    return css.assemble_css(product.build_product(seeds), QUBIT_LEVEL)
 
 
 def _edge_qubit(pc: ProductComplex, cell, direction: int, stepped) -> int:

@@ -26,6 +26,17 @@ def toric_bundle(tmp_path, seed3, capsys):
     return out
 
 
+def hgp_bundle(tmp_path, capsys, name, seed):
+    """Build the level-1 product of `seed` and its transpose; return its bundle."""
+    paths = [tmp_path / f"{name}.txt", tmp_path / f"{name}T.txt"]
+    for path, matrix in zip(paths, (seed, f2la.transpose(seed))):
+        path.write_text(f2la.format_matrix_text(matrix))
+    out = str(tmp_path / f"{name}.json")
+    assert main(["build", *map(str, paths), "--level", "1", "-o", out]) == 0
+    capsys.readouterr()  # drop the build report
+    return out
+
+
 def run_json(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
@@ -299,11 +310,36 @@ class TestContract:
         assert main(["nogo-transversal", toric_bundle, "--mod", "2", "--samples", "0"]) == 0
         assert len(built) == 1
 
-    def test_caps_admit_the_largest_values_in_use(self, capsys, toric_bundle):
+    def test_nogo_over_the_congruence_row_cap_is_refused_before_the_kernel(
+        self, capsys, tmp_path, toric_bundle, monkeypatch
+    ):
+        # HGP of a dense 8x9 seed and its transpose: n = 145, qubit images of
+        # up to 8 variables, so up to 19,458 congruence rows at m = 4
+        seed = f2la.BinaryMatrix(8, 9, [0b111111111 ^ (1 << i) for i in range(8)])
+        dense = hgp_bundle(tmp_path, capsys, "dense", seed)
+        solved = []
+        real = diagonal.kernel_mod_power_of_two
+        monkeypatch.setattr(
+            diagonal, "kernel_mod_power_of_two", lambda *args: solved.append(args) or real(*args)
+        )
+        assert main(["nogo-transversal", dense, "--mod", "4", "--samples", "0"]) == 2
+        report = json.loads(capsys.readouterr().out)
+        assert report["status"] == "error"
+        assert "19458 congruence rows exceed the cap of 16384" in report["results"]["error"]
+        assert solved == []
+        # the spy sits on the survey's path: a code within the cap reaches it
+        assert main(["nogo-transversal", toric_bundle, "--mod", "4", "--samples", "0"]) == 0
+        assert len(solved) == 1
+
+    def test_caps_admit_the_largest_values_in_use(self, capsys, tmp_path, toric_bundle):
         # m <= 4 and samples <= 100 in the tests, golden fixtures, benchmark and README
         assert diagonal.MAX_MODULUS_LOG2 >= 4 and diagonal.MAX_SAMPLES >= 100
         top = str(diagonal.MAX_MODULUS_LOG2)
         assert main(["nogo-transversal", toric_bundle, "--mod", top, "--samples", "0"]) == 0
+        # the most congruence rows in use: up to 515 on the Hamming HGP at m = 4
+        assert diagonal.MAX_CONGRUENCE_ROWS >= 515
+        hamming = hgp_bundle(tmp_path, capsys, "ham", classical.hamming_7_4().h)
+        assert main(["nogo-transversal", hamming, "--mod", "4", "--samples", "0"]) == 0
 
     def test_circuit_modulus_over_the_cap_is_refused_before_the_pullback(
         self, capsys, tmp_path, toric_bundle, monkeypatch

@@ -761,3 +761,45 @@ class TestCongruenceDifferential:
             seen.add((kind, m, code.k > 0))
         assert {(kind, m) for kind, m, _ in seen} == {(k, m) for k in kinds for m in (1, 2, 3, 4)}
         assert {k for _, _, k in seen} == {True, False}
+
+
+class TestStabilizerCoordinates:
+    """G is the independent Hx rows themselves, chosen in row order."""
+
+    @staticmethod
+    def build(name):
+        if name == "toric t=2 L=8":
+            return toric_code(2, 8)
+        if name == "toric t=3 L=3":
+            return toric_code(3, 3)
+        if name == "hamming hgp":
+            h = classical.hamming_7_4().h
+            return css.assemble_css(product.build_product([h, f2la.transpose(h)]), 1)
+        # toric L=3 checks with a zero row, a repeated row and a row sum mixed in
+        toric = toric_code(2, 3)
+        rows = toric.hx.bits
+        hx = [0, rows[0], rows[1], rows[0], rows[0] ^ rows[1], *rows[2:]]
+        return css.CssCode(BinaryMatrix(len(hx), toric.n, hx), toric.hz)
+
+    @pytest.mark.parametrize("name", ["toric t=2 L=8", "toric t=3 L=3", "hamming hgp", "hand-built"])
+    def test_g_is_the_independent_hx_rows(self, name):
+        code = self.build(name)
+        images, a_total, nvars, g_index = diagonal._images(code, 1)
+        assert all(a < b for a, b in zip(g_index, g_index[1:]))
+        g_rows = [code.hx.bits[g] for g in g_index]
+        assert f2la.rank(BinaryMatrix(len(g_rows), code.n, g_rows)) == len(g_rows)
+        assert len(g_index) == f2la.rank(code.hx) == nvars - a_total
+        column_weights = [len(cols) for cols in f2la.column_supports(code.hx.bits, code.n)]
+        b_sizes = [sum(1 for v in img if v >= a_total) for img in images]
+        assert all(b <= w for b, w in zip(b_sizes, column_weights))
+        if name.startswith("toric"):
+            assert max(b_sizes) <= 2
+        if name == "hand-built":
+            assert g_index[:3] == [1, 2, 5]
+
+    @pytest.mark.parametrize("name", ["toric t=2 L=8", "toric t=3 L=3", "hamming hgp", "hand-built"])
+    def test_congruence_rows_are_distinct_and_sorted(self, name):
+        rows = diagonal._preservation_congruences(self.build(name), 4)
+        assert rows == sorted(set(map(tuple, rows)))
+        if name == "hamming hgp":
+            assert len(rows) == 141  # 286 before duplicates were dropped
