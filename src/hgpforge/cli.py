@@ -14,6 +14,7 @@ run in one thread.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -209,6 +210,8 @@ def cmd_correctable(args) -> int:
 
 
 def cmd_verify_diagonal(args) -> int:
+    if not 1 <= args.copies <= diagonal.MAX_COPIES:
+        raise CliError(f"copies must be >= 1 and <= {diagonal.MAX_COPIES}")
     code = read_bundle(args.bundle)
     poly = diagonal.parse_circuit_text(_read_text(args.circuit))
     expected = args.copies * code.n
@@ -287,6 +290,7 @@ def cmd_toric_cnz(args) -> int:
     return OK if verified else VIOLATED
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hgpforge",

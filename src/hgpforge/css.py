@@ -136,7 +136,13 @@ class KunnethParameters:
 
 
 class CssCode:
-    """Stabilizer data for a CSS code, with optional product provenance."""
+    """Stabilizer data for a CSS code, with optional product provenance.
+
+    Hx and Hz are each eliminated once, on construction: `hx_space` and
+    `hz_space` are their row spaces, `rank_hx` and `rank_hz` the ranks, and
+    `hx_basis_rows` the indices of the Hx rows that extend the span of the
+    rows before them, in row order.
+    """
 
     def __init__(
         self,
@@ -154,8 +160,11 @@ class CssCode:
         self.n = hx.cols
         self.complex = complex
         self.level = level
-        self.rank_hx = f2la.rank(hx)
-        self.rank_hz = f2la.rank(hz)
+        self.hx_space = RowSpace(cols=self.n)
+        self.hx_basis_rows = [r for r, row in enumerate(hx.bits) if self.hx_space.extend(row)]
+        self.hz_space = RowSpace(hz)
+        self.rank_hx = self.hx_space.rank
+        self.rank_hz = self.hz_space.rank
         self.k = self.n - self.rank_hx - self.rank_hz
         if self.k < 0:
             raise AssertionError("negative logical count; checks are inconsistent")
@@ -163,24 +172,10 @@ class CssCode:
         weights += [hz.row_weight(r) for r in range(hz.rows)]
         self.stabilizer_weight = max(weights, default=0)
         self.logicals: Optional[LogicalBasis] = None
-        self._hx_space: Optional[RowSpace] = None
-        self._hz_space: Optional[RowSpace] = None
         self._x_domain: Optional[list[int]] = None
 
     def __repr__(self) -> str:
         return f"CssCode[[{self.n},{self.k}]]"
-
-    @property
-    def hx_space(self) -> RowSpace:
-        if self._hx_space is None:
-            self._hx_space = RowSpace(self.hx)
-        return self._hx_space
-
-    @property
-    def hz_space(self) -> RowSpace:
-        if self._hz_space is None:
-            self._hz_space = RowSpace(self.hz)
-        return self._hz_space
 
     def x_domain_basis(self) -> list[int]:
         """Reduced basis of ker Hz (the X-type codeword domain)."""

@@ -30,10 +30,12 @@ from .css import CssCode, LogicalRep, PauliOperator, canonical_logical_basis
 Monomial = frozenset
 
 # Input caps: the modulus exponent m of a circuit or survey, survey samples,
-# and the no-go survey's candidate congruence rows.
+# the no-go survey's candidate congruence rows, and the code copies a circuit
+# spans (toric C^(t-1)Z layers need up to product.MAX_DIMENSION = 6).
 MAX_MODULUS_LOG2 = 8
 MAX_SAMPLES = 1000
 MAX_CONGRUENCE_ROWS = 1 << 14
+MAX_COPIES = 8
 
 
 class PhasePolynomial:
@@ -292,6 +294,8 @@ def _infer_copies(f: PhasePolynomial, code: CssCode, copies: Optional[int]) -> i
                 f"cannot infer copies: {f.nvars} variables over blocks of {code.n}"
             )
         copies = f.nvars // code.n
+    if not 1 <= copies <= MAX_COPIES:
+        raise ValueError(f"copies must be >= 1 and <= {MAX_COPIES}")
     if f.nvars != copies * code.n:
         raise ValueError(
             f"polynomial has {f.nvars} variables, expected {copies}x{code.n}"
@@ -301,13 +305,13 @@ def _infer_copies(f: PhasePolynomial, code: CssCode, copies: Optional[int]) -> i
 
 def _coordinates(code: CssCode) -> tuple[list[int], list[int]]:
     """L and G's Hx row indices: G is the Hx rows that extend the span of the rows
-    before them, L the X logicals or a bare code's completion of it to ker Hz."""
-    span = f2la.RowSpace(cols=code.n)
-    g_index = [r for r, row in enumerate(code.hx.bits) if span.extend(row)]
+    before them (`code.hx_basis_rows`), L the X logicals or a bare code's
+    completion of the Hx span to ker Hz."""
     if code.logicals is None and (code.complex is None or code.level is None):
-        return [v for v in code.x_domain_basis() if span.extend(v)], g_index
+        span = f2la.RowSpace(code.hx)
+        return [v for v in code.x_domain_basis() if span.extend(v)], code.hx_basis_rows
     basis = code.logicals or canonical_logical_basis(code)
-    return [rep.pauli.x for rep in basis.x_reps], g_index
+    return [rep.pauli.x for rep in basis.x_reps], code.hx_basis_rows
 
 
 def _images(code: CssCode, copies: int) -> tuple[list[tuple[int, ...]], int, int, list[int]]:

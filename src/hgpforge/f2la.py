@@ -10,6 +10,7 @@ Matrices are immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
@@ -156,31 +157,20 @@ class RrefResult:
 
 
 def rref(m: BinaryMatrix) -> RrefResult:
-    """Reduced row-echelon form over GF(2), pivots leftmost-first."""
-    work = list(m.bits)
-    pivots = []
-    pivot_row = 0
-    for col in range(m.cols):
-        sel = None
-        for r in range(pivot_row, m.rows):
-            if (work[r] >> col) & 1:
-                sel = r
-                break
-        if sel is None:
-            continue
-        work[pivot_row], work[sel] = work[sel], work[pivot_row]
-        for r in range(m.rows):
-            if r != pivot_row and (work[r] >> col) & 1:
-                work[r] ^= work[pivot_row]
-        pivots.append(col)
-        pivot_row += 1
-        if pivot_row == m.rows:
-            break
-    return RrefResult(BinaryMatrix(m.rows, m.cols, work), tuple(pivots), len(pivots))
+    """Reduced row-echelon form over GF(2), pivots leftmost-first.
+
+    The reduced rows are the basis of RowSpace(m), padded with zero rows;
+    each pivot is its row's lowest set bit.
+    """
+    space = RowSpace(m)
+    basis = [word for _, word in space._rows]
+    pivots = tuple(low.bit_length() - 1 for low, _ in space._rows)
+    reduced = BinaryMatrix(m.rows, m.cols, basis + [0] * (m.rows - len(basis)))
+    return RrefResult(reduced, pivots, len(basis))
 
 
 def rank(m: BinaryMatrix) -> int:
-    return rref(m).rank
+    return RowSpace(m).rank
 
 
 def transpose(m: BinaryMatrix) -> BinaryMatrix:
@@ -348,34 +338,32 @@ def lightest_word(
 
 
 class RowSpace:
-    """Incremental row-space membership tester.
+    """Row space over GF(2), kept as its reduced row-echelon basis.
 
-    Keeps an internal reduced basis; ``contains`` reduces a candidate
-    against it.  ``extend`` adds an independent vector and reports whether
-    the span grew.  Used for coset-membership tests in distance searches
-    and correctability checks.
+    `extend` is the package's one Gauss-Jordan elimination: rref, rank and
+    every membership test go through it.  Each basis row is stored with its
+    pivot as a low-bit mask, in ascending pivot order, and no row has a 1 in
+    another row's pivot column.  The RREF of a span is unique, so the basis
+    does not depend on the order the rows arrive in.  RowSpace(m) extends
+    by the rows of m in order; RowSpace(cols=n) starts empty.
     """
 
     def __init__(self, m: Optional[BinaryMatrix] = None, cols: Optional[int] = None):
+        if m is None and cols is None:
+            raise ValueError("need a matrix or an explicit column count")
+        self.cols = cols if m is None else m.cols
+        self._rows: list[tuple[int, int]] = []  # (pivot low-bit mask, reduced row)
         if m is not None:
-            self.cols = m.cols
-            red = rref(m)
-            self._basis = list(red.nonzero_rows())
-            self._pivots = list(red.pivot_columns)
-        else:
-            if cols is None:
-                raise ValueError("need a matrix or an explicit column count")
-            self.cols = cols
-            self._basis = []
-            self._pivots = []
+            for word in m.bits:
+                self.extend(word)
 
     @property
     def rank(self) -> int:
-        return len(self._basis)
+        return len(self._rows)
 
     def reduce(self, v: int) -> int:
-        for word, p in zip(self._basis, self._pivots):
-            if (v >> p) & 1:
+        for low, word in self._rows:
+            if v & low:
                 v ^= word
         return v
 
@@ -387,16 +375,12 @@ class RowSpace:
         v = self.reduce(v)
         if v == 0:
             return False
-        p = (v & -v).bit_length() - 1
-        # Keep the basis reduced so pivot columns stay unique.
-        for i, word in enumerate(self._basis):
-            if (word >> p) & 1:
-                self._basis[i] = word ^ v
-        idx = 0
-        while idx < len(self._pivots) and self._pivots[idx] < p:
-            idx += 1
-        self._basis.insert(idx, v)
-        self._pivots.insert(idx, p)
+        low = v & -v
+        # Clear the new pivot column from the other rows so the basis stays reduced.
+        for i, (row_low, word) in enumerate(self._rows):
+            if word & low:
+                self._rows[i] = (row_low, word ^ v)
+        bisect.insort(self._rows, (low, v))
         return True
 
 

@@ -215,6 +215,26 @@ class TestNogoTransversal:
         rc2, rep2 = run_json(capsys, args)
         assert (rc1, rep1) == (rc2, rep2)
 
+    def test_survey_eliminates_no_matrix_per_solution(self, capsys, toric_bundle, monkeypatch):
+        built = []
+        real = f2la.RowSpace.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(args)
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(f2la.RowSpace, "__init__", spy)
+        counts = []
+        for samples in ("0", "16"):
+            built.clear()
+            argv = ["nogo-transversal", toric_bundle, "--mod", "3", "--samples", samples]
+            assert main(argv) == 0
+            capsys.readouterr()
+            counts.append(len(built))
+        assert counts[0] == counts[1] > 0
+        code = cli.read_bundle(toric_bundle)
+        assert code.rank_hx == len(code.hx_basis_rows) == code.hx_space.rank
+
 
 class TestToricCnz:
     def test_end_to_end_t3(self, capsys, tmp_path, toric_bundle):
@@ -358,6 +378,25 @@ class TestContract:
         circ.write_text(f"MOD {diagonal.MAX_MODULUS_LOG2}\nPHASE 2 0\n")
         assert main(["verify-diagonal", toric_bundle, str(circ)]) in (0, 1)
         assert len(pulled) == 1
+
+    @pytest.mark.parametrize("copies", ["0", "-1", str(diagonal.MAX_COPIES + 1)])
+    def test_copies_outside_the_cap_are_refused_before_the_pullback(
+        self, capsys, tmp_path, toric_bundle, monkeypatch, copies
+    ):
+        circ = tmp_path / "empty.txt"
+        circ.write_text("MOD 1\n")
+        pulled = []
+        real = diagonal._images
+        monkeypatch.setattr(diagonal, "_images", lambda *args: pulled.append(args) or real(*args))
+        assert main(["verify-diagonal", toric_bundle, str(circ), "--copies", copies]) == 2
+        report = json.loads(capsys.readouterr().out)
+        assert report["status"] == "error"
+        assert "copies must be >= 1 and <= 8" in report["results"]["error"]
+        assert pulled == []
+        # the spy sits on the check's path: a copy count within the cap reaches it
+        top = str(diagonal.MAX_COPIES)
+        assert main(["verify-diagonal", toric_bundle, str(circ), "--copies", top]) == 0
+        assert pulled
 
     def test_nogo_zero_samples_surveys_generators_only(self, capsys, toric_bundle):
         argv = ["nogo-transversal", toric_bundle, "--mod", "2", "--samples", "0"]

@@ -44,6 +44,59 @@ def codewords(h):
     return [x for x in range(1 << h.cols) if f2la.mat_vec(h, x) == 0]
 
 
+def column_scan_rref(m):
+    """Reference RREF: scan the columns, swap a pivot row up, clear the column."""
+    work = list(m.bits)
+    pivots = []
+    for col in range(m.cols):
+        top = len(pivots)
+        sel = next((r for r in range(top, m.rows) if (work[r] >> col) & 1), None)
+        if sel is None:
+            continue
+        work[top], work[sel] = work[sel], work[top]
+        for r in range(m.rows):
+            if r != top and (work[r] >> col) & 1:
+                work[r] ^= work[top]
+        pivots.append(col)
+    return BinaryMatrix(m.rows, m.cols, work), tuple(pivots)
+
+
+@st.composite
+def rows_with_repeats(draw, max_rows=8, max_cols=MAX_N):
+    """Matrices whose rows repeat a few words, zero among them."""
+    cols = draw(st.integers(0, max_cols))
+    words = draw(st.lists(st.integers(0, (1 << cols) - 1), min_size=1, max_size=4))
+    rows = draw(st.lists(st.sampled_from([0] + words), max_size=max_rows))
+    return BinaryMatrix(len(rows), cols, rows)
+
+
+ELIMINATION_INPUTS = st.one_of(matrices(max_rows=8), rows_with_repeats())
+
+
+class TestElimination:
+    @SETTINGS
+    @given(ELIMINATION_INPUTS)
+    def test_rref_matches_the_column_scan(self, m):
+        reduced, pivots = column_scan_rref(m)
+        red = f2la.rref(m)
+        assert (red.reduced, red.pivot_columns, red.rank) == (reduced, pivots, len(pivots))
+        assert f2la.rank(m) == f2la.RowSpace(m).rank == len(pivots)
+
+    @SETTINGS
+    @given(ELIMINATION_INPUTS, st.data())
+    def test_basis_does_not_depend_on_row_order(self, m, data):
+        shuffled = data.draw(st.permutations(m.bits))
+        assert f2la.rref(BinaryMatrix(m.rows, m.cols, shuffled)) == f2la.rref(m)
+
+    @SETTINGS
+    @given(ELIMINATION_INPUTS)
+    def test_extend_grows_exactly_outside_the_span(self, m):
+        space = f2la.RowSpace(cols=m.cols)
+        for r, row in enumerate(m.bits):
+            assert space.extend(row) == (row not in span(m.bits[:r]))
+        assert {v for v in range(1 << m.cols) if space.contains(v)} == span(m.bits)
+
+
 class TestSolve:
     @SETTINGS
     @given(matrices(), st.data())
