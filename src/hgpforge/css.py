@@ -15,6 +15,7 @@ lack the product structure needed for canonical bases.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -283,22 +284,35 @@ def brute_distance(
     """Exact minimum logical weights, one `f2la.lightest_word` walk each.
 
     d_z is the lightest word of ker Hx outside the Z-stabilizer row space
-    (d_x symmetric).  Without `max_weight`, more than `budget` logical
-    cosets ((2^k - 1) * 2^r) is refused before any search.  A `max_weight`
-    W >= 1 bounds d: every word of weight <= W is examined, a type with
-    too many cosets is cut off after `budget` subsets past size W, and
-    "no logical operator of weight <= W found" needs every type proven
-    heavier than W (a cut-off type beside one of weight <= W raises a
-    budget error).  `jobs` is accepted and ignored.
+    (d_x symmetric).  Each walk stops after `budget` subsets past size W
+    (W = `max_weight`, or 0 without it), and a walk cut there raises a
+    budget error.  A `max_weight` W >= 1 bounds d: every word of weight
+    <= W is examined, and "no logical operator of weight <= W found" needs
+    every type proven heavier than W (a cut-off type beside one of weight
+    <= W raises a budget error).  Those always-walked subsets, sum over
+    s = 1..W of C(D, s) for the larger kernel dimension D, are refused
+    before any walk when they exceed `_DISTANCE_BUDGET` (the sum stops at
+    the first size that passes it).  `jobs` is accepted and ignored.
     """
     if code.k == 0:
         raise ValueError("no logical operators")
+    if max_weight is not None:
+        dim = code.n - min(code.rank_hx, code.rank_hz)
+        need = 0
+        for size in range(1, min(max_weight, dim) + 1):
+            need += math.comb(dim, size)
+            if need > _DISTANCE_BUDGET:
+                raise ValueError(
+                    f"max_weight {max_weight} needs at least {need} subsets,"
+                    f" above the cap of {_DISTANCE_BUDGET}"
+                )
     d_z = _min_logical_weight(code.hx, code.hz, max_weight, jobs, budget)
     d_x = _min_logical_weight(code.hz, code.hx, max_weight, jobs, budget)
     if max_weight is not None and all(d is None or d > max_weight for d in (d_x, d_z)):
         raise ValueError(f"no logical operator of weight <= {max_weight} found")
     if d_x is None or d_z is None:
-        raise ValueError(f"distance search exceeded budget {budget} past weight {max_weight}")
+        past = "" if max_weight is None else f" past weight {max_weight}"
+        raise ValueError(f"distance search exceeded budget {budget}{past}")
     return DistanceResult(d_x=d_x, d_z=d_z)
 
 
@@ -309,22 +323,16 @@ def _min_logical_weight(
     jobs: int,
     budget: int,
 ) -> Optional[int]:
-    """Lightest weight in ker h_kernel outside the row space of h_stab, or
-    None when the budget cut the search, which proves it above max_weight."""
+    """Lightest weight in ker h_kernel outside the row space of h_stab, by
+    one `f2la.lightest_word` walk, or None when `budget` subsets past size
+    max_weight (0 without it) cut the walk, which proves it above max_weight."""
     if max_weight is not None and max_weight < 1:
         raise ValueError("max_weight must be >= 1")
     space = RowSpace(h_stab)
     kernel = f2la.kernel_basis(h_kernel).bits
-    k = len(kernel) - space.rank
-    if k == 0:
+    if len(kernel) == space.rank:
         raise ValueError("no logical operators")
-    cost = ((1 << k) - 1) << space.rank
-    if cost > budget and max_weight is None:
-        raise ValueError(f"enumeration of {cost} cosets exceeds budget; pass max_weight")
-    # The walk covers under 2^(k+r) <= 2 * cost subsets, so when the cosets
-    # fit the budget it always runs to its exact end.
-    limit = None if cost <= budget else budget
-    word, exact = f2la.lightest_word(kernel, space, limit, max_weight or 0)
+    word, exact = f2la.lightest_word(kernel, space, budget, max_weight or 0)
     return word.bit_count() if exact else None
 
 

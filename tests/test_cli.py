@@ -291,6 +291,34 @@ class TestContract:
         rc, report = run_json(capsys, ["distance", toric_bundle, "--max-weight", "3"])
         assert rc == 0 and report["results"]["d"] == 3
 
+    def test_max_weight_over_the_subset_cap_is_refused_before_any_walk(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # the L=8 repetition check and its transpose give the L=8 toric code,
+        # a kernel of dimension 65, so W = 8 always walks every subset of at
+        # most 8 reduced rows, about 5.8e9 per type
+        toric8 = hgp_bundle(tmp_path, capsys, "rep8", classical.cyclic_repetition_check(8))
+        toric5 = hgp_bundle(tmp_path, capsys, "rep5", classical.cyclic_repetition_check(5))
+        real = f2la.lightest_word
+
+        def refuse(*args, **kwargs):
+            raise RuntimeError("walked")
+
+        monkeypatch.setattr(f2la, "lightest_word", refuse)
+        start = time.monotonic()
+        assert main(["distance", toric8, "--max-weight", "8"]) == 2
+        assert time.monotonic() - start < 1.0
+        report = json.loads(capsys.readouterr().out)
+        assert report["status"] == "error"
+        assert "max_weight 8 needs" in report["results"]["error"]
+        assert "above the cap of 4194304" in report["results"]["error"]
+        # the spy sits on the search's path: toric L=5 with W = 5 (83,681 subsets) reaches it
+        walked = []
+        monkeypatch.setattr(f2la, "lightest_word", lambda *args: walked.append(args) or real(*args))
+        rc, report = run_json(capsys, ["distance", toric5, "--max-weight", "5"])
+        assert rc == 0 and report["results"]["d"] == 5
+        assert len(walked) == 2
+
     @pytest.mark.parametrize(
         "flags, message",
         [

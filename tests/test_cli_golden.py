@@ -34,7 +34,7 @@ CASES = BUILDS + [
     ("distance_toric3d", ["distance", "toric3d.json"], 0),
     ("distance_hamming_bounded", ["distance", "hamming.json", "--max-weight", "3", "--jobs", "1"], 0),
     ("distance_hamming_bound_too_low", ["distance", "hamming.json", "--max-weight", "2"], 2),
-    ("distance_hamming_over_budget", ["distance", "hamming.json"], 2),
+    ("distance_hamming_over_budget", ["distance", "hamming.json"], 0),
     ("correctable_x_witness", ["correctable", "toric.json", "region_x.txt"], 1),
     ("correctable_z_witness", ["correctable", "toric.json", "region_z.txt"], 1),
     ("correctable_no_witness", ["correctable", "toric.json", "region_ok.txt"], 0),

@@ -128,7 +128,7 @@ class TestBruteDistance:
 
     @pytest.mark.parametrize("budget", [css._DISTANCE_BUDGET, 4])
     def test_max_weight_bounds_both_paths(self, toric18, budget):
-        # d = 3 on the L=3 toric code, by the coset walk and the bounded search
+        # d = 3 on the L=3 toric code, by an uncut walk and one cut past size W
         assert css.brute_distance(toric18, max_weight=3, budget=budget).d == 3
         assert css.brute_distance(toric18, max_weight=5, budget=budget).d == 3
         with pytest.raises(ValueError, match="no logical operator of weight <= 2 found"):
@@ -144,6 +144,27 @@ class TestBruteDistance:
     def test_max_weight_below_one_is_rejected(self, toric18, max_weight):
         with pytest.raises(ValueError, match="max_weight must be >= 1"):
             css.brute_distance(toric18, max_weight=max_weight)
+
+    @pytest.mark.parametrize(
+        "seeds",
+        [
+            [classical.cyclic_repetition_check(5)] * 2,
+            [classical.cyclic_repetition_check(6)] * 2,
+            [classical.hamming_7_4().h, f2la.transpose(classical.hamming_7_4().h)],
+        ],
+        ids=["toric_L5", "toric_L6", "hamming_hgp"],
+    )
+    def test_exact_distance_without_max_weight_matches_kunneth(self, seeds):
+        # (2^k - 1) * 2^r logical cosets far above the budget, yet each walk is short
+        pc = product.build_product(seeds)
+        params = css.kunneth_parameters(pc, 1)
+        brute = css.brute_distance(css.assemble_css(pc, 1))
+        assert (brute.d_x, brute.d_z) == (params.d_x, params.d_z)
+
+    def test_walk_cut_without_max_weight_names_only_the_budget(self):
+        with pytest.raises(ValueError) as info:
+            css.brute_distance(toric_code(2, 5), budget=16)
+        assert str(info.value) == "distance search exceeded budget 16"
 
     def test_cut_off_type_with_the_other_type_within_w_is_a_budget_error(self, toric3d):
         # d_z = 2 <= W, but the budget stops the d_x = 4 search past size 2
