@@ -560,76 +560,42 @@ def kernel_mod_power_of_two(
 ) -> list[tuple[int, ...]]:
     """Generators of {c : M c = 0 mod 2^m} for an integer matrix M.
 
-    Diagonalizes M over Z_{2^m} with unimodular row/column operations
-    (pivots of minimal 2-adic valuation), tracking column operations so
-    kernel generators of the diagonal system map back to original
-    coordinates.  Returns one generator per diagonal entry 2^a with a >= 1
-    (scaled by 2^(m-a)) plus one per free column.
+    Column echelon form over Z_{2^m} (Howell 1986; Storjohann-Mulders 1998)
+    by column operations only.  Each working column holds M's column and
+    then its column of the transform U, which starts as the identity.  Every
+    M entry left is divisible by 2^a, where a only grows; a step pops the
+    first column with an entry of valuation exactly a (the minimum over
+    (a, column, row)) and clears that entry's row from every other column
+    with an exact multiple of it.  The popped columns are triangular over
+    their pivot rows, so the kernel is 2^(m-a) U_j per pivot with a >= 1
+    plus U_j per column left at the end: ncols - rank(M mod 2) generators.
     """
-    m = modulus_log2
-    mod = 1 << m
-    mat = [[v % mod for v in row] for row in rows]
-    nrows = len(mat)
-    trans = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
-
-    def val(x: int) -> int:
-        return m if x == 0 else ((x & -x).bit_length() - 1)
-
-    def col_op(dst: int, src: int, factor: int):
-        for r in range(nrows):
-            mat[r][dst] = (mat[r][dst] + factor * mat[r][src]) % mod
-        for r in range(ncols):
-            trans[r][dst] = (trans[r][dst] + factor * trans[r][src]) % mod
-
-    def col_swap(a: int, b: int):
-        for r in range(nrows):
-            mat[r][a], mat[r][b] = mat[r][b], mat[r][a]
-        for r in range(ncols):
-            trans[r][a], trans[r][b] = trans[r][b], trans[r][a]
-
-    diag_vals = []
-    pos = 0
-    limit = min(nrows, ncols)
-    while pos < limit:
-        best = None
-        for i in range(pos, nrows):
-            for j in range(pos, ncols):
-                v = val(mat[i][j])
-                if v < m and (best is None or v < best[0]):
-                    best = (v, i, j)
-        if best is None:
-            break
-        a, bi, bj = best
-        if bi != pos:
-            mat[pos], mat[bi] = mat[bi], mat[pos]
-        if bj != pos:
-            col_swap(pos, bj)
-        unit = mat[pos][pos] >> a
-        inv = pow(unit, -1, mod)
-        mat[pos] = [(v * inv) % mod for v in mat[pos]]
-        pivot = mat[pos][pos]  # equals 2^a
-        for r in range(nrows):
-            if r != pos and mat[r][pos]:
-                factor = mat[r][pos] >> a
-                for j in range(ncols):
-                    mat[r][j] = (mat[r][j] - factor * mat[pos][j]) % mod
-        for j in range(ncols):
-            if j != pos and mat[pos][j]:
-                col_op(j, pos, -(mat[pos][j] >> a))
-        diag_vals.append(a)
-        pos += 1
+    mod = 1 << modulus_log2
+    nrows = len(rows)
+    cols = [
+        [row[j] % mod for row in rows] + [int(i == j) for i in range(ncols)]
+        for j in range(ncols)
+    ]
     gens = []
-    for i, a in enumerate(diag_vals):
-        if a >= 1:
-            scale = 1 << (m - a)
-            vec = tuple((trans[r][i] * scale) % mod for r in range(ncols))
-            if any(vec):
-                gens.append(vec)
-    for j in range(pos, ncols):
-        vec = tuple(trans[r][j] % mod for r in range(ncols))
-        if any(vec):
-            gens.append(vec)
-    return gens
+    low = 1  # 2^a: every M entry left is divisible by it
+    while low < mod:
+        pivot = next(
+            ((j, i) for j, col in enumerate(cols) for i, x in zip(range(nrows), col) if x & low),
+            None,
+        )
+        if pivot is None:
+            low <<= 1
+            continue
+        j, i = pivot
+        piv = cols.pop(j)
+        inv = pow(piv[i] // low, -1, mod)
+        cols = [
+            [(x - f * y) % mod for x, y in zip(col, piv)] if (f := col[i] // low * inv) else col
+            for col in cols
+        ]
+        if low > 1:
+            gens.append(tuple(v * (mod // low) % mod for v in piv[nrows:]))
+    return gens + [tuple(col[nrows:]) for col in cols]
 
 
 def _preservation_congruences(code: CssCode, modulus_log2: int) -> list[tuple[int, ...]]:

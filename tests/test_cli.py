@@ -2,6 +2,7 @@
 
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -92,7 +93,7 @@ class TestBuild:
         main(["build", seed3, seed3, "--level", "1", "-o", out2])
         second = capsys.readouterr().out
         assert first.replace(out1, "X") == second.replace(out2, "X")
-        assert open(out1).read() == open(out2).read()
+        assert Path(out1).read_text() == Path(out2).read_text()
 
 
 class TestBundleRoundTrip:
@@ -101,7 +102,7 @@ class TestBundleRoundTrip:
         assert (code.n, code.k) == (18, 2)
 
     def test_tampered_bundle_rejected(self, tmp_path, toric_bundle):
-        payload = json.loads(open(toric_bundle).read())
+        payload = json.loads(Path(toric_bundle).read_text())
         payload["Hx"][0] = [0]
         bad = tmp_path / "tampered.json"
         bad.write_text(json.dumps(payload))
@@ -109,7 +110,7 @@ class TestBundleRoundTrip:
             cli.read_bundle(str(bad))
 
     def test_structurally_broken_bundle_is_usage_error(self, tmp_path, toric_bundle):
-        payload = json.loads(open(toric_bundle).read())
+        payload = json.loads(Path(toric_bundle).read_text())
         del payload["factors"]
         bad = tmp_path / "broken.json"
         bad.write_text(json.dumps(payload))
@@ -249,7 +250,7 @@ class TestToricCnz:
         assert results["invariance"] is True
         assert results["logical_cnz_verified"] is True
         assert results["logical_level"] == 3
-        assert json.loads(open(report_path).read()) == results
+        assert json.loads(Path(report_path).read_text()) == results
 
     def test_emitted_circuit_verifies_via_cli(self, capsys, tmp_path):
         # round trip: toric-cnz emits a circuit, verify-diagonal re-checks it
@@ -439,7 +440,7 @@ class TestContract:
         [("rows", 5, "declares 5x3"), ("cols", 4, "declares 3x4"), ("data", "111", "list")],
     )
     def test_factor_layout_is_checked(self, capsys, tmp_path, toric_bundle, field, value, message):
-        payload = json.loads(open(toric_bundle).read())
+        payload = json.loads(Path(toric_bundle).read_text())
         payload["factors"][0][field] = value
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(payload))

@@ -515,6 +515,146 @@ class TestKernelModPowerOfTwo:
             assert len(span) == count
 
 
+class TestKernelAgainstSmithForm:
+    """The column-only kernel against the two-sided Smith form it replaced."""
+
+    @staticmethod
+    def smith_form(rows, ncols, m):
+        """Reference: diagonalize with row and column operations, tracking the
+        column operations in a dense transform.  Returns the valuations a of
+        the diagonal entries 2^a < 2^m and the kernel generators."""
+        mod = 1 << m
+        mat = [[v % mod for v in row] for row in rows]
+        nrows = len(mat)
+        trans = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
+
+        def val(x):
+            return m if x == 0 else ((x & -x).bit_length() - 1)
+
+        def col_op(dst, src, factor):
+            for r in range(nrows):
+                mat[r][dst] = (mat[r][dst] + factor * mat[r][src]) % mod
+            for r in range(ncols):
+                trans[r][dst] = (trans[r][dst] + factor * trans[r][src]) % mod
+
+        def col_swap(a, b):
+            for r in range(nrows):
+                mat[r][a], mat[r][b] = mat[r][b], mat[r][a]
+            for r in range(ncols):
+                trans[r][a], trans[r][b] = trans[r][b], trans[r][a]
+
+        diag_vals = []
+        pos = 0
+        while pos < min(nrows, ncols):
+            best = None
+            for i in range(pos, nrows):
+                for j in range(pos, ncols):
+                    v = val(mat[i][j])
+                    if v < m and (best is None or v < best[0]):
+                        best = (v, i, j)
+            if best is None:
+                break
+            a, bi, bj = best
+            mat[pos], mat[bi] = mat[bi], mat[pos]
+            if bj != pos:
+                col_swap(pos, bj)
+            inv = pow(mat[pos][pos] >> a, -1, mod)
+            mat[pos] = [(v * inv) % mod for v in mat[pos]]
+            for r in range(nrows):
+                if r != pos and mat[r][pos]:
+                    factor = mat[r][pos] >> a
+                    mat[r] = [(x - factor * y) % mod for x, y in zip(mat[r], mat[pos])]
+            for j in range(ncols):
+                if j != pos and mat[pos][j]:
+                    col_op(j, pos, -(mat[pos][j] >> a))
+            diag_vals.append(a)
+            pos += 1
+        gens = [
+            tuple((trans[r][i] << (m - a)) % mod for r in range(ncols))
+            for i, a in enumerate(diag_vals)
+            if a >= 1
+        ]
+        gens += [tuple(trans[r][j] for r in range(ncols)) for j in range(pos, ncols)]
+        return diag_vals, [g for g in gens if any(g)]
+
+    @staticmethod
+    def rank_mod_2(rows, ncols):
+        bits = [f2la.vector_from_indices(j for j, v in enumerate(row) if v % 2) for row in rows]
+        return f2la.rank(BinaryMatrix(len(rows), ncols, bits))
+
+    @staticmethod
+    def span(gens, ncols, mod):
+        span = {(0,) * ncols}
+        for g in gens:
+            span = {
+                tuple((x + lam * gi) % mod for x, gi in zip(vec, g))
+                for vec in span
+                for lam in range(mod)
+            }
+        return span
+
+    def check_counts_and_rows(self, rows, ncols, m):
+        gens = kernel_mod_power_of_two(rows, ncols, m)
+        vals, ref = self.smith_form(rows, ncols, m)
+        assert len(gens) == len(ref) == ncols - self.rank_mod_2(rows, ncols)
+        for g in gens:
+            assert len(g) == ncols and all(0 <= v < 1 << m for v in g)
+            for row in rows:
+                assert sum(r * v for r, v in zip(row, g)) % (1 << m) == 0
+        return gens, vals, ref
+
+    def test_random_systems_span_the_exhaustive_solutions(self):
+        rng = random.Random(31)
+        seen = set()
+        for i in range(240):
+            m = 1 + i % 4
+            mod = 1 << m
+            ncols = rng.randrange(1, 12 // m + 1)  # mod**ncols <= 2**12
+            rows = [
+                [rng.randrange(-2 * mod, 2 * mod) for _ in range(ncols)]
+                for _ in range(rng.randrange(0, 5))
+            ]
+            if rows and i % 3 == 1:
+                rows[rng.randrange(len(rows))] = [0] * ncols
+            if rows and i % 3 == 2:
+                rows[rng.randrange(len(rows))] = [2 * rng.randrange(mod) for _ in range(ncols)]
+            gens, _, ref = self.check_counts_and_rows(rows, ncols, m)
+            solutions = {
+                vec
+                for vec in itertools.product(range(mod), repeat=ncols)
+                if all(sum(r * v for r, v in zip(row, vec)) % mod == 0 for row in rows)
+            }
+            assert self.span(gens, ncols, mod) == self.span(ref, ncols, mod) == solutions, i
+            seen.add((m, len(rows), len(gens) < ncols))
+        assert {m for m, nrows, _ in seen if nrows == 0} == {1, 2, 3, 4}
+        assert {m for m, nrows, pivoted in seen if nrows and pivoted} == {1, 2, 3, 4}
+
+    @staticmethod
+    def congruence_codes():
+        h = classical.hamming_7_4().h
+        codes = [toric_code(2, length) for length in (3, 4, 5)]
+        codes += [toric_code(3, 3), css.assemble_css(product.build_product([h, f2la.transpose(h)]), 1)]
+        rng = random.Random(5)
+        for _ in range(4):
+            seeds = [
+                BinaryMatrix(r, c, [rng.getrandbits(c) for _ in range(r)])
+                for r, c in ((rng.randrange(2, 5), rng.randrange(2, 5)) for _ in range(2))
+            ]
+            codes.append(css.assemble_css(product.build_product(seeds), 1))
+        return codes
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_congruence_systems_give_the_solution_module(self, m):
+        # the new generators solve M, and the module they span has the order of
+        # the solution module, so the two are equal
+        for code in self.congruence_codes():
+            rows = diagonal._preservation_congruences(code, m)
+            gens, vals, _ = self.check_counts_and_rows(rows, code.n, m)
+            solution_log2 = sum(vals) + m * (code.n - len(vals))
+            span_vals, _ = self.smith_form(gens, code.n, m)
+            assert sum(m - b for b in span_vals) == solution_log2, (code.n, m)
+
+
 class TestNogoHarness:
     def test_toric18_respects_clifford_bound(self):
         code = toric_code(2, 3)
