@@ -174,6 +174,8 @@ class CssCode:
         self.stabilizer_weight = max(weights, default=0)
         self.logicals: Optional[LogicalBasis] = None
         self._x_domain: Optional[list[int]] = None
+        # diagonal._images per copy count, each with the `logicals` it read
+        self._images: dict[int, tuple] = {}
 
     def __repr__(self) -> str:
         return f"CssCode[[{self.n},{self.k}]]"
@@ -306,8 +308,8 @@ def brute_distance(
                     f"max_weight {max_weight} needs at least {need} subsets,"
                     f" above the cap of {_DISTANCE_BUDGET}"
                 )
-    d_z = _min_logical_weight(code.hx, code.hz, max_weight, jobs, budget)
-    d_x = _min_logical_weight(code.hz, code.hx, max_weight, jobs, budget)
+    d_z = _walk_logical_weight(code.hx, code.hz_space, max_weight, budget)
+    d_x = _walk_logical_weight(code.hz, code.hx_space, max_weight, budget)
     if max_weight is not None and all(d is None or d > max_weight for d in (d_x, d_z)):
         raise ValueError(f"no logical operator of weight <= {max_weight} found")
     if d_x is None or d_z is None:
@@ -323,16 +325,26 @@ def _min_logical_weight(
     jobs: int,
     budget: int,
 ) -> Optional[int]:
-    """Lightest weight in ker h_kernel outside the row space of h_stab, by
-    one `f2la.lightest_word` walk, or None when `budget` subsets past size
+    """Lightest weight in ker h_kernel outside the row space of h_stab, or
+    None when the walk is cut (see `_walk_logical_weight`); `jobs` is ignored."""
+    return _walk_logical_weight(h_kernel, RowSpace(h_stab), max_weight, budget)
+
+
+def _walk_logical_weight(
+    h_kernel: BinaryMatrix,
+    stab_space: RowSpace,
+    max_weight: Optional[int],
+    budget: int,
+) -> Optional[int]:
+    """Lightest weight in ker h_kernel outside stab_space, by one
+    `f2la.lightest_word` walk, or None when `budget` subsets past size
     max_weight (0 without it) cut the walk, which proves it above max_weight."""
     if max_weight is not None and max_weight < 1:
         raise ValueError("max_weight must be >= 1")
-    space = RowSpace(h_stab)
     kernel = f2la.kernel_basis(h_kernel).bits
-    if len(kernel) == space.rank:
+    if len(kernel) == stab_space.rank:
         raise ValueError("no logical operators")
-    word, exact = f2la.lightest_word(kernel, space, budget, max_weight or 0)
+    word, exact = f2la.lightest_word(kernel, stab_space, budget, max_weight or 0)
     return word.bit_count() if exact else None
 
 

@@ -12,7 +12,10 @@ ever enumerated.  The codespace check and the logical action share one
 pullback of f to x = L a + G b (L the X logicals, G the independent Hx
 rows), which expands each XOR multilinearly and prunes branches whose
 coefficient 2-adic valuation reaches the modulus, keeping it polynomial-
-sized.  The no-go survey reads its congruences off the same images.
+sized.  The no-go survey reads its congruences off the same images.  The
+per-qubit images are built once per code and copy count and kept on the
+code while its logical basis object stays the same, so a survey's
+congruences and every solution's pullbacks share one build.
 """
 
 from __future__ import annotations
@@ -314,20 +317,33 @@ def _coordinates(code: CssCode) -> tuple[list[int], list[int]]:
     return [rep.pauli.x for rep in basis.x_reps], code.hx_basis_rows
 
 
-def _images(code: CssCode, copies: int) -> tuple[list[tuple[int, ...]], int, int, list[int]]:
+def _images(
+    code: CssCode, copies: int
+) -> tuple[tuple[tuple[int, ...], ...], int, int, list[int]]:
     """Per-qubit images of x = L a + G b per copy (G the independent Hx
-    rows), the a count, the variable count and G's Hx row indices."""
+    rows), the a count, the variable count and G's Hx row indices.
+
+    Memoised on the code per copy count: an entry is reused while
+    `code.logicals` is the very object it was built from (Hx is fixed at
+    construction; `set_logical_basis` and `canonical_logical_basis` install a
+    new basis object).  The images are tuples, so callers share them safely.
+    """
+    hit = code._images.get(copies)
+    if hit is not None and hit[0] is code.logicals:
+        return hit[1]
     lead_rows, g_index = _coordinates(code)
     k, r = len(lead_rows), len(g_index)
     a_total = copies * k
     a_cols = f2la.column_supports(lead_rows, code.n)
     b_cols = f2la.column_supports([code.hx.bits[g] for g in g_index], code.n)
-    images = [
+    images = tuple(
         tuple(c * k + j for j in a_cols[i]) + tuple(a_total + c * r + j for j in b_cols[i])
         for c in range(copies)
         for i in range(code.n)
-    ]
-    return images, a_total, a_total + copies * r, g_index
+    )
+    result = (images, a_total, a_total + copies * r, g_index)
+    code._images[copies] = (code.logicals, result)
+    return result
 
 
 def _pullback(
@@ -672,9 +688,8 @@ def transversal_nogo_harness(
         vec = [0] * code.n
         for g in gens:
             lam = rng.randrange(mod)
-            for i, v in enumerate(g):
-                vec[i] = (vec[i] + lam * v) % mod
-        solutions.append(tuple(vec))
+            vec = [x + lam * v for x, v in zip(vec, g)]
+        solutions.append(tuple(x % mod for x in vec))
     levels = []
     all_preserve = True
     for sol in solutions:

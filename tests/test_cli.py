@@ -148,6 +148,23 @@ class TestDistance:
         code, report = run_json(capsys, ["distance", toric_bundle])
         assert code == 0 and report["results"]["d"] == 3
 
+    def test_walks_reuse_the_codes_row_spaces(self, capsys, tmp_path, monkeypatch):
+        toric5 = hgp_bundle(tmp_path, capsys, "rep5", classical.cyclic_repetition_check(5))
+        widths = []
+        real = f2la.RowSpace.__init__
+
+        def spy(self, *args, **kwargs):
+            real(self, *args, **kwargs)
+            widths.append(self.cols)
+
+        monkeypatch.setattr(f2la.RowSpace, "__init__", spy)
+        rc, report = run_json(capsys, ["distance", toric5, "--max-weight", "5"])
+        assert rc == 0 and report["results"]["d"] == 5
+        # Over the 50 qubits: Hx and Hz once each in CssCode, then per type the
+        # kernel basis and the walk's reduced basis.  The walks test membership
+        # in the code's own stabilizer spaces (the 5-column rest is the seeds).
+        assert widths.count(50) == 6
+
 
 class TestCorrectable:
     def test_correctable_region(self, capsys, tmp_path, toric_bundle):
@@ -235,6 +252,22 @@ class TestNogoTransversal:
         assert counts[0] == counts[1] > 0
         code = cli.read_bundle(toric_bundle)
         assert code.rank_hx == len(code.hx_basis_rows) == code.hx_space.rank
+
+    def test_survey_builds_images_once(self, capsys, toric_bundle, monkeypatch):
+        # column_supports is called by diagonal._images alone, twice per build
+        calls = []
+        real = f2la.column_supports
+        monkeypatch.setattr(
+            f2la, "column_supports", lambda *args: calls.append(args) or real(*args)
+        )
+        counts = []
+        for samples in ("0", "16"):
+            calls.clear()
+            argv = ["nogo-transversal", toric_bundle, "--mod", "3", "--samples", samples]
+            assert main(argv) == 0
+            capsys.readouterr()
+            counts.append(len(calls))
+        assert counts == [2, 2]
 
 
 class TestToricCnz:

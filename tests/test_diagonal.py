@@ -943,3 +943,86 @@ class TestStabilizerCoordinates:
         assert rows == sorted(set(map(tuple, rows)))
         if name == "hamming hgp":
             assert len(rows) == 141  # 286 before duplicates were dropped
+
+
+class TestImageMemo:
+    """Pullbacks through a code's memoised images against a fresh code's.
+
+    An entry is reused only while `code.logicals` is the object it was built
+    from, so a basis installed after the first pullback must be picked up.
+    """
+
+    @staticmethod
+    def build(name):
+        if name == "toric t=2 L=3":
+            return toric_code(2, 3)
+        h = classical.hamming_7_4().h
+        return css.assemble_css(product.build_product([h, f2la.transpose(h)]), 1)
+
+    @staticmethod
+    def polys(code, copies, rng):
+        """Codespace-preserving polynomials per m, plus an S gate that is not.
+
+        Each preserving one is a polynomial in parities against Z logicals,
+        so its logical action reads the images' a-coordinates."""
+        nvars = copies * code.n
+        ker_hx = [w for w in f2la.kernel_basis(code.hx).bits if not code.hz_space.contains(w)]
+        out = []
+        for m in (1, 2, 3):
+            parities = [
+                tuple(c * code.n + q for q in f2la.indices_of(rng.choice(ker_hx)))
+                for c in (rng.randrange(copies) for _ in range(2))
+            ]
+            out.append(substitute(random_poly(rng, 2, m, nterms=2), parities, nvars))
+        out.append(poly_from_circuit([(1, (nvars - 1,))], 2, nvars=nvars))
+        return out
+
+    def assert_matches_fresh(self, code, fresh, seed):
+        rng = random.Random(seed)
+        verdicts, acting = set(), 0
+        for copies in (1, 2, 3):
+            images = diagonal._images(code, copies)
+            assert images == diagonal._images(fresh(), copies)
+            assert diagonal._images(code, copies)[0] is images[0]  # a memo hit
+            for f in self.polys(code, copies, rng):
+                res = preserves_codespace(f, code, copies)
+                assert res == preserves_codespace(f, fresh(), copies), copies
+                verdicts.add(res.preserves)
+                if res:
+                    action = logical_action(f, code, copies)
+                    assert action == logical_action(f, fresh(), copies)
+                    acting += not action.is_zero()
+        assert verdicts == {True, False} and acting
+
+    @pytest.mark.parametrize("name", ["toric t=2 L=3", "hamming hgp"])
+    def test_product_codes(self, name):
+        self.assert_matches_fresh(self.build(name), lambda: self.build(name), 7)
+
+    def test_bare_code_dressed_after_first_pullback(self):
+        toric = toric_code(2, 3)
+        basis = css.canonical_logical_basis(toric)
+        # every representative times a stabilizer: the same classes, new words
+        xs = [
+            PauliOperator(toric.n, x=rep.pauli.x ^ toric.hx.bits[i])
+            for i, rep in enumerate(basis.x_reps)
+        ]
+        zs = [
+            PauliOperator(toric.n, z=rep.pauli.z ^ toric.hz.bits[i])
+            for i, rep in enumerate(basis.z_reps)
+        ]
+
+        def bare():
+            return css.CssCode(toric.hx, toric.hz)
+
+        def dressed():
+            code = bare()
+            code.set_logical_basis(xs, zs)
+            return code
+
+        code = bare()
+        self.assert_matches_fresh(code, bare, 11)
+        assert all(
+            diagonal._images(code, c)[0] != diagonal._images(dressed(), c)[0] for c in (1, 2, 3)
+        )
+        code.set_logical_basis(xs, zs)
+        self.assert_matches_fresh(code, dressed, 11)
