@@ -58,9 +58,6 @@ class PauliOperator:
     def weight(self) -> int:
         return (self.x | self.z).bit_count()
 
-    def is_identity(self) -> bool:
-        return self.x == 0 and self.z == 0
-
 
 def symplectic_product(p: PauliOperator, q: PauliOperator) -> int:
     """<x_p, z_q> + <z_p, x_q> mod 2; 1 iff the Paulis anticommute."""
@@ -176,6 +173,8 @@ class CssCode:
         self._x_domain: Optional[list[int]] = None
         # diagonal._images per copy count, each with the `logicals` it read
         self._images: dict[int, tuple] = {}
+        # diagonal._pullback's last (f, copies, logicals, result)
+        self._last_pullback: Optional[tuple] = None
 
     def __repr__(self) -> str:
         return f"CssCode[[{self.n},{self.k}]]"
@@ -183,7 +182,7 @@ class CssCode:
     def x_domain_basis(self) -> list[int]:
         """Reduced basis of ker Hz (the X-type codeword domain)."""
         if self._x_domain is None:
-            red = f2la.rref(f2la.kernel_basis(self.hz))
+            red = f2la.rref(f2la.kernel_basis(self.hz_space))
             self._x_domain = red.nonzero_rows()
         return self._x_domain
 
@@ -308,8 +307,8 @@ def brute_distance(
                     f"max_weight {max_weight} needs at least {need} subsets,"
                     f" above the cap of {_DISTANCE_BUDGET}"
                 )
-    d_z = _walk_logical_weight(code.hx, code.hz_space, max_weight, budget)
-    d_x = _walk_logical_weight(code.hz, code.hx_space, max_weight, budget)
+    d_z = _walk_logical_weight(code.hx_space, code.hz_space, max_weight, budget)
+    d_x = _walk_logical_weight(code.hz_space, code.hx_space, max_weight, budget)
     if max_weight is not None and all(d is None or d > max_weight for d in (d_x, d_z)):
         raise ValueError(f"no logical operator of weight <= {max_weight} found")
     if d_x is None or d_z is None:
@@ -327,21 +326,22 @@ def _min_logical_weight(
 ) -> Optional[int]:
     """Lightest weight in ker h_kernel outside the row space of h_stab, or
     None when the walk is cut (see `_walk_logical_weight`); `jobs` is ignored."""
-    return _walk_logical_weight(h_kernel, RowSpace(h_stab), max_weight, budget)
+    return _walk_logical_weight(RowSpace(h_kernel), RowSpace(h_stab), max_weight, budget)
 
 
 def _walk_logical_weight(
-    h_kernel: BinaryMatrix,
+    check_space: RowSpace,
     stab_space: RowSpace,
     max_weight: Optional[int],
     budget: int,
 ) -> Optional[int]:
-    """Lightest weight in ker h_kernel outside stab_space, by one
-    `f2la.lightest_word` walk, or None when `budget` subsets past size
-    max_weight (0 without it) cut the walk, which proves it above max_weight."""
+    """Lightest weight in the kernel of the checks spanning check_space
+    outside stab_space, by one `f2la.lightest_word` walk, or None when
+    `budget` subsets past size max_weight (0 without it) cut the walk, which
+    proves it above max_weight."""
     if max_weight is not None and max_weight < 1:
         raise ValueError("max_weight must be >= 1")
-    kernel = f2la.kernel_basis(h_kernel).bits
+    kernel = f2la.kernel_basis(check_space).bits
     if len(kernel) == stab_space.rank:
         raise ValueError("no logical operators")
     word, exact = f2la.lightest_word(kernel, stab_space, budget, max_weight or 0)

@@ -12,10 +12,14 @@ ever enumerated.  The codespace check and the logical action share one
 pullback of f to x = L a + G b (L the X logicals, G the independent Hx
 rows), which expands each XOR multilinearly and prunes branches whose
 coefficient 2-adic valuation reaches the modulus, keeping it polynomial-
-sized.  The no-go survey reads its congruences off the same images.  The
-per-qubit images are built once per code and copy count and kept on the
-code while its logical basis object stays the same, so a survey's
-congruences and every solution's pullbacks share one build.
+sized.  The pullback reads only the images of f's variables, lists their
+subsets once as bitmasks and accumulates monomials as integers.  The last
+pullback is kept on the code, so a claim checked for codespace preservation
+and then for its logical action is pulled back once.  The no-go survey
+reads its congruences off the same images.  The per-qubit images are built
+once per code and copy count and kept on the code while its logical basis
+object stays the same, so a survey's congruences and every solution's
+pullbacks share one build.
 """
 
 from __future__ import annotations
@@ -114,13 +118,6 @@ class PhasePolynomial:
         for mono, c in other._terms.items():
             merged[mono] = merged.get(mono, 0) + c
         return PhasePolynomial(self.nvars, self.modulus_log2, merged)
-
-    def scale(self, factor: int) -> "PhasePolynomial":
-        return PhasePolynomial(
-            self.nvars,
-            self.modulus_log2,
-            {mono: c * factor for mono, c in self._terms.items()},
-        )
 
     def evaluate(self, x: int) -> int:
         """Value of f at the packed assignment x, reduced mod 2^m."""
@@ -236,45 +233,62 @@ def hierarchy_level(f: PhasePolynomial) -> int:
 def substitute(
     f: PhasePolynomial, images: Sequence[Sequence[int]], new_nvars: int
 ) -> PhasePolynomial:
-    """Compose f with the GF(2)-linear map x_i = XOR of images[i].
+    """Compose f with the GF(2)-linear map x_i = XOR of images[i], each
+    distinct entry of an image counted once.
 
     The XOR of p bits has multilinear form sum over nonempty subsets T of
     (-2)^(|T|-1) * product(T), so a degree-d monomial expands into a
     product of such sums.  Branches whose coefficient valuation reaches m
     are pruned, which caps the expansion sharply for small m.
+
+    Only the images of f's variables are read: each is deduplicated and
+    range-checked, and its subsets are listed once as (size, bitmask) pairs
+    up to the deepest size a term holding the variable can reach, m - v2(c).
+    Monomials are accumulated as bitmasks; an image of a variable f does not
+    use is never read, so an out-of-range one raises nothing.
     """
     if len(images) != f.nvars:
         raise ValueError("need one image per variable")
     m = f.modulus_log2
     mod = 1 << m
-    sorted_images = [tuple(sorted(set(img))) for img in images]
-    for img in sorted_images:
-        if any(v < 0 or v >= new_nvars for v in img):
+    reach: dict[int, int] = {}
+    for mono, c in f._terms.items():
+        depth = m + 1 - (c & -c).bit_length()
+        for v in mono:
+            if reach.get(v, 0) < depth:
+                reach[v] = depth
+    subsets: dict[int, list[tuple[int, int]]] = {}
+    for v, depth in reach.items():
+        img = sorted(set(images[v]))
+        if img and (img[0] < 0 or img[-1] >= new_nvars):
             raise ValueError("image variable out of range")
-    out: dict[Monomial, int] = {}
-
-    def expand(factors: list[tuple[int, ...]], idx: int, acc: frozenset, coeff: int):
-        if coeff % mod == 0:
-            return
-        if idx == len(factors):
+        bits = [1 << j for j in img]
+        subsets[v] = [
+            (size, sum(t))
+            for size in range(1, min(depth, len(bits)) + 1)
+            for t in itertools.combinations(bits, size)
+        ]
+    out: dict[int, int] = {}
+    for mono, c in f._terms.items():
+        # (monomial mask, coefficient, m - its valuation) per open branch
+        branches = [(0, c, m + 1 - (c & -c).bit_length())]
+        for v in sorted(mono):
+            factor = subsets[v]
+            # |T| - 1 extra powers of two per factor; deeper subsets vanish.
+            branches = [
+                (acc | mask, (coeff if size & 1 else -coeff) << (size - 1), room + 1 - size)
+                for acc, coeff, room in branches
+                for size, mask in factor
+                if size <= room
+            ]
+        for acc, coeff, _ in branches:
             # A monomial whose coefficient cancels leaves the accumulator.
             total = (out.pop(acc, 0) + coeff) % mod
             if total:
                 out[acc] = total
-            return
-        img = factors[idx]
-        v = (coeff & -coeff).bit_length() - 1 if coeff else m
-        # |T| - 1 extra powers of two per factor; deeper subsets vanish.
-        max_size = min(len(img), m - v)
-        for size in range(1, max_size + 1):
-            unit = coeff if size % 2 == 1 else -coeff
-            scaled = unit << (size - 1)
-            for t in itertools.combinations(img, size):
-                expand(factors, idx + 1, acc | frozenset(t), scaled)
-
-    for mono, c in f._terms.items():
-        expand([sorted_images[v] for v in sorted(mono)], 0, frozenset(), c)
-    return PhasePolynomial(new_nvars, m, out)
+    return PhasePolynomial(
+        new_nvars, m, {frozenset(f2la.indices_of(acc)): c for acc, c in out.items()}
+    )
 
 
 # -- codespace preservation ---------------------------------------------------
@@ -349,9 +363,20 @@ def _images(
 def _pullback(
     f: PhasePolynomial, code: CssCode, copies: int
 ) -> tuple[PhasePolynomial, int, list[int]]:
-    """f at x = L a + G b per copy, the a count and G's Hx row indices."""
+    """f at x = L a + G b per copy, the a count and G's Hx row indices.
+
+    The last result is kept on the code and reused for the very same f
+    object (polynomials are immutable) at the same copy count while
+    `code.logicals` is the object it was built from, so a codespace check
+    followed by the logical action substitutes once.
+    """
+    hit = code._last_pullback
+    if hit is not None and hit[0] is f and hit[1] == copies and hit[2] is code.logicals:
+        return hit[3]
     images, a_total, nvars, g_index = _images(code, copies)
-    return substitute(f, images, nvars), a_total, g_index
+    result = (substitute(f, images, nvars), a_total, g_index)
+    code._last_pullback = (f, copies, code.logicals, result)
+    return result
 
 
 def preserves_codespace(

@@ -221,22 +221,25 @@ def mat_vec(m: BinaryMatrix, v: int) -> int:
     return out
 
 
-def kernel_basis(m: BinaryMatrix) -> BinaryMatrix:
+def kernel_basis(m: BinaryMatrix | RowSpace) -> BinaryMatrix:
     """Basis for {v : m @ v = 0}, one packed vector per row.
 
     The basis has cols(m) - rank(m) rows.  Basis vector for free column f
     carries a 1 at f and reproduces the bound pivot entries, so the result
-    is deterministic and in a canonical (echelon-complement) form.
+    is deterministic and in a canonical (echelon-complement) form.  The
+    kernel depends on the row space alone, so m may be a RowSpace already
+    built, whose reduced basis is read instead of eliminating again.
     """
-    red = rref(m)
-    pivot_set = set(red.pivot_columns)
-    columns = transpose(red.reduced).bits
+    space = m if isinstance(m, RowSpace) else RowSpace(m)
+    pivots = [low.bit_length() - 1 for low, _ in space._rows]
+    pivot_set = set(pivots)
+    columns = transpose(BinaryMatrix(space.rank, space.cols, [w for _, w in space._rows])).bits
     rows = [
-        (1 << f) | lift(columns[f], red.pivot_columns)
-        for f in range(m.cols)
+        (1 << f) | lift(columns[f], pivots)
+        for f in range(space.cols)
         if f not in pivot_set
     ]
-    return BinaryMatrix(len(rows), m.cols, rows)
+    return BinaryMatrix(len(rows), space.cols, rows)
 
 
 def solve(m: BinaryMatrix, b: int) -> Optional[int]:

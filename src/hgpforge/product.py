@@ -130,9 +130,6 @@ class Hyperplane:
         if list(self.fixed_dirs) != sorted(set(self.fixed_dirs)):
             raise ValueError("fixed_dirs must be strictly increasing")
 
-    def value_at(self, direction: int) -> int:
-        return self.fixed_values[self.fixed_dirs.index(direction)]
-
 
 @dataclass(frozen=True)
 class Hypertube:

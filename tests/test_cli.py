@@ -161,9 +161,10 @@ class TestDistance:
         rc, report = run_json(capsys, ["distance", toric5, "--max-weight", "5"])
         assert rc == 0 and report["results"]["d"] == 5
         # Over the 50 qubits: Hx and Hz once each in CssCode, then per type the
-        # kernel basis and the walk's reduced basis.  The walks test membership
-        # in the code's own stabilizer spaces (the 5-column rest is the seeds).
-        assert widths.count(50) == 6
+        # walk's reduced basis.  The kernel bases read the code's own check
+        # spaces, and the walks test membership in its stabilizer spaces (the
+        # 5-column rest is the seeds).
+        assert widths.count(50) == 4
 
 
 class TestCorrectable:
@@ -269,6 +270,17 @@ class TestNogoTransversal:
             counts.append(len(calls))
         assert counts == [2, 2]
 
+    def test_one_pullback_per_solution(self, capsys, toric_bundle, monkeypatch):
+        calls = []
+        real = diagonal.substitute
+        monkeypatch.setattr(diagonal, "substitute", lambda *args: calls.append(args) or real(*args))
+        rc, report = run_json(
+            capsys, ["nogo-transversal", toric_bundle, "--mod", "3", "--samples", "16"]
+        )
+        assert rc == 0 and report["results"]["all_preserve"] is True
+        # preserves_codespace and logical_action share each solution's pullback
+        assert len(calls) == report["results"]["generator_count"] + 16
+
 
 class TestToricCnz:
     def test_end_to_end_t3(self, capsys, tmp_path, toric_bundle):
@@ -301,6 +313,18 @@ class TestToricCnz:
         assert report["results"]["preserves"] is True
         assert report["results"]["level"] == 3
         assert len(report["results"]["logical_terms"]) == 6
+
+    def test_one_pullback_per_op(self, capsys, tmp_path, toric_bundle, monkeypatch):
+        calls = []
+        real = diagonal.substitute
+        monkeypatch.setattr(diagonal, "substitute", lambda *args: calls.append(args) or real(*args))
+        circ = str(tmp_path / "cz.txt")
+        rc, report = run_json(capsys, ["toric-cnz", "--t", "2", "--L", "3", "-o", circ])
+        assert rc == 0 and report["results"]["logical_cnz_verified"] is True
+        assert len(calls) == 1
+        rc, report = run_json(capsys, ["verify-diagonal", toric_bundle, circ, "--copies", "2"])
+        assert rc == 0 and report["results"]["level"] == 2
+        assert len(calls) == 2
 
 
 class TestContract:

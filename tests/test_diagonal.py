@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hgpforge import classical, css, diagonal, f2la, product
 from hgpforge.css import PauliOperator
@@ -207,6 +209,41 @@ class TestSubstitute:
                         bit ^= (u >> j) & 1
                     x |= bit << i
                 assert sub.evaluate(u) == f.evaluate(x)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_agrees_with_evaluate_at_every_point(self, data):
+        m = data.draw(st.integers(1, 4))
+        nvars = data.draw(st.integers(1, 6))
+        new_nvars = data.draw(st.integers(1, 6))
+        monomials = st.frozensets(st.integers(0, nvars - 1), max_size=3)
+        terms = data.draw(st.dictionaries(monomials, st.integers(0, (1 << m) - 1), max_size=6))
+        f = PhasePolynomial(nvars, m, terms)
+        # repeated entries and empty images included; an image is read as a set
+        image = st.lists(st.integers(0, new_nvars - 1), max_size=4).map(tuple)
+        images = data.draw(st.lists(image, min_size=nvars, max_size=nvars))
+        sub = substitute(f, images, new_nvars)
+        for y in range(1 << new_nvars):
+            x = 0
+            for i, img in enumerate(images):
+                x |= (sum((y >> j) & 1 for j in set(img)) & 1) << i
+            assert sub.evaluate(y) == f.evaluate(x)
+
+    def test_out_of_range_image_of_a_used_variable_raises(self):
+        f = PhasePolynomial(2, 2, {frozenset((1,)): 1})
+        for bad in ((0, 3), (-1,)):
+            with pytest.raises(ValueError, match="image variable out of range"):
+                substitute(f, [(0,), bad], 3)
+
+    def test_image_of_an_unused_variable_is_never_read(self):
+        class Unread:
+            def __iter__(self):
+                raise AssertionError("image of an unused variable was read")
+
+        f = PhasePolynomial(2, 2, {frozenset((1,)): 1})
+        expected = PhasePolynomial(3, 2, {frozenset((2,)): 1})
+        assert substitute(f, [Unread(), (2,)], 3) == expected
+        assert substitute(f, [(99,), (2,)], 3) == expected
 
     def test_empty_image_kills_variable(self):
         f = PhasePolynomial(2, 2, {frozenset((0, 1)): 1})
@@ -1026,3 +1063,60 @@ class TestImageMemo:
         )
         code.set_logical_basis(xs, zs)
         self.assert_matches_fresh(code, dressed, 11)
+
+
+class TestPullbackMemo:
+    """One pullback per claim: the last one is kept on the code and served
+    to the very same f at the same copy count while `code.logicals` is the
+    object it was built from."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        calls = []
+        real = diagonal.substitute
+        monkeypatch.setattr(diagonal, "substitute", lambda *args: calls.append(args) or real(*args))
+        return calls
+
+    @staticmethod
+    def s_on_parity(code, z_rep):
+        """S on the parity against a Z logical: logical S on its qubit."""
+        parity = [tuple(f2la.indices_of(z_rep.pauli.z))]
+        return substitute(PhasePolynomial(1, 2, {frozenset((0,)): 1}), parity, code.n)
+
+    def test_codespace_check_and_action_substitute_once(self, monkeypatch):
+        code = toric_code(2, 3)
+        f = self.s_on_parity(code, css.canonical_logical_basis(code).z_reps[0])
+        calls = self.spy(monkeypatch)
+        assert preserves_codespace(f, code)
+        assert logical_action(f, code) == PhasePolynomial(2, 2, {frozenset((0,)): 1})
+        assert len(calls) == 1
+
+    def test_a_basis_installed_between_the_calls_is_read(self):
+        code = toric_code(2, 3)
+        basis = css.canonical_logical_basis(code)
+        f = self.s_on_parity(code, basis.z_reps[0])
+        swapped = ([r.pauli for r in basis.x_reps[::-1]], [r.pauli for r in basis.z_reps[::-1]])
+        fresh = toric_code(2, 3)
+        fresh.set_logical_basis(*swapped)
+        assert preserves_codespace(f, code)
+        code.set_logical_basis(*swapped)
+        action = logical_action(f, code)
+        assert action == logical_action(f, fresh) == PhasePolynomial(2, 2, {frozenset((1,)): 1})
+
+    def test_an_equal_but_distinct_polynomial_misses(self, monkeypatch):
+        code = toric_code(2, 3)
+        f = self.s_on_parity(code, css.canonical_logical_basis(code).z_reps[0])
+        twin = PhasePolynomial(f.nvars, f.modulus_log2, dict(f.terms()))
+        assert twin == f and twin is not f
+        calls = self.spy(monkeypatch)
+        assert preserves_codespace(f, code)
+        assert logical_action(twin, code) == PhasePolynomial(2, 2, {frozenset((0,)): 1})
+        assert len(calls) == 2
+
+    def test_a_different_copy_count_misses(self):
+        code = toric_code(2, 3)
+        f = diagonal.poly_zero(2 * code.n, 1)
+        assert diagonal._pullback(f, code, 2)[0].nvars == 2 * (code.k + code.rank_hx)
+        # the same f read as one copy is substituted again, and refused
+        with pytest.raises(ValueError, match="one image per variable"):
+            diagonal._pullback(f, code, 1)

@@ -96,6 +96,14 @@ class TestElimination:
             assert space.extend(row) == (row not in span(m.bits[:r]))
         assert {v for v in range(1 << m.cols) if space.contains(v)} == span(m.bits)
 
+    @SETTINGS
+    @given(ELIMINATION_INPUTS)
+    def test_kernel_basis_reads_a_row_space_as_its_matrix(self, m):
+        basis = f2la.kernel_basis(m)
+        assert f2la.kernel_basis(f2la.RowSpace(m)) == basis
+        assert basis.rows == m.cols - f2la.rank(m)
+        assert span(basis.bits) == set(codewords(m))
+
 
 class TestSolve:
     @SETTINGS
