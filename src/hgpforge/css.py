@@ -282,39 +282,56 @@ def brute_distance(
     jobs: int = 1,
     budget: int = _DISTANCE_BUDGET,
 ) -> DistanceResult:
-    """Exact minimum logical weights, one `f2la.lightest_word` walk each.
+    """Exact minimum logical weights, one `_walk_logical_weight` cluster walk
+    each.
 
     d_z is the lightest word of ker Hx outside the Z-stabilizer row space
-    (d_x symmetric).  Each walk stops after `budget` subsets past size W
-    (W = `max_weight`, or 0 without it), and a walk cut there raises a
-    budget error.  A `max_weight` W >= 1 bounds d: every word of weight
-    <= W is examined, and "no logical operator of weight <= W found" needs
-    every type proven heavier than W (a cut-off type beside one of weight
-    <= W raises a budget error).  Those always-walked subsets, sum over
-    s = 1..W of C(D, s) for the larger kernel dimension D, are refused
-    before any walk when they exceed `_DISTANCE_BUDGET` (the sum stops at
-    the first size that passes it).  `jobs` is accepted and ignored.
+    (d_x symmetric).  Each walk stops after `budget` nodes visited past
+    weight limit W (W = `max_weight`, or 0 without it), and a walk cut there
+    raises a budget error.  A `max_weight` W >= 1 bounds d: every word of
+    weight <= W is examined, and "no logical operator of weight <= W found"
+    needs every type proven heavier than W (a cut-off type beside one of
+    weight <= W raises a budget error).  The nodes of the limits up to W,
+    at most `_node_bound` for the largest check weight r, are refused
+    before any walk when they may exceed `_DISTANCE_BUDGET`.  `jobs` is
+    accepted and ignored.
     """
     if code.k == 0:
         raise ValueError("no logical operators")
     if max_weight is not None:
-        dim = code.n - min(code.rank_hx, code.rank_hz)
-        need = 0
-        for size in range(1, min(max_weight, dim) + 1):
-            need += math.comb(dim, size)
-            if need > _DISTANCE_BUDGET:
-                raise ValueError(
-                    f"max_weight {max_weight} needs at least {need} subsets,"
-                    f" above the cap of {_DISTANCE_BUDGET}"
-                )
-    d_z = _walk_logical_weight(code.hx_space, code.hz_space, max_weight, budget)
-    d_x = _walk_logical_weight(code.hz_space, code.hx_space, max_weight, budget)
+        need = _node_bound(code.n, code.stabilizer_weight, max_weight)
+        if need > _DISTANCE_BUDGET:
+            raise ValueError(
+                f"max_weight {max_weight} needs up to {need} nodes,"
+                f" above the cap of {_DISTANCE_BUDGET}"
+            )
+    d_z, _ = _walk_logical_weight(code.hx, code.hz_space, max_weight, budget)
+    d_x, _ = _walk_logical_weight(code.hz, code.hx_space, max_weight, budget)
     if max_weight is not None and all(d is None or d > max_weight for d in (d_x, d_z)):
         raise ValueError(f"no logical operator of weight <= {max_weight} found")
     if d_x is None or d_z is None:
         past = "" if max_weight is None else f" past weight {max_weight}"
         raise ValueError(f"distance search exceeded budget {budget}{past}")
     return DistanceResult(d_x=d_x, d_z=d_z)
+
+
+def _node_bound(n: int, r: int, max_weight: int) -> int:
+    """Most nodes `_walk_logical_weight` visits at limits 1..max_weight on n
+    qubits with checks of weight <= r.
+
+    A limit-w walk has n seeds, and a node below size w has at most r - 1
+    children, so it visits at most n (1 + (r-1) + ... + (r-1)^(w-1)) nodes.
+    No limit passes n, and the sum stops at the first limit that takes it
+    past `_DISTANCE_BUDGET`.
+    """
+    need, per_limit, level = 0, 0, n
+    for _ in range(min(max_weight, n)):
+        per_limit += level
+        need += per_limit
+        if need > _DISTANCE_BUDGET:
+            break
+        level *= max(r - 1, 0)
+    return need
 
 
 def _min_logical_weight(
@@ -326,26 +343,69 @@ def _min_logical_weight(
 ) -> Optional[int]:
     """Lightest weight in ker h_kernel outside the row space of h_stab, or
     None when the walk is cut (see `_walk_logical_weight`); `jobs` is ignored."""
-    return _walk_logical_weight(RowSpace(h_kernel), RowSpace(h_stab), max_weight, budget)
+    stab_space = RowSpace(h_stab)
+    if h_kernel.cols - f2la.rank(h_kernel) == stab_space.rank:
+        raise ValueError("no logical operators")
+    return _walk_logical_weight(h_kernel, stab_space, max_weight, budget)[0]
 
 
 def _walk_logical_weight(
-    check_space: RowSpace,
+    checks: BinaryMatrix,
     stab_space: RowSpace,
     max_weight: Optional[int],
     budget: int,
-) -> Optional[int]:
-    """Lightest weight in the kernel of the checks spanning check_space
-    outside stab_space, by one `f2la.lightest_word` walk, or None when
-    `budget` subsets past size max_weight (0 without it) cut the walk, which
-    proves it above max_weight."""
+) -> tuple[Optional[int], int]:
+    """(lightest weight in ker checks outside stab_space, nodes visited), by
+    the cluster walk of Dumer, Kovalev and Pryadko (IEEE Trans. Inf. Theory
+    63, 2017); the weight is None when `budget` nodes visited at limits past
+    max_weight (0 without it) cut the walk, which proves it above max_weight.
+
+    The caller ensures some logical exists.  For each weight limit
+    w = 1, 2, ..., a depth-first search grows a word from each seed qubit q,
+    adding only qubits above q that sit in the lowest check the word leaves
+    unsatisfied, and at the last step only a qubit whose column is that
+    syndrome.  A zero-syndrome word below w is a stabilizer (a lighter
+    logical ended an earlier limit) and is pruned; one of weight w outside
+    stab_space ends the walk.  This is exact: no proper subset of a
+    minimum-weight logical v lies in ker checks (a stabilizer subset would
+    leave a lighter logical, a logical subset is one), so every unsatisfied
+    check on a part of v meets the rest of v, and the search from v's lowest
+    qubit reaches v.  The checks are read as given, not reduced: their rows
+    are sparse, so a node has at most (row weight - 1) children.
+    """
     if max_weight is not None and max_weight < 1:
         raise ValueError("max_weight must be >= 1")
-    kernel = f2la.kernel_basis(check_space).bits
-    if len(kernel) == stab_space.rank:
-        raise ValueError("no logical operators")
-    word, exact = f2la.lightest_word(kernel, stab_space, budget, max_weight or 0)
-    return word.bit_count() if exact else None
+    n = checks.cols
+    rows = [f2la.indices_of(word) for word in checks.bits]
+    syndromes = f2la.transpose(checks).bits
+    ends: dict[int, list[int]] = {}  # syndrome -> the qubits with that column
+    for q, syndrome in enumerate(syndromes):
+        ends.setdefault(syndrome, []).append(q)
+    nodes, stop = 0, math.inf
+    for limit in range(1, n + 1):
+        if limit == (max_weight or 0) + 1:
+            stop = nodes + budget
+        for seed in range(n):
+            stack = [(1 << seed, syndromes[seed], 1)]
+            while stack:
+                word, syndrome, size = stack.pop()
+                nodes += 1
+                if nodes > stop:
+                    return None, nodes
+                if size == limit:
+                    if syndrome == 0 and not stab_space.contains(word):
+                        return limit, nodes
+                elif syndrome == 0:
+                    continue
+                elif size == limit - 1:
+                    for j in ends.get(syndrome, ()):
+                        if j > seed and not word >> j & 1:
+                            stack.append((word | 1 << j, 0, limit))
+                else:
+                    for j in rows[(syndrome & -syndrome).bit_length() - 1]:
+                        if j > seed and not word >> j & 1:
+                            stack.append((word | 1 << j, syndrome ^ syndromes[j], size + 1))
+    raise AssertionError("no logical operator found; the walk needs one to exist")
 
 
 def lightest_logical(

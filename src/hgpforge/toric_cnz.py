@@ -39,30 +39,18 @@ def build_toric(t: int, length: int) -> CssCode:
     return css.assemble_css(product.build_product(seeds), QUBIT_LEVEL)
 
 
-def _edge_qubit(pc: ProductComplex, cell, direction: int, stepped) -> int:
-    """Flat index of the cell's edge along `direction`, offset by the
-    already-stepped directions (periodic).
-
-    The circulant seed makes edge c incident to vertices c-1 and c, so the
-    edge leaving vertex v in its direction carries coordinate v+1.
-    """
-    length = pc.factors[0].n
-    mu = pc.tables[QUBIT_LEVEL].index_of((direction,))
-    coords = []
-    for d in range(pc.t):
-        if d == direction:
-            coords.append((cell[d] + 1) % length)
-        else:
-            coords.append((cell[d] + (1 if d in stepped else 0)) % length)
-    return product.flat_index(pc, QUBIT_LEVEL, mu, coords)
-
-
 def build_cnz_circuit(t: int, length: int, pc: Optional[ProductComplex] = None) -> PhasePolynomial:
     """Phase polynomial of the physical C^(t-1)Z layer over t copies.
 
     For every lattice cell and every ordering sigma of the t step
     directions, one monomial couples copy i's qubit on the sigma(i)-th
     step edge.  Coefficients live mod 2, so coinciding monomials cancel.
+
+    The circulant seed makes edge c incident to vertices c-1 and c, so the
+    edge along d leaving cell + e_S (periodic) is cell + e_S + e_d in the
+    sector of direction d.  Step i of sigma is therefore the sector offset
+    of sigma(i) plus the position of cell + e_S with S = sigma(0..i), read off
+    a per-cell table over all 2^t subsets S.
     """
     if t < 2:
         raise ValueError("need a product dimension t >= 2")
@@ -72,15 +60,29 @@ def build_cnz_circuit(t: int, length: int, pc: Optional[ProductComplex] = None) 
         seeds = [classical.cyclic_repetition_check(length) for _ in range(t)]
         pc = product.build_product(seeds)
     n = pc.dim(QUBIT_LEVEL)
+    table = pc.tables[QUBIT_LEVEL]
+    sectors = [table[table.index_of((d,))] for d in range(t)]
+    # Every level-1 sector has shape (L,) * t, so they share one set of strides.
+    strides = sectors[0].strides()
+    # per ordering, each step's (copy's variable offset + sector offset, mask of S)
+    orders = [
+        [
+            (copy * n + sectors[d].offset, sum(1 << e for e in sigma[: copy + 1]))
+            for copy, d in enumerate(sigma)
+        ]
+        for sigma in itertools.permutations(range(t))
+    ]
+    pos = [0] * (1 << t)
     gates = []
     for cell in itertools.product(range(length), repeat=t):
-        for sigma in itertools.permutations(range(t)):
-            qubits = []
-            stepped: set[int] = set()
-            for copy, direction in enumerate(sigma):
-                qubits.append(copy * n + _edge_qubit(pc, cell, direction, stepped))
-                stepped.add(direction)
-            gates.append((1, tuple(qubits)))
+        # one step along d adds its stride, or wraps back by L - 1 strides
+        step = [s if c + 1 < length else s * (1 - length) for c, s in zip(cell, strides)]
+        pos[0] = sum(c * s for c, s in zip(cell, strides))
+        for mask in range(1, 1 << t):
+            low = mask & -mask
+            pos[mask] = pos[mask ^ low] + step[low.bit_length() - 1]
+        for order in orders:
+            gates.append((1, tuple(base + pos[mask] for base, mask in order)))
     return diagonal.poly_from_circuit(gates, 1, nvars=t * n)
 
 

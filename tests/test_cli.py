@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from hgpforge import classical, cli, diagonal, f2la
+from hgpforge import classical, cli, css, diagonal, f2la
 from hgpforge.cli import main
 
 
@@ -160,11 +160,10 @@ class TestDistance:
         monkeypatch.setattr(f2la.RowSpace, "__init__", spy)
         rc, report = run_json(capsys, ["distance", toric5, "--max-weight", "5"])
         assert rc == 0 and report["results"]["d"] == 5
-        # Over the 50 qubits: Hx and Hz once each in CssCode, then per type the
-        # walk's reduced basis.  The kernel bases read the code's own check
-        # spaces, and the walks test membership in its stabilizer spaces (the
-        # 5-column rest is the seeds).
-        assert widths.count(50) == 4
+        # Over the 50 qubits: Hx and Hz once each in CssCode.  The walks read
+        # the sparse check rows and test membership in the code's stabilizer
+        # spaces (the 5-column rest is the seeds).
+        assert widths.count(50) == 2
 
 
 class TestCorrectable:
@@ -352,29 +351,29 @@ class TestContract:
     def test_max_weight_over_the_subset_cap_is_refused_before_any_walk(
         self, capsys, tmp_path, monkeypatch
     ):
-        # the L=8 repetition check and its transpose give the L=8 toric code,
-        # a kernel of dimension 65, so W = 8 always walks every subset of at
-        # most 8 reduced rows, about 5.8e9 per type
+        # the L=8 repetition check and its transpose give the L=8 toric code:
+        # n = 128 qubits under weight-4 checks, so the walks up to limit W may
+        # visit 128 * sum over w = 1..W of (3^w - 1) / 2 nodes, about 5.7e6
+        # for W = 10 and 1.9e6 for W = 9
         toric8 = hgp_bundle(tmp_path, capsys, "rep8", classical.cyclic_repetition_check(8))
-        toric5 = hgp_bundle(tmp_path, capsys, "rep5", classical.cyclic_repetition_check(5))
-        real = f2la.lightest_word
+        real = css._walk_logical_weight
 
         def refuse(*args, **kwargs):
             raise RuntimeError("walked")
 
-        monkeypatch.setattr(f2la, "lightest_word", refuse)
+        monkeypatch.setattr(css, "_walk_logical_weight", refuse)
         start = time.monotonic()
-        assert main(["distance", toric8, "--max-weight", "8"]) == 2
+        assert main(["distance", toric8, "--max-weight", "10"]) == 2
         assert time.monotonic() - start < 1.0
         report = json.loads(capsys.readouterr().out)
         assert report["status"] == "error"
-        assert "max_weight 8 needs" in report["results"]["error"]
+        assert "max_weight 10 needs up to" in report["results"]["error"]
         assert "above the cap of 4194304" in report["results"]["error"]
-        # the spy sits on the search's path: toric L=5 with W = 5 (83,681 subsets) reaches it
+        # the spy sits on the search's path: W = 8 is within the cap and walked
         walked = []
-        monkeypatch.setattr(f2la, "lightest_word", lambda *args: walked.append(args) or real(*args))
-        rc, report = run_json(capsys, ["distance", toric5, "--max-weight", "5"])
-        assert rc == 0 and report["results"]["d"] == 5
+        monkeypatch.setattr(css, "_walk_logical_weight", lambda *args: walked.append(args) or real(*args))
+        rc, report = run_json(capsys, ["distance", toric8, "--max-weight", "8"])
+        assert rc == 0 and report["results"]["d"] == 8
         assert len(walked) == 2
 
     @pytest.mark.parametrize(

@@ -457,3 +457,113 @@ class TestDistanceDifferential:
             )
             assert css.brute_distance(code) == expected
             checked += 1
+
+    def test_small_codes_against_coset_enumeration(self):
+        # every word of n <= 14 qubits: the kernel words fall into 2^k cosets
+        # of the stabilizer space, keyed by their reduction against it
+        rng = random.Random(15)
+        checked = 0
+        while checked < 60:
+            t = rng.choice([2, 3])
+            seeds = [random_matrix(rng, rng.randrange(1, 4), rng.randrange(1, 4)) for _ in range(t)]
+            pc = product.build_product(seeds)
+            code = css.assemble_css(pc, rng.randrange(1, t))
+            if code.k == 0 or code.n > 14:
+                continue
+            expected = css.DistanceResult(
+                d_x=coset_oracle_weight(code.hz, code.hx_space, code.k),
+                d_z=coset_oracle_weight(code.hx, code.hz_space, code.k),
+            )
+            assert css.brute_distance(code) == expected
+            checked += 1
+
+    def test_random_products_against_the_subset_walk(self):
+        # seed shapes up to 4 x 5, every level; the reference is the deleted
+        # subset walk, cut after 2^14 subsets on the few codes where it is slow
+        rng = random.Random(2024)
+        compared = types = 0
+        while types < 240:
+            t = rng.choice([2, 3])
+            seeds = [random_matrix(rng, rng.randrange(1, 5), rng.randrange(1, 6)) for _ in range(t)]
+            pc = product.build_product(seeds)
+            for level in range(1, t):
+                code = css.assemble_css(pc, level)
+                if code.k == 0:
+                    continue
+                params = css.kunneth_parameters(pc, level)
+                got = css.brute_distance(code)
+                assert (got.d_x, got.d_z) == (params.d_x, params.d_z)
+                for weight, checks, stab_space in (
+                    (got.d_x, code.hz, code.hx_space),
+                    (got.d_z, code.hx, code.hz_space),
+                ):
+                    reference, exact = subset_walk_weight(checks, stab_space, 1 << 14)
+                    assert weight <= reference
+                    if exact:
+                        assert weight == reference
+                        compared += 1
+                    types += 1
+        assert compared >= 0.95 * types
+
+    @pytest.mark.parametrize("t, length", [(2, 7), (2, 8), (2, 10), (3, 2), (3, 3)])
+    def test_toric_codes_match_kunneth_without_max_weight(self, t, length):
+        # toric L = 5, 6 are in TestBruteDistance; L >= 7 and the 3D code at
+        # L = 3 ran past the subset walk's budget
+        code = toric_code(t, length)
+        params = css.kunneth_parameters(code.complex, 1)
+        brute = css.brute_distance(code)
+        assert (brute.d_x, brute.d_z) == (params.d_x, params.d_z)
+
+    def test_nodes_never_exceed_the_refusal_bound(self):
+        # with no budget past W, a walk that finds nothing up to W stops on
+        # the first node of limit W + 1, so nodes - 1 were visited up to W
+        rng = random.Random(8)
+        codes = [toric_code(2, 3), toric_code(2, 4), toric_code(2, 5), toric_code(3, 2)]
+        while len(codes) < 24:
+            t = rng.choice([2, 3])
+            seeds = [random_matrix(rng, rng.randrange(1, 4), rng.randrange(1, 5)) for _ in range(t)]
+            code = css.assemble_css(product.build_product(seeds), rng.randrange(1, t))
+            if code.k:
+                codes.append(code)
+        walks = 0
+        for code in codes:
+            for checks, stab_space in ((code.hx, code.hz_space), (code.hz, code.hx_space)):
+                for max_weight in range(1, 7):
+                    bound = css._node_bound(code.n, code.stabilizer_weight, max_weight)
+                    if bound > css._DISTANCE_BUDGET:
+                        break
+                    weight, nodes = css._walk_logical_weight(checks, stab_space, max_weight, 0)
+                    assert nodes - (weight is None) <= bound
+                    walks += 1
+        assert walks >= 200
+
+    def test_node_bound_sums_every_limit(self):
+        # n (1 + 3 + ... + 3^(w-1)) nodes at limit w, summed over w = 1..W
+        assert [css._node_bound(10, 4, w) for w in (1, 2, 3)] == [10, 50, 180]
+        assert css._node_bound(10, 2, 4) == 10 * (1 + 2 + 3 + 4)
+        assert css._node_bound(3, 4, 9) == css._node_bound(3, 4, 3)
+        # the sum stops at the first limit past the cap: 128 qubits, r = 4
+        assert css._node_bound(128, 4, 9) == 1_888_896
+        assert css._node_bound(128, 4, 10) == css._node_bound(128, 4, 30) == 5_667_968
+
+
+def coset_oracle_weight(h_kernel, stab_space, k):
+    """Lightest word of ker h_kernel outside stab_space, over all 2^n words:
+    each kernel word reduces against stab_space to its coset's one key."""
+    best = {}
+    for x in range(1 << h_kernel.cols):
+        if f2la.mat_vec(h_kernel, x) == 0:
+            key = stab_space.reduce(x)
+            best[key] = min(best.get(key, x.bit_count()), x.bit_count())
+    assert len(best) == 1 << k  # the stabilizer coset and the 2^k - 1 logical ones
+    del best[0]
+    return min(best.values())
+
+
+def subset_walk_weight(checks, stab_space, budget):
+    """(weight, exact) by the subset walk `css.brute_distance` used before the
+    cluster walk: `f2la.lightest_word` over a reduced basis of ker checks.
+    Cut by the budget, the weight is that of the lightest logical found."""
+    kernel = f2la.kernel_basis(checks).bits
+    word, exact = f2la.lightest_word(kernel, stab_space, budget)
+    return word.bit_count(), exact

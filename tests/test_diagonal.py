@@ -115,6 +115,20 @@ class TestDifference:
         assert truth_table(d) == expected
         assert d.terms() == [((1, 2), 1)]
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_agrees_with_evaluate_at_every_point_and_shift(self, data):
+        m = data.draw(st.integers(1, 4))
+        nvars = data.draw(st.integers(1, 6))
+        monomials = st.frozensets(st.integers(0, nvars - 1), max_size=3)
+        terms = data.draw(st.dictionaries(monomials, st.integers(0, (1 << m) - 1), max_size=6))
+        f = PhasePolynomial(nvars, m, terms)
+        values = [f.evaluate(x) for x in range(1 << nvars)]
+        for g in range(1 << nvars):
+            d = difference(f, g)
+            for x in range(1 << nvars):
+                assert d.evaluate(x) == (values[x ^ g] - values[x]) % (1 << m)
+
     def test_zero_shift(self):
         f = random_poly(random.Random(1), 4, 3)
         assert difference(f, 0).is_zero()

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from hgpforge import css, diagonal, f2la, toric_cnz
+from hgpforge import classical, css, diagonal, f2la, product, toric_cnz
 
 
 class TestBuildToric:
@@ -56,6 +56,29 @@ class TestCircuit:
         for mono, _ in circuit.terms():
             copies = sorted(q // n for q in mono)
             assert copies == [0, 1, 2]
+
+    @pytest.mark.parametrize(
+        "t, length", [(2, 1), (2, 2), (2, 3), (2, 5), (3, 2), (3, 3), (4, 2), (4, 3)]
+    )
+    def test_layer_matches_one_built_through_flat_index(self, t, length):
+        # copy i acts on the edge along sigma(i) leaving cell + e_S, S the
+        # directions stepped before it: coordinates cell + e_S + e_sigma(i)
+        # (periodic) in the sector of sigma(i)
+        pc = product.build_product([classical.cyclic_repetition_check(length)] * t)
+        n = pc.dim(1)
+        gates = []
+        for cell in itertools.product(range(length), repeat=t):
+            for sigma in itertools.permutations(range(t)):
+                qubits = []
+                for copy, direction in enumerate(sigma):
+                    stepped = set(sigma[: copy + 1])
+                    coords = [(c + (d in stepped)) % length for d, c in enumerate(cell)]
+                    mu = pc.tables[1].index_of((direction,))
+                    qubits.append(copy * n + product.flat_index(pc, 1, mu, coords))
+                gates.append((1, tuple(qubits)))
+        expected = diagonal.poly_from_circuit(gates, 1, nvars=t * n)
+        assert toric_cnz.build_cnz_circuit(t, length, pc=pc) == expected
+        assert toric_cnz.build_cnz_circuit(t, length) == expected
 
     def test_physical_level_is_t(self):
         for t, length in [(2, 2), (2, 3), (3, 2)]:
