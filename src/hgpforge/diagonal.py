@@ -15,17 +15,25 @@ coefficient 2-adic valuation reaches the modulus, keeping it polynomial-
 sized.  The pullback reads only the images of f's variables, lists their
 subsets once as bitmasks and accumulates monomials as integers.  The last
 pullback is kept on the code, so a claim checked for codespace preservation
-and then for its logical action is pulled back once.  The no-go survey
-reads its congruences off the same images.  The per-qubit images are built
-once per code and copy count and kept on the code while its logical basis
-object stays the same, so a survey's congruences and every solution's
-pullbacks share one build.
+and then for its logical action is pulled back once.  The per-qubit images
+are built once per code and copy count and kept on the code while its
+logical basis object stays the same.
+
+The transversal no-go survey is linear: f = sum c_i x_i pulls back to the
+coefficient (-2)^(|T|-1) * (sum of c_i over the qubits whose image holds T)
+on each monomial T.  One pass over the images gives the rows for T holding
+a b-variable (the congruences that cut out the preserving f) and for T made
+of a-variables only (the logical action), so every solution's action is a
+vector in the a-row space and no solution is pulled back.  Only the
+generator that reaches the maximum level is confirmed through the public
+pullback pair.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
@@ -639,13 +647,20 @@ def kernel_mod_power_of_two(
     return gens + [tuple(col[nrows:]) for col in cols]
 
 
-def _preservation_congruences(code: CssCode, modulus_log2: int) -> list[tuple[int, ...]]:
-    """Rows over Z_{2^m} cutting out the codespace-preserving f(x) = sum c_i x_i.
+def _preservation_congruences(
+    code: CssCode, modulus_log2: int
+) -> tuple[list[tuple[int, ...]], list[tuple[tuple[int, ...], tuple[int, ...]]]]:
+    """The b-rows and the a-rows of the pullback of f(x) = sum c_i x_i.
 
-    Pulled back to x = L a + G b, f has the coefficient +-2^(|T|-1) * (sum
+    Pulled back to x = L a + G b, f has the coefficient (-2)^(|T|-1) * (sum
     of c_i over the qubits i whose image holds T) on the monomial T, so
-    |T| <= m; one row per T holding a b-variable, each distinct row once, in
-    sorted order.  Refused above MAX_CONGRUENCE_ROWS candidate monomials,
+    |T| <= m.  One pass over the images lists every such T with its qubits.
+    The b-rows are the congruences over Z_{2^m} that cut out the
+    codespace-preserving f: one row per T holding a b-variable, 2^(|T|-1) on
+    its qubits (the sign leaves the solutions alone), each distinct row
+    once, in sorted order.  The a-rows are the (T, qubits) pairs of the T
+    made of a-variables only, sorted by T; on a preserving f they give the
+    logical action.  Refused above MAX_CONGRUENCE_ROWS candidate monomials,
     counted from the image sizes before any row is built."""
     images, a_total, _, _ = _images(code, 1)
     bound = sum(math.comb(len(img), s) for img in images for s in range(1, modulus_log2 + 1))
@@ -653,17 +668,62 @@ def _preservation_congruences(code: CssCode, modulus_log2: int) -> list[tuple[in
         raise ValueError(
             f"up to {bound} congruence rows exceed the cap of {MAX_CONGRUENCE_ROWS}"
         )
-    members: dict[tuple[int, ...], set[int]] = {}
+    members: dict[tuple[int, ...], list[int]] = {}
     for i, img in enumerate(images):
         for size in range(1, modulus_log2 + 1):
             for t in itertools.combinations(img, size):
-                if t[-1] >= a_total:
-                    members.setdefault(t, set()).add(i)
-    rows = {
-        tuple(1 << (len(t) - 1) if i in qubits else 0 for i in range(code.n))
-        for t, qubits in members.items()
-    }
-    return sorted(rows)
+                members.setdefault(t, []).append(i)
+    b_rows = set()
+    for t, qubits in members.items():
+        if t[-1] >= a_total:
+            row = [0] * code.n
+            for i in qubits:
+                row[i] = 1 << (len(t) - 1)
+            b_rows.add(tuple(row))
+    a_rows = sorted((t, tuple(qubits)) for t, qubits in members.items() if t[-1] < a_total)
+    return sorted(b_rows), a_rows
+
+
+def _linear_survey(
+    code: CssCode, modulus_log2: int, samples: int, seed: int
+) -> tuple[list[tuple[int, ...]], list[bool], list[PhasePolynomial]]:
+    """The solution-module generators, whether each satisfies every b-row,
+    and the logical action of each generator and then of each sample.
+
+    A generator's action is its a-row vector (row . g per a-row, times
+    (-2)^(|T|-1)), computed once; a sample draws one weight per generator
+    (randrange(2^m), in generator order) and takes that combination of the
+    generators' vectors, so no sample is built over the qubits.  The b-row
+    check reads each row's support only.
+    """
+    b_rows, a_rows = _preservation_congruences(code, modulus_log2)
+    gens = kernel_mod_power_of_two(b_rows, code.n, modulus_log2)
+    mod = 1 << modulus_log2
+    cols = list(zip(*gens)) or [()] * code.n  # qubit i's entry in every generator
+
+    def row_sums(qubits):  # each generator's sum over the qubits
+        return map(sum, zip(*(cols[i] for i in qubits)))
+
+    preserving = [True] * len(gens)
+    for row in b_rows:
+        support = [i for i, x in enumerate(row) if x]
+        for j, total in enumerate(row_sums(support)):
+            if row[support[0]] * total % mod:
+                preserving[j] = False
+    # each a-row's coefficient in every generator's action
+    a_cols = [
+        [(-2) ** (len(t) - 1) * total % mod for total in row_sums(qubits)]
+        for t, qubits in a_rows
+    ]
+    rng = random.Random(seed)
+    vectors = list(zip(*a_cols)) or [()] * len(gens)
+    for _ in range(samples):
+        lams = [rng.randrange(mod) for _ in gens]
+        vectors.append([sum(map(operator.mul, lams, col)) for col in a_cols])
+    a_total = _images(code, 1)[1]
+    keys = [frozenset(t) for t, _ in a_rows]
+    actions = [PhasePolynomial(a_total, modulus_log2, dict(zip(keys, vec))) for vec in vectors]
+    return gens, preserving, actions
 
 
 @dataclass(frozen=True)
@@ -694,42 +754,41 @@ def transversal_nogo_harness(
 ) -> NogoReport:
     """Survey every codespace-preserving transversal diagonal family.
 
-    Solves the congruences read off the pullback for f(x) = sum c_i x_i
-    over Z_{2^m}, checks each solution-module generator plus `samples`
-    random combinations with `preserves_codespace`, and reports the maximum
-    hierarchy level of their logical actions.  For hypergraph product codes
+    Solves the b-row congruences for f(x) = sum c_i x_i over Z_{2^m} and
+    reads the logical action of each solution-module generator and of
+    `samples` random combinations off the a-rows (`_linear_survey`); each
+    level is `hierarchy_level` of that action.  `all_preserve` is the exact
+    check that every generator satisfies every b-row, so every combination
+    preserves the codespace too.  A combination's level never exceeds its
+    summands' largest, since v2 of a sum is at least the smaller v2, so the
+    maximum is reached on a generator: that one generator is confirmed
+    through `preserves_codespace`, `logical_action` and `hierarchy_level`,
+    and a disagreement raises AssertionError.  For hypergraph product codes
     with distance >= 3 the maximum must come out <= 2 (Clifford).
     """
     if not 1 <= modulus_log2 <= MAX_MODULUS_LOG2:
         raise ValueError(f"modulus_log2 must be >= 1 and <= {MAX_MODULUS_LOG2}")
     if not 0 <= samples <= MAX_SAMPLES:
         raise ValueError(f"samples must be >= 0 and <= {MAX_SAMPLES}")
-    rows = _preservation_congruences(code, modulus_log2)
-    gens = kernel_mod_power_of_two(rows, code.n, modulus_log2)
-    rng = random.Random(seed)
-    mod = 1 << modulus_log2
-    solutions: list[tuple[int, ...]] = list(gens)
-    for _ in range(samples):
-        vec = [0] * code.n
-        for g in gens:
-            lam = rng.randrange(mod)
-            vec = [x + lam * v for x, v in zip(vec, g)]
-        solutions.append(tuple(x % mod for x in vec))
-    levels = []
-    all_preserve = True
-    for sol in solutions:
+    gens, preserving, actions = _linear_survey(code, modulus_log2, samples, seed)
+    levels = [hierarchy_level(action) for action in actions]
+    if gens:
+        w = max(range(len(gens)), key=levels.__getitem__)
         f = PhasePolynomial(
-            code.n, modulus_log2, {frozenset((i,)): c for i, c in enumerate(sol) if c}
+            code.n, modulus_log2, {frozenset((i,)): c for i, c in enumerate(gens[w]) if c}
         )
-        if not preserves_codespace(f, code, copies=1):
-            all_preserve = False
-            continue
-        levels.append(hierarchy_level(logical_action(f, code, copies=1)))
+        preserves = bool(preserves_codespace(f, code, copies=1))
+        if preserves != preserving[w] or (
+            preserves and hierarchy_level(logical_action(f, code, copies=1)) != levels[w]
+        ):
+            raise AssertionError(
+                "the a-row survey and the pullback disagree on the maximum-level generator"
+            )
     return NogoReport(
         modulus_log2=modulus_log2,
         generator_count=len(gens),
         sample_count=samples,
         levels=tuple(levels),
         max_level=max(levels, default=0),
-        all_preserve=all_preserve,
+        all_preserve=all(preserving),
     )

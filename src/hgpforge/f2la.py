@@ -311,20 +311,16 @@ def subset_xors(
 
 
 def lightest_word(
-    rows: Sequence[int],
-    outside: Optional[RowSpace] = None,
-    budget: Optional[int] = None,
-    exhaust: int = 0,
+    rows: Sequence[int], budget: Optional[int] = None
 ) -> tuple[Optional[int], bool]:
-    """Lightest nonzero word of span(rows) that `outside` does not contain.
+    """Lightest nonzero word of span(rows).
 
     Walks subset_xors of the reduced basis of span(rows).  Each reduced
     row owns a pivot column, so a word of s rows has weight >= s: the walk
-    stops, exactly, once s reaches the lightest weight found.  Subsets of
-    at most `exhaust` rows are always walked; past that size the walk also
-    stops after `budget` subsets.  Returns (word, exact): the lightest word
-    found (first in walk order on ties, or None), and False when the budget
-    cut the walk, which proves every word outside heavier than `exhaust`.
+    stops, exactly, once s reaches the lightest weight found, or after
+    `budget` subsets.  Returns (word, exact): the lightest word found (first
+    in walk order on ties, or None for an empty span), and False when the
+    budget cut the walk.
     """
     cols = max(rows, default=0).bit_length()
     basis = rref(BinaryMatrix(len(rows), cols, rows)).nonzero_rows()
@@ -332,10 +328,10 @@ def lightest_word(
     for spent, (size, word) in enumerate(subset_xors(basis), 1):
         if size >= best_weight:
             return best, True
-        if budget is not None and spent > budget and size > exhaust:
+        if budget is not None and spent > budget:
             return best, False
         weight = word.bit_count()
-        if weight < best_weight and (outside is None or not outside.contains(word)):
+        if weight < best_weight:
             best, best_weight = word, weight
     return best, True
 

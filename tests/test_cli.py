@@ -269,16 +269,19 @@ class TestNogoTransversal:
             counts.append(len(calls))
         assert counts == [2, 2]
 
-    def test_one_pullback_per_solution(self, capsys, toric_bundle, monkeypatch):
+    def test_one_pullback_per_survey(self, capsys, toric_bundle, monkeypatch):
         calls = []
         real = diagonal.substitute
         monkeypatch.setattr(diagonal, "substitute", lambda *args: calls.append(args) or real(*args))
-        rc, report = run_json(
-            capsys, ["nogo-transversal", toric_bundle, "--mod", "3", "--samples", "16"]
-        )
-        assert rc == 0 and report["results"]["all_preserve"] is True
-        # preserves_codespace and logical_action share each solution's pullback
-        assert len(calls) == report["results"]["generator_count"] + 16
+        for samples in ("0", "16"):
+            calls.clear()
+            rc, report = run_json(
+                capsys, ["nogo-transversal", toric_bundle, "--mod", "3", "--samples", samples]
+            )
+            assert rc == 0 and report["results"]["all_preserve"] is True
+            # only the maximum-level generator is pulled back, and
+            # preserves_codespace and logical_action share that pullback
+            assert len(calls) == 1
 
 
 class TestToricCnz:

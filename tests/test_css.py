@@ -562,8 +562,16 @@ def coset_oracle_weight(h_kernel, stab_space, k):
 
 def subset_walk_weight(checks, stab_space, budget):
     """(weight, exact) by the subset walk `css.brute_distance` used before the
-    cluster walk: `f2la.lightest_word` over a reduced basis of ker checks.
-    Cut by the budget, the weight is that of the lightest logical found."""
-    kernel = f2la.kernel_basis(checks).bits
-    word, exact = f2la.lightest_word(kernel, stab_space, budget)
-    return word.bit_count(), exact
+    cluster walk: subset XORs of a reduced basis of ker checks by ascending
+    size, stopped once the size reaches the lightest logical's weight (a word
+    of s reduced rows weighs at least s) or after `budget` subsets."""
+    basis = f2la.rref(f2la.kernel_basis(checks)).nonzero_rows()
+    best = None
+    for spent, (size, word) in enumerate(f2la.subset_xors(basis), 1):
+        if best is not None and size >= best.bit_count():
+            break
+        if spent > budget:
+            return best.bit_count(), False
+        if (best is None or word.bit_count() < best.bit_count()) and not stab_space.contains(word):
+            best = word
+    return best.bit_count(), True

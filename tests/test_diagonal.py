@@ -32,6 +32,26 @@ def toric_code(t, length):
     return css.assemble_css(product.build_product(seeds), 1)
 
 
+def set_mixed_logical_basis(bare, code, rng):
+    """Give bare (code's checks) a different logical basis: dress each
+    representative with random stabilizers and mix pairs so that the pairing
+    stays the identity.  X logicals that share qubits give the pullback
+    monomials of several a-variables."""
+    basis = css.canonical_logical_basis(code)
+    xs = [rep.pauli.x for rep in basis.x_reps]
+    zs = [rep.pauli.z for rep in basis.z_reps]
+    for _ in range(len(xs)):
+        i, j = rng.randrange(len(xs)), rng.randrange(len(xs))
+        if i != j:
+            xs[i] ^= xs[j]
+            zs[j] ^= zs[i]
+    xs = [x ^ f2la.row_combination(code.hx, rng.getrandbits(code.hx.rows)) for x in xs]
+    zs = [z ^ f2la.row_combination(code.hz, rng.getrandbits(code.hz.rows)) for z in zs]
+    bare.set_logical_basis(
+        [PauliOperator(code.n, x=x) for x in xs], [PauliOperator(code.n, z=z) for z in zs]
+    )
+
+
 def truth_table(f):
     return tuple(f.evaluate(x) for x in range(1 << f.nvars))
 
@@ -699,7 +719,7 @@ class TestKernelAgainstSmithForm:
         # the new generators solve M, and the module they span has the order of
         # the solution module, so the two are equal
         for code in self.congruence_codes():
-            rows = diagonal._preservation_congruences(code, m)
+            rows, _ = diagonal._preservation_congruences(code, m)
             gens, vals, _ = self.check_counts_and_rows(rows, code.n, m)
             solution_log2 = sum(vals) + m * (code.n - len(vals))
             span_vals, _ = self.smith_form(gens, code.n, m)
@@ -768,7 +788,7 @@ class TestNogoHarness:
             for c in itertools.product(range(mod), repeat=code.n)
             if all(len({phase(c, x) for x in coset}) == 1 for coset in cosets)
         }
-        rows = diagonal._preservation_congruences(code, m)
+        rows, _ = diagonal._preservation_congruences(code, m)
         gens = kernel_mod_power_of_two(rows, code.n, m)
         span = {(0,) * code.n}
         for g in gens:
@@ -789,6 +809,97 @@ class TestNogoHarness:
             return hierarchy_level(logical_action(f, code, copies=1))
 
         assert max(map(level_of, span)) == max(map(level_of, gens))
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_a_generator_off_the_module_clears_all_preserve(self, monkeypatch, m):
+        # Z on qubit 0 anticommutes with the X stabilizers on it
+        code = toric_code(2, 3)
+        real = diagonal.kernel_mod_power_of_two
+        monkeypatch.setattr(
+            diagonal,
+            "kernel_mod_power_of_two",
+            lambda *args: real(*args) + [(1 << (m - 1),) + (0,) * (code.n - 1)],
+        )
+        assert not preserves_codespace(
+            PhasePolynomial(code.n, m, {(0,): 1 << (m - 1)}), code, copies=1
+        )
+        assert not transversal_nogo_harness(code, m, samples=5, seed=0).all_preserve
+
+    @pytest.mark.parametrize("broken", ["level", "preservation"])
+    def test_witness_disagreement_raises(self, monkeypatch, broken):
+        # the maximum-level generator goes through the public pair; a level or
+        # a verdict that differs from the a-row survey's is an error
+        code = toric_code(2, 3)
+        if broken == "level":
+            real = diagonal.logical_action
+
+            def off_level(f, code, copies=None):
+                action = real(f, code, copies)
+                return action + PhasePolynomial(action.nvars, action.modulus_log2, {(0,): 1})
+
+            monkeypatch.setattr(diagonal, "logical_action", off_level)
+        else:
+            monkeypatch.setattr(
+                diagonal, "preserves_codespace", lambda *args, **kwargs: diagonal.PreservationResult(False)
+            )
+        with pytest.raises(AssertionError, match="disagree"):
+            transversal_nogo_harness(code, 3, samples=5, seed=0)
+
+
+class TestLinearSurveyDifferential:
+    """Each solution's a-row action against `preserves_codespace` and
+    `logical_action` on the solution itself, as polynomials."""
+
+    SAMPLES = 20
+
+    @staticmethod
+    def codes():
+        # the canonical bases give disjoint X logicals and one-variable
+        # actions; the random codes again with mixed bases give monomials of
+        # several a-variables
+        h = classical.hamming_7_4().h
+        codes = [toric_code(2, length) for length in (3, 4, 5)]
+        codes += [toric_code(3, 3), css.assemble_css(product.build_product([h, f2la.transpose(h)]), 1)]
+        rng = random.Random(13)
+        randoms = []
+        while len(randoms) < 4:
+            seeds = [
+                BinaryMatrix(r, c, [rng.getrandbits(c) for _ in range(r)])
+                for r, c in ((rng.randrange(2, 5), rng.randrange(2, 6)) for _ in range(2))
+            ]
+            code = css.assemble_css(product.build_product(seeds), 1)
+            if code.k:
+                randoms.append(code)
+        for code in randoms:
+            if code.k > 1:
+                bare = css.CssCode(code.hx, code.hz)
+                set_mixed_logical_basis(bare, code, rng)
+                codes.append(bare)
+        return codes + randoms
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_every_action_equals_the_pullback(self, m):
+        mod = 1 << m
+        compared = several = 0
+        for code in self.codes():
+            gens, preserving, actions = diagonal._linear_survey(code, m, self.SAMPLES, m)
+            assert all(preserving) and len(actions) == len(gens) + self.SAMPLES
+            # the samples over the qubits, drawn as the survey draws them
+            rng = random.Random(m)
+            solutions = list(gens)
+            for _ in range(self.SAMPLES):
+                lams = [rng.randrange(mod) for _ in gens]
+                solutions.append(
+                    [sum(lam * g[i] for lam, g in zip(lams, gens)) % mod for i in range(code.n)]
+                )
+            for sol, action in zip(solutions, actions):
+                f = PhasePolynomial(code.n, m, {(i,): c for i, c in enumerate(sol) if c})
+                assert preserves_codespace(f, code, copies=1)
+                assert action == logical_action(f, code, copies=1), (code.n, m)
+                compared += 1
+                several += any(len(mono) > 1 for mono, _ in action.terms())
+        assert compared >= 11 * (self.SAMPLES + 1)
+        assert several or m == 1
 
 
 class TestPreservationDifferential:
@@ -909,21 +1020,7 @@ class TestCongruenceDifferential:
         bare = css.CssCode(code.hx, code.hz)
         if kind == "stripped product":
             return bare
-        # a different logical basis: dress each representative with random
-        # stabilizers and mix pairs so that the pairing stays the identity
-        basis = css.canonical_logical_basis(code)
-        xs = [rep.pauli.x for rep in basis.x_reps]
-        zs = [rep.pauli.z for rep in basis.z_reps]
-        for _ in range(len(xs)):
-            i, j = rng.randrange(len(xs)), rng.randrange(len(xs))
-            if i != j:
-                xs[i] ^= xs[j]
-                zs[j] ^= zs[i]
-        xs = [x ^ f2la.row_combination(code.hx, rng.getrandbits(code.hx.rows)) for x in xs]
-        zs = [z ^ f2la.row_combination(code.hz, rng.getrandbits(code.hz.rows)) for z in zs]
-        bare.set_logical_basis(
-            [PauliOperator(code.n, x=x) for x in xs], [PauliOperator(code.n, z=z) for z in zs]
-        )
+        set_mixed_logical_basis(bare, code, rng)
         return bare
 
     @staticmethod
@@ -942,7 +1039,7 @@ class TestCongruenceDifferential:
             code = self.random_code(rng, kind)
             m = 1 + (i // len(kinds)) % 4
             mod = 1 << m
-            new_rows = diagonal._preservation_congruences(code, m)
+            new_rows, _ = diagonal._preservation_congruences(code, m)
             old_rows = self.per_hx_row(code, m)
             new_gens = kernel_mod_power_of_two(new_rows, code.n, m)
             old_gens = kernel_mod_power_of_two(old_rows, code.n, m)
@@ -990,7 +1087,7 @@ class TestStabilizerCoordinates:
 
     @pytest.mark.parametrize("name", ["toric t=2 L=8", "toric t=3 L=3", "hamming hgp", "hand-built"])
     def test_congruence_rows_are_distinct_and_sorted(self, name):
-        rows = diagonal._preservation_congruences(self.build(name), 4)
+        rows, _ = diagonal._preservation_congruences(self.build(name), 4)
         assert rows == sorted(set(map(tuple, rows)))
         if name == "hamming hgp":
             assert len(rows) == 141  # 286 before duplicates were dropped
