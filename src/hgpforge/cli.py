@@ -6,6 +6,9 @@ Every command prints one canonical JSON report envelope to stdout:
 
 Exit codes: 0 ok / property holds, 1 property violated (not correctable,
 not codespace-preserving, hierarchy bound broken), 2 usage or parse error.
+Each command returns its input paths, results and verdict; `main` alone
+hashes the inputs, writes the envelope and maps the verdict to the status
+and the exit code.
 Output is byte-identical for identical inputs; randomized searches take a
 --seed (default 0).  `distance --jobs N` is accepted and ignored; searches
 run in one thread.
@@ -58,7 +61,7 @@ def _sparse_rows(m: f2la.BinaryMatrix) -> list[list[int]]:
     return [f2la.indices_of(m.bits[r]) for r in range(m.rows)]
 
 
-def write_bundle(path: str, code: css.CssCode, sources: Optional[list[str]] = None) -> dict:
+def write_bundle(path: str, code: css.CssCode, sources: list[str]) -> None:
     """Serialize a product CSS code; factor matrices are embedded so the
     bundle is self-contained."""
     pc = code.complex
@@ -74,9 +77,9 @@ def write_bundle(path: str, code: css.CssCode, sources: Optional[list[str]] = No
                 "rows": fac.a.rows,
                 "cols": fac.a.cols,
                 "data": fac.a.to_strings(),
-                "source": (sources[i] if sources and i < len(sources) else None),
+                "source": source,
             }
-            for i, fac in enumerate(pc.factors)
+            for fac, source in zip(pc.factors, sources)
         ],
         "sectors": [
             {"J": list(s.J), "shape": list(s.shape), "offset": s.offset}
@@ -89,7 +92,6 @@ def write_bundle(path: str, code: css.CssCode, sources: Optional[list[str]] = No
     with open(path, "w", encoding="ascii") as fh:
         json.dump(payload, fh, sort_keys=True)
         fh.write("\n")
-    return payload
 
 
 def read_bundle(path: str) -> css.CssCode:
@@ -125,6 +127,10 @@ def _read_factor(entry: dict) -> f2la.BinaryMatrix:
     return m
 
 
+def _logical_terms(poly: diagonal.PhasePolynomial) -> list[dict]:
+    return [{"monomial": list(mono), "coeff": c} for mono, c in poly.terms()]
+
+
 def _parse_region(text: str) -> list[int]:
     try:
         return [int(tok) for tok in text.split()]
@@ -135,7 +141,7 @@ def _parse_region(text: str) -> list[int]:
 # -- commands ----------------------------------------------------------------
 
 
-def cmd_build(args) -> int:
+def cmd_build(args) -> tuple[list[str], dict, bool]:
     seeds = [f2la.parse_matrix_text(_read_text(p)) for p in args.seeds]
     pc = product.build_product(seeds)
     if not (1 <= args.level <= pc.t - 1):
@@ -152,11 +158,10 @@ def cmd_build(args) -> int:
         "t": pc.t,
         "bundle": args.output,
     }
-    _emit("build", {p: _digest(p) for p in args.seeds}, results, "ok")
-    return OK
+    return args.seeds, results, True
 
 
-def cmd_logicals(args) -> int:
+def cmd_logicals(args) -> tuple[list[str], dict, bool]:
     code = read_bundle(args.bundle)
     basis = css.canonical_logical_basis(code)
     entries = []
@@ -175,11 +180,10 @@ def cmd_logicals(args) -> int:
         "pairing_identity": basis.pairing == f2la.BinaryMatrix.identity(basis.k),
         "logicals": entries,
     }
-    _emit("logicals", {args.bundle: _digest(args.bundle)}, results, "ok")
-    return OK
+    return [args.bundle], results, True
 
 
-def cmd_distance(args) -> int:
+def cmd_distance(args) -> tuple[list[str], dict, bool]:
     code = read_bundle(args.bundle)
     result = css.brute_distance(code, max_weight=args.max_weight, jobs=args.jobs)
     results = {
@@ -189,27 +193,19 @@ def cmd_distance(args) -> int:
         "d_z": result.d_z,
         "d": result.d,
     }
-    _emit("distance", {args.bundle: _digest(args.bundle)}, results, "ok")
-    return OK
+    return [args.bundle], results, True
 
 
-def cmd_correctable(args) -> int:
+def cmd_correctable(args) -> tuple[list[str], dict, bool]:
     code = read_bundle(args.bundle)
     region = _parse_region(_read_text(args.region))
     if any(q < 0 or q >= code.n for q in region):
         raise CliError("region index out of range for this code")
     verdict = correctability.is_correctable(code, region)
-    inputs = {args.bundle: _digest(args.bundle), args.region: _digest(args.region)}
-    _emit(
-        "correctable",
-        inputs,
-        verdict.to_json(),
-        "ok" if verdict.correctable else "violated",
-    )
-    return OK if verdict.correctable else VIOLATED
+    return [args.bundle, args.region], verdict.to_json(), verdict.correctable
 
 
-def cmd_verify_diagonal(args) -> int:
+def cmd_verify_diagonal(args) -> tuple[list[str], dict, bool]:
     if not 1 <= args.copies <= diagonal.MAX_COPIES:
         raise CliError(f"copies must be >= 1 and <= {diagonal.MAX_COPIES}")
     code = read_bundle(args.bundle)
@@ -220,41 +216,29 @@ def cmd_verify_diagonal(args) -> int:
             f"circuit touches variable {poly.nvars - 1} but {args.copies} "
             f"copies give only {expected} qubits"
         )
-    poly = diagonal.PhasePolynomial(
-        expected, poly.modulus_log2, {frozenset(m): c for m, c in poly.terms()}
-    )
+    poly = poly.renumber(0, expected)
     res = diagonal.preserves_codespace(poly, code, copies=args.copies)
     results: dict = {"preserves": res.preserves}
     if res.preserves:
         action = diagonal.logical_action(poly, code, copies=args.copies)
-        results["logical_terms"] = [
-            {"monomial": list(mono), "coeff": c} for mono, c in action.terms()
-        ]
+        results["logical_terms"] = _logical_terms(action)
         results["level"] = diagonal.hierarchy_level(action)
     else:
         results["violating_copy"] = res.violating_copy
         results["violating_row"] = res.violating_row
-    inputs = {args.bundle: _digest(args.bundle), args.circuit: _digest(args.circuit)}
-    _emit("verify-diagonal", inputs, results, "ok" if res.preserves else "violated")
-    return OK if res.preserves else VIOLATED
+    return [args.bundle, args.circuit], results, res.preserves
 
 
-def cmd_nogo_transversal(args) -> int:
+def cmd_nogo_transversal(args) -> tuple[list[str], dict, bool]:
     code = read_bundle(args.bundle)
     report = diagonal.transversal_nogo_harness(
         code, args.mod, samples=args.samples, seed=args.seed
     )
-    ok = report.max_level <= 2
-    _emit(
-        "nogo-transversal",
-        {args.bundle: _digest(args.bundle)},
-        report.to_json(),
-        "ok" if ok else "violated",
-    )
-    return OK if ok else VIOLATED
+    results = report.to_json()
+    return [args.bundle], results, results["clifford_bound_respected"]
 
 
-def cmd_toric_cnz(args) -> int:
+def cmd_toric_cnz(args) -> tuple[list[str], dict, bool]:
     bundle = toric_cnz.build_bundle(args.t, args.length)
     with open(args.output, "w", encoding="ascii") as fh:
         fh.write(
@@ -279,15 +263,12 @@ def cmd_toric_cnz(args) -> int:
         verified = ver.verified
         results["logical_level"] = ver.level
         results["logical_cnz_verified"] = ver.verified
-        results["logical_terms"] = [
-            {"monomial": list(m), "coeff": c} for m, c in ver.logical_poly.terms()
-        ]
+        results["logical_terms"] = _logical_terms(ver.logical_poly)
     if args.report:
         with open(args.report, "w", encoding="ascii") as fh:
             json.dump(results, fh, sort_keys=True)
             fh.write("\n")
-    _emit("toric-cnz", {}, results, "ok" if verified else "violated")
-    return OK if verified else VIOLATED
+    return [], results, verified
 
 
 @functools.cache
@@ -356,11 +337,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else OK
     try:
-        return args.func(args)
+        paths, results, ok = args.func(args)
+        inputs = {path: _digest(path) for path in paths}
     except (CliError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         _emit(args.command, {}, {"error": str(exc)}, "error")
         return USAGE_ERROR
+    _emit(args.command, inputs, results, "ok" if ok else "violated")
+    return OK if ok else VIOLATED
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -334,21 +334,6 @@ def _node_bound(n: int, r: int, max_weight: int) -> int:
     return need
 
 
-def _min_logical_weight(
-    h_kernel: BinaryMatrix,
-    h_stab: BinaryMatrix,
-    max_weight: Optional[int],
-    jobs: int,
-    budget: int,
-) -> Optional[int]:
-    """Lightest weight in ker h_kernel outside the row space of h_stab, or
-    None when the walk is cut (see `_walk_logical_weight`); `jobs` is ignored."""
-    stab_space = RowSpace(h_stab)
-    if h_kernel.cols - f2la.rank(h_kernel) == stab_space.rank:
-        raise ValueError("no logical operators")
-    return _walk_logical_weight(h_kernel, stab_space, max_weight, budget)[0]
-
-
 def _walk_logical_weight(
     checks: BinaryMatrix,
     stab_space: RowSpace,

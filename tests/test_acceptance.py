@@ -43,14 +43,13 @@ def toric_code(t, length):
 def verified_min_logical_weight(code, predicted, h_kernel, h_stab):
     """Exact one-sided distance check against a predicted value.
 
-    Uses the coset enumeration when affordable, otherwise an ascending
-    weight search bounded by the prediction (which certifies equality or
-    exposes a mismatch either way: a smaller weight returns early, a larger
-    true distance raises because nothing is found under the bound).
+    The cluster walk certifies equality or exposes a mismatch either way: a
+    smaller weight returns early, and a larger true distance returns that
+    weight or None when the walk is cut past the prediction.
     """
-    return css._min_logical_weight(
-        h_kernel, h_stab, max_weight=predicted, jobs=1, budget=1 << 20
-    )
+    return css._walk_logical_weight(
+        h_kernel, f2la.RowSpace(h_stab), predicted, 1 << 20
+    )[0]
 
 
 @pytest.fixture(scope="module")

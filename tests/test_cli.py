@@ -119,6 +119,22 @@ class TestBundleRoundTrip:
         not_json.write_text("{]")
         assert main(["distance", str(not_json)]) == 2
 
+    def test_input_unreadable_while_hashing_is_usage_error(
+        self, capsys, toric_bundle, monkeypatch
+    ):
+        def fail(path):
+            raise OSError(f"cannot hash {path}")
+
+        monkeypatch.setattr(cli, "_digest", fail)
+        assert main(["logicals", toric_bundle]) == 2
+        out = capsys.readouterr().out
+        assert out.count("\n") == 1  # one envelope, nothing before it
+        report = json.loads(out)
+        assert report["command"] == "logicals"
+        assert report["status"] == "error"
+        assert report["inputs"] == {}
+        assert report["results"] == {"error": f"cannot hash {toric_bundle}"}
+
     def test_logicals_round_trip(self, capsys, toric_bundle):
         code1, rep1 = run_json(capsys, ["logicals", toric_bundle])
         code2, rep2 = run_json(capsys, ["logicals", toric_bundle])

@@ -76,4 +76,8 @@ def test_every_case_has_a_fixture(expected):
 def test_stdout_matches_golden(name, argv, status, workdir, expected, monkeypatch, capsys):
     monkeypatch.chdir(workdir)
     assert main(argv) == status
-    assert capsys.readouterr().out == expected[name]
+    out = capsys.readouterr().out
+    assert out == expected[name]
+    report = json.loads(out)
+    assert report["command"] == argv[0]
+    assert report["status"] == ("ok", "violated", "error")[status]
