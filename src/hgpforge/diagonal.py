@@ -24,9 +24,11 @@ coefficient (-2)^(|T|-1) * (sum of c_i over the qubits whose image holds T)
 on each monomial T.  One pass over the images gives the rows for T holding
 a b-variable (the congruences that cut out the preserving f) and for T made
 of a-variables only (the logical action), so every solution's action is a
-vector in the a-row space and no solution is pulled back.  Only the
-generator that reaches the maximum level is confirmed through the public
-pullback pair.
+vector in the a-row space and no solution is pulled back.  The b-rows are
+solved by a column echelon form over Z_{2^m} that keeps each working column
+in one integer, one 2m-bit lane per entry, so a column rewrite is one
+multiply-add.  Only the generator that reaches the maximum level is
+confirmed through the public pullback pair.
 """
 
 from __future__ import annotations
@@ -618,33 +620,58 @@ def kernel_mod_power_of_two(
     with an exact multiple of it.  The popped columns are triangular over
     their pivot rows, so the kernel is 2^(m-a) U_j per pivot with a >= 1
     plus U_j per column left at the end: ncols - rank(M mod 2) generators.
+
+    A working column is one int of w = 2m-bit lanes, lowest first: the
+    entries of M's rows, then the ncols entries of U (the identity column j
+    is one bit).  Every lane holds a residue below 2^m, so clearing an entry
+    by adding g < 2^m times the pivot column is one multiply-add of whole
+    columns: x + g*y <= (2^m - 1) * 2^m < 2^w carries into no other lane,
+    and a mask reduces every lane mod 2^m.  The columns with an entry of
+    valuation a are those that meet bit a of some row lane, and the lowest
+    such bit is the first such row.  The pivot order and the arithmetic are
+    the ones above, lane for lane, so the generators do not depend on the
+    packing.
     """
     mod = 1 << modulus_log2
-    nrows = len(rows)
-    cols = [
-        [row[j] % mod for row in rows] + [int(i == j) for i in range(ncols)]
-        for j in range(ncols)
-    ]
+    w = 2 * modulus_log2
+    u_at = len(rows) * w
+    ones = ((1 << (u_at + ncols * w)) - 1) // ((1 << w) - 1)  # 1 in every lane
+    mask = ones * (mod - 1)
+    row_ones = ones & ((1 << u_at) - 1)
+    cols = [1 << (u_at + j * w) for j in range(ncols)]
+    for i, row in enumerate(rows):
+        for j in itertools.compress(range(ncols), row):
+            cols[j] |= (row[j] % mod) << (i * w)
     gens = []
-    low = 1  # 2^a: every M entry left is divisible by it
-    while low < mod:
-        pivot = next(
-            ((j, i) for j, col in enumerate(cols) for i, x in zip(range(nrows), col) if x & low),
-            None,
-        )
-        if pivot is None:
-            low <<= 1
-            continue
-        j, i = pivot
-        piv = cols.pop(j)
-        inv = pow(piv[i] // low, -1, mod)
-        cols = [
-            [(x - f * y) % mod for x, y in zip(col, piv)] if (f := col[i] // low * inv) else col
-            for col in cols
-        ]
-        if low > 1:
-            gens.append(tuple(v * (mod // low) % mod for v in piv[nrows:]))
-    return gens + [tuple(col[nrows:]) for col in cols]
+    for a in range(modulus_log2):  # every M entry left is divisible by 2^a
+        valuation_a = row_ones << a
+        top = (mod >> a) - 1
+        while (j := next((j for j, col in enumerate(cols) if col & valuation_a), None)) is not None:
+            piv = cols.pop(j)
+            hit = piv & valuation_a
+            at = ((hit & -hit).bit_length() - 1) // w * w + a  # bit a of the pivot entry
+            entry = top << at  # masking first shifts only the lanes below the pivot row
+            neg_inv = mod - pow((piv & entry) >> at, -1, mod)
+            cols = [
+                (col + (x >> at) * neg_inv % mod * piv) & mask if (x := col & entry) else col
+                for col in cols
+            ]
+            if a:
+                gens.append((piv >> u_at) * (mod >> a) & mask)
+    return [_lanes(u, ncols, modulus_log2) for u in gens + [col >> u_at for col in cols]]
+
+
+def _lanes(packed: int, count: int, modulus_log2: int) -> tuple[int, ...]:
+    """The residues mod 2^m in the count 2m-bit lanes of packed, lowest
+    first, reading only the nonzero lanes."""
+    w = 2 * modulus_log2
+    lane = (1 << modulus_log2) - 1
+    out = [0] * count
+    while packed:
+        at = ((packed & -packed).bit_length() - 1) // w * w
+        out[at // w] = x = (packed >> at) & lane
+        packed ^= x << at
+    return tuple(out)
 
 
 def _preservation_congruences(

@@ -586,6 +586,86 @@ class TestKernelModPowerOfTwo:
             assert len(span) == count
 
 
+def list_kernel_mod_power_of_two(rows, ncols, modulus_log2):
+    """Reference: the column echelon form with each working column a list of
+    residues (M's column, then U's), rewritten entry by entry."""
+    mod = 1 << modulus_log2
+    nrows = len(rows)
+    cols = [
+        [row[j] % mod for row in rows] + [int(i == j) for i in range(ncols)]
+        for j in range(ncols)
+    ]
+    gens = []
+    low = 1  # 2^a: every M entry left is divisible by it
+    while low < mod:
+        pivot = next(
+            ((j, i) for j, col in enumerate(cols) for i, x in zip(range(nrows), col) if x & low),
+            None,
+        )
+        if pivot is None:
+            low <<= 1
+            continue
+        j, i = pivot
+        piv = cols.pop(j)
+        inv = pow(piv[i] // low, -1, mod)
+        cols = [
+            [(x - f * y) % mod for x, y in zip(col, piv)] if (f := col[i] // low * inv) else col
+            for col in cols
+        ]
+        if low > 1:
+            gens.append(tuple(v * (mod // low) % mod for v in piv[nrows:]))
+    return gens + [tuple(col[nrows:]) for col in cols]
+
+
+class TestPackedKernelAgainstLists:
+    """The packed-lane kernel returns the list-based kernel's tuples exactly:
+    the same generators in the same order, not only the same span."""
+
+    def test_random_systems(self):
+        rng = random.Random(15)
+        seen = set()
+        for i in range(800):
+            m = 1 + i % 8
+            mod = 1 << m
+            ncols = rng.randrange(13)
+            rows = [
+                [rng.randrange(-2 * mod, 2 * mod) for _ in range(ncols)]
+                for _ in range(rng.randrange(6))
+            ]
+            if rows and i % 3 == 1:
+                rows[rng.randrange(len(rows))] = [0] * ncols
+            if rows and i % 3 == 2:
+                rows[rng.randrange(len(rows))] = [2 * rng.randrange(mod) for _ in range(ncols)]
+            expected = list_kernel_mod_power_of_two(rows, ncols, m)
+            assert kernel_mod_power_of_two(rows, ncols, m) == expected, (rows, ncols, m)
+            seen.add((m, len(rows), ncols))
+        assert {m for m, nrows, _ in seen if nrows == 0} == set(range(1, 9))
+        assert {ncols for _, _, ncols in seen} == set(range(13))
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_congruence_systems(self, m):
+        for code in TestKernelAgainstSmithForm.congruence_codes():
+            rows, _ = diagonal._preservation_congruences(code, m)
+            expected = list_kernel_mod_power_of_two(rows, code.n, m)
+            assert kernel_mod_power_of_two(rows, code.n, m) == expected, (code.n, m)
+
+    def test_lanes_hold_the_largest_products(self):
+        # entries 2^m - 1, 2^m - 2 and -1 make clearing factors and column
+        # entries up to 2^m - 1, so x + g*y reaches (2^m - 1) * 2^m: a lane
+        # one bit narrower than 2m carries into its neighbour
+        m = diagonal.MAX_MODULUS_LOG2
+        mod = 1 << m
+        rng = random.Random(8)
+        for _ in range(400):
+            ncols = rng.randrange(2, 9)
+            rows = [
+                [rng.choice((0, mod - 1, mod - 2, -1)) for _ in range(ncols)]
+                for _ in range(rng.randrange(1, 5))
+            ]
+            expected = list_kernel_mod_power_of_two(rows, ncols, m)
+            assert kernel_mod_power_of_two(rows, ncols, m) == expected, rows
+
+
 class TestKernelAgainstSmithForm:
     """The column-only kernel against the two-sided Smith form it replaced."""
 
