@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from . import classical, f2la
-from .css import CssCode, PauliOperator, lightest_logical, pauli_mul
+from .css import CssCode, PauliOperator, pauli_mul
 from .f2la import BinaryMatrix
 
 # Regions up to this size get an exhaustive minimum-weight witness search;
@@ -84,17 +84,30 @@ def is_correctable(code: CssCode, region: Region | Iterable[int]) -> Correctabil
 
 def _witness(h_kernel: BinaryMatrix, stab_space: f2la.RowSpace, region: Region) -> Optional[int]:
     """Minimum-weight v inside region with h_kernel v = 0, v not in the
-    stabilizer row space."""
+    stabilizer row space, ties broken by lexicographic support.
+
+    The candidates are the span of the region's kernel basis, lifted to the
+    qubits.  Each kernel_basis row owns its free column, so a sum of s rows
+    weighs at least s, and the walk by ascending subset size ends exactly
+    once the size passes the best weight.  Above _WITNESS_ENUM_MAX qubits
+    the first offending basis row is returned.
+    """
     cols = sorted(region.qubits)
     inside = f2la.kernel_basis(f2la.restrict_columns(h_kernel, cols))
-    lifted = (f2la.lift(v, cols) for v in inside.bits)
-    offending = next((v for v in lifted if not stab_space.contains(v)), None)
-    if offending is None or len(cols) > _WITNESS_ENUM_MAX:
-        return offending
-    found = lightest_logical(h_kernel, stab_space, cols)
-    if found is None:
-        raise AssertionError("witness existed in the kernel scan but not in enumeration")
-    return found
+    lifted = [f2la.lift(v, cols) for v in inside.bits]
+    best = next((v for v in lifted if not stab_space.contains(v)), None)
+    if best is None or len(cols) > _WITNESS_ENUM_MAX:
+        return best
+    for size, v in f2la.subset_xors(lifted):
+        weight, best_weight, diff = v.bit_count(), best.bit_count(), v ^ best
+        if size > best_weight:
+            break
+        # Of two supports of one weight, the lexicographically smaller one
+        # holds the lowest qubit where they differ.
+        tie_won = weight == best_weight and diff & -diff & v
+        if (weight < best_weight or tie_won) and not stab_space.contains(v):
+            best = v
+    return best
 
 
 def clean_logical(code: CssCode, op: PauliOperator, region: Region | Iterable[int]) -> PauliOperator:

@@ -393,23 +393,6 @@ def _walk_logical_weight(
     raise AssertionError("no logical operator found; the walk needs one to exist")
 
 
-def lightest_logical(
-    h_kernel: BinaryMatrix,
-    stab_space: RowSpace,
-    cols: Sequence[int],
-) -> Optional[int]:
-    """First v supported on cols with h_kernel v = 0 outside the stabilizer
-    row space, by ascending weight, ties broken by lexicographic support."""
-    n = h_kernel.cols
-    syndromes = f2la.transpose(h_kernel).bits
-    # The bits above n carry the syndrome of the low n bits.
-    words = [(syndromes[c] << n) | (1 << c) for c in cols]
-    for _, v in f2la.subset_xors(words):
-        if v >> n == 0 and not stab_space.contains(v):
-            return v
-    return None
-
-
 # -- canonical logical basis -------------------------------------------------
 
 

@@ -47,12 +47,14 @@ from .css import CssCode, LogicalRep, PauliOperator, canonical_logical_basis
 Monomial = frozenset
 
 # Input caps: the modulus exponent m of a circuit or survey, survey samples,
-# the no-go survey's candidate congruence rows, and the code copies a circuit
-# spans (toric C^(t-1)Z layers need up to product.MAX_DIMENSION = 6).
+# the no-go survey's candidate congruence rows, the code copies a circuit
+# spans (toric C^(t-1)Z layers need up to product.MAX_DIMENSION = 6), and the
+# branches the pullback of one monomial holds (a toric layer needs <= 486).
 MAX_MODULUS_LOG2 = 8
 MAX_SAMPLES = 1000
 MAX_CONGRUENCE_ROWS = 1 << 14
 MAX_COPIES = 8
+MAX_TERM_BRANCHES = 1 << 20
 
 
 class PhasePolynomial:
@@ -240,6 +242,37 @@ def hierarchy_level(f: PhasePolynomial) -> int:
     return best
 
 
+def _refuse_wide_terms(f: PhasePolynomial, bits: dict[int, list[int]]) -> None:
+    """Raise ValueError if the pullback of a monomial of f would hold more
+    than MAX_TERM_BRANCHES branches at some step (bits: each variable's
+    deduplicated image).
+
+    A variable lists at most 2^|image| - 1 subsets, so the widest image and
+    the highest degree bound every term's branches and every listing.  Past
+    that bound, each term is counted exactly by the expansion's recurrence
+    on the branches per room left.
+    """
+    widest, degree = max(map(len, bits.values()), default=0), max(map(len, f._terms), default=0)
+    if max((1 << widest) - 1, 1) ** degree <= MAX_TERM_BRANCHES:
+        return
+    m = f.modulus_log2
+    for mono, c in f._terms.items():
+        rooms, peak = {m + 1 - (c & -c).bit_length(): 1}, 1  # open branches per room
+        for v in sorted(mono):
+            width, grown = len(bits[v]), {}
+            for room, count in rooms.items():
+                for size in range(1, min(room, width) + 1):
+                    left = room + 1 - size
+                    grown[left] = grown.get(left, 0) + count * math.comb(width, size)
+            rooms = grown
+            peak = max(peak, sum(rooms.values()))
+        if peak > MAX_TERM_BRANCHES:
+            raise ValueError(
+                f"a monomial's pullback holds up to {peak} branches, "
+                f"above the cap of {MAX_TERM_BRANCHES}"
+            )
+
+
 def substitute(
     f: PhasePolynomial, images: Sequence[Sequence[int]], new_nvars: int
 ) -> PhasePolynomial:
@@ -255,7 +288,9 @@ def substitute(
     range-checked, and its subsets are listed once as (size, bitmask) pairs
     up to the deepest size a term holding the variable can reach, m - v2(c).
     Monomials are accumulated as bitmasks; an image of a variable f does not
-    use is never read, so an out-of-range one raises nothing.
+    use is never read, so an out-of-range one raises nothing.  Before any
+    subset is listed, `_refuse_wide_terms` refuses a monomial whose
+    expansion would hold more than MAX_TERM_BRANCHES branches.
     """
     if len(images) != f.nvars:
         raise ValueError("need one image per variable")
@@ -267,17 +302,21 @@ def substitute(
         for v in mono:
             if reach.get(v, 0) < depth:
                 reach[v] = depth
-    subsets: dict[int, list[tuple[int, int]]] = {}
-    for v, depth in reach.items():
+    bits: dict[int, list[int]] = {}
+    for v in reach:
         img = sorted(set(images[v]))
         if img and (img[0] < 0 or img[-1] >= new_nvars):
             raise ValueError("image variable out of range")
-        bits = [1 << j for j in img]
-        subsets[v] = [
+        bits[v] = [1 << j for j in img]
+    _refuse_wide_terms(f, bits)
+    subsets = {
+        v: [
             (size, sum(t))
-            for size in range(1, min(depth, len(bits)) + 1)
-            for t in itertools.combinations(bits, size)
+            for size in range(1, min(reach[v], len(row)) + 1)
+            for t in itertools.combinations(row, size)
         ]
+        for v, row in bits.items()
+    }
     out: dict[int, int] = {}
     for mono, c in f._terms.items():
         # (monomial mask, coefficient, m - its valuation) per open branch
@@ -333,10 +372,13 @@ def _infer_copies(f: PhasePolynomial, code: CssCode, copies: Optional[int]) -> i
 def _coordinates(code: CssCode) -> tuple[list[int], list[int]]:
     """L and G's Hx row indices: G is the Hx rows that extend the span of the rows
     before them (`code.hx_basis_rows`), L the X logicals or a bare code's
-    completion of the Hx span to ker Hz."""
+    completion of the Hx span to ker Hz.  The completion keeps the ker Hz
+    words whose coset keys modulo the Hx span (`hx_space.reduce`, linear
+    with kernel the span) extend the keys before them."""
     if code.logicals is None and (code.complex is None or code.level is None):
-        span = f2la.RowSpace(code.hx)
-        return [v for v in code.x_domain_basis() if span.extend(v)], code.hx_basis_rows
+        keys = f2la.RowSpace(cols=code.n)
+        lead = [v for v in code.x_domain_basis() if keys.extend(code.hx_space.reduce(v))]
+        return lead, code.hx_basis_rows
     basis = code.logicals or canonical_logical_basis(code)
     return [rep.pauli.x for rep in basis.x_reps], code.hx_basis_rows
 

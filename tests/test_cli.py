@@ -2,6 +2,7 @@
 
 import json
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -522,6 +523,28 @@ class TestContract:
         assert main(["distance", str(bad)]) == 2
         report = json.loads(capsys.readouterr().out)
         assert report["status"] == "error" and message in report["results"]["error"]
+
+    def test_a_gate_over_the_branch_cap_is_refused_before_expanding(self, capsys, tmp_path):
+        # one CNZ on 20 qubits of the L=5 toric code: each qubit's image holds
+        # two or three coordinates, 5,308,416 branches in all
+        toric5 = hgp_bundle(tmp_path, capsys, "rep5", classical.cyclic_repetition_check(5))
+        circ = tmp_path / "c20z.txt"
+        circ.write_text("MOD 1\nCNZ " + " ".join(map(str, range(20))) + "\n")
+        tracemalloc.start()
+        try:
+            assert main(["verify-diagonal", str(toric5), str(circ)]) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        assert report["status"] == "error"
+        assert report["results"]["error"] == (
+            "a monomial's pullback holds up to 5308416 branches, above the cap of 1048576"
+        )
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+        # the expansion would hold millions of branch tuples (830 MB)
+        assert peak < 4 << 20, peak
 
     def test_toric_cnz_over_the_gate_cap_is_refused_before_building(self, capsys, tmp_path):
         # t=6, L=10 would need 10^6 * 6! = 7.2e8 gates, above the 2^20 cap

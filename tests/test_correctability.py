@@ -175,3 +175,118 @@ class TestVerdictSerialization:
         assert out["correctable"] is False
         assert out["witness_type"] == "X"
         assert out["witness"] == sorted(verdict.witness.support)
+
+
+def column_subset_witness(h_kernel, stab_space, cols):
+    """Reference walk: the first v over column subsets of cols, by ascending
+    weight and then lexicographic support, with h_kernel v = 0 outside the
+    stabilizer row space."""
+    n = h_kernel.cols
+    syndromes = f2la.transpose(h_kernel).bits
+    # The bits above n carry the syndrome of the low n bits.
+    words = [(syndromes[c] << n) | (1 << c) for c in cols]
+    for _, v in f2la.subset_xors(words):
+        if v >> n == 0 and not stab_space.contains(v):
+            return v
+    return None
+
+
+def reference_witness(h_kernel, stab_space, qubits):
+    """The kernel scan decides whether a witness exists; up to
+    _WITNESS_ENUM_MAX qubits the column-subset walk finds the lightest one,
+    above it the first offending kernel basis row is the answer."""
+    cols = sorted(qubits)
+    inside = f2la.kernel_basis(f2la.restrict_columns(h_kernel, cols))
+    lifted = (f2la.lift(v, cols) for v in inside.bits)
+    offending = next((v for v in lifted if not stab_space.contains(v)), None)
+    if offending is None or len(cols) > correctability._WITNESS_ENUM_MAX:
+        return offending
+    found = column_subset_witness(h_kernel, stab_space, cols)
+    assert found is not None
+    return found
+
+
+def reference_verdict(code, qubits):
+    found = [
+        (v, kind)
+        for v, kind in (
+            (reference_witness(code.hz, code.hx_space, qubits), "X"),
+            (reference_witness(code.hx, code.hz_space, qubits), "Z"),
+        )
+        if v is not None
+    ]
+    if not found:
+        return True, None, None
+    v, kind = min(found, key=lambda c: (c[0].bit_count(), f2la.indices_of(c[0])))
+    return False, f2la.indices_of(v), kind
+
+
+class TestWitnessDifferential:
+    """The kernel-basis walk against a walk over the column subsets of the region."""
+
+    @staticmethod
+    def codes():
+        rng = random.Random(16)
+        hamming = classical.hamming_7_4().h
+        out = [toric_code(2, length) for length in (3, 4, 5, 7)]
+        out.append(toric_code(3, 3))
+        out.append(css.assemble_css(product.build_product([hamming, f2la.transpose(hamming)]), 1))
+        for _ in range(4):
+            r, c = rng.randrange(2, 5), rng.randrange(3, 6)
+            seed = f2la.BinaryMatrix(r, c, [rng.getrandbits(c) for _ in range(r)])
+            out.append(css.assemble_css(product.build_product([seed, f2la.transpose(seed)]), 1))
+        return out
+
+    @staticmethod
+    def regions(code, rng, count):
+        """Random regions of 1..20 qubits, logical supports padded with up to
+        two qubits, and regions of exactly 20 and 21 qubits."""
+        basis = css.canonical_logical_basis(code)
+        supports = [rep.pauli.support for rep in basis.x_reps + basis.z_reps]
+        for i in range(count):
+            if supports and i % 2:
+                region = set(rng.choice(supports))
+                region.update(rng.sample(range(code.n), rng.randrange(3)))
+            else:
+                region = set(rng.sample(range(code.n), rng.randrange(1, min(20, code.n) + 1)))
+            yield region
+        for size in (20, 21):
+            if size <= code.n:
+                yield set(rng.sample(range(code.n), size))
+
+    def test_same_verdicts_as_the_column_subset_walk(self):
+        rng = random.Random(2026)
+        searches = 0
+        sizes, witnessed = set(), 0
+        for code in self.codes():
+            for region in self.regions(code, rng, 100):
+                verdict = correctability.is_correctable(code, region)
+                got = (
+                    verdict.correctable,
+                    sorted(verdict.witness.support) if verdict.witness else None,
+                    verdict.witness_type,
+                )
+                assert got == reference_verdict(code, region), (code.n, sorted(region))
+                searches += 2
+                sizes.add(len(region))
+                witnessed += not verdict.correctable
+        whole = toric_code(2, 3)
+        everything = set(range(whole.n))
+        verdict = correctability.is_correctable(whole, everything)
+        assert (False, 3) == (verdict.correctable, verdict.witness.weight)
+        assert (False, sorted(verdict.witness.support), verdict.witness_type) == reference_verdict(
+            whole, everything
+        )
+        assert searches >= 2000
+        assert {1, 20, 21} <= sizes and witnessed >= 400, (sorted(sizes), witnessed)
+
+    def test_a_tie_summed_from_as_many_rows_as_its_weight(self):
+        # Kernel basis of these checks: {0,1,2}, {3,4}, {0,1,5}.  The weight-2
+        # words are the row {3,4} and the two-row sum {2,5}, which comes
+        # first lexicographically, so the walk must finish the subsets of
+        # the best weight's size.
+        h = f2la.BinaryMatrix(3, 6, [0b100101, 0b100110, 0b011000])
+        none = f2la.RowSpace(cols=6)
+        expected = f2la.vector_from_indices([2, 5])
+        assert column_subset_witness(h, none, range(6)) == expected
+        assert correctability._witness(h, none, Region.of(range(6))) == expected

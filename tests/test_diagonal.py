@@ -149,6 +149,20 @@ class TestDifference:
             for x in range(1 << nvars):
                 assert d.evaluate(x) == (values[x ^ g] - values[x]) % (1 << m)
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_a_unit_shift_is_nonzero_exactly_when_a_monomial_holds_it(self, data):
+        # x_v -> 1 - x_v turns c*x_S (v in S) into c*x_{S-v} - 2c*x_S: the
+        # first term lacks v and the second holds it, so nothing cancels.
+        m = data.draw(st.integers(1, 4))
+        nvars = data.draw(st.integers(1, 8))
+        monomials = st.frozensets(st.integers(0, nvars - 1), max_size=4)
+        terms = data.draw(st.dictionaries(monomials, st.integers(0, (1 << m) - 1), max_size=8))
+        g = PhasePolynomial(nvars, m, terms)
+        v = data.draw(st.integers(0, nvars - 1))
+        held = any(v in mono for mono, _ in g.terms())
+        assert (not difference(g, 1 << v).is_zero()) == held
+
     def test_zero_shift(self):
         f = random_poly(random.Random(1), 4, 3)
         assert difference(f, 0).is_zero()
@@ -283,6 +297,48 @@ class TestSubstitute:
         f = PhasePolynomial(2, 2, {frozenset((0, 1)): 1})
         sub = substitute(f, [(), (0,)], 1)
         assert sub.is_zero()
+
+    @staticmethod
+    def branch_peak(f, images):
+        """Most branches any monomial's expansion holds, found by running the
+        expansion on the room each branch has left."""
+        peak = 0
+        for mono, c in f._terms.items():
+            rooms = [f.modulus_log2 + 1 - (c & -c).bit_length()]
+            peak = max(peak, 1)
+            for v in sorted(mono):
+                img = sorted(set(images[v]))
+                rooms = [
+                    room + 1 - size
+                    for room in rooms
+                    for size in range(1, len(img) + 1)
+                    for _ in itertools.combinations(img, size)
+                    if size <= room
+                ]
+                peak = max(peak, len(rooms))
+        return peak
+
+    def test_the_branch_cap_admits_exactly_the_largest_expansion(self, monkeypatch):
+        # odd coefficients at m = 3 keep three sizes open per factor, where a
+        # product of the factors' subset counts overstates the branches
+        rng = random.Random(16)
+        f = PhasePolynomial(2, 3, {frozenset((0, 1)): 1})
+        assert self.branch_peak(f, [(0, 1, 2), (3, 4, 5)]) == 42 < 7 * 7
+        cases = [(f, [(0, 1, 2), (3, 4, 5)], 6)]
+        for _ in range(40):
+            nvars, new_nvars = rng.randrange(1, 5), rng.randrange(1, 7)
+            g = random_poly(rng, nvars, 3)
+            if g.is_zero():
+                continue
+            images = [rng.sample(range(new_nvars), rng.randrange(new_nvars + 1)) for _ in range(nvars)]
+            cases.append((g, images, new_nvars))
+        for g, images, new_nvars in cases:
+            peak = self.branch_peak(g, images)
+            monkeypatch.setattr(diagonal, "MAX_TERM_BRANCHES", peak)
+            substitute(g, images, new_nvars)
+            monkeypatch.setattr(diagonal, "MAX_TERM_BRANCHES", peak - 1)
+            with pytest.raises(ValueError, match=f"above the cap of {peak - 1}"):
+                substitute(g, images, new_nvars)
 
     def test_renumber_embeds_copies(self):
         f = poly_from_circuit([(1, (0, 2))], 1)
@@ -1022,6 +1078,22 @@ class TestPreservationDifferential:
             return code
         return css.CssCode(code.hx, code.hz)  # same checks, no complex, no basis
 
+    @staticmethod
+    def random_claim(rng, code, copies, m):
+        # f(x) = h(parities of x against words of ker Hx) is constant on
+        # every X-stabilizer coset; a random extra term usually is not.
+        nvars = copies * code.n
+        ker_hx = f2la.kernel_basis(code.hx).bits or [0]
+        parities = [
+            tuple(c * code.n + q for q in f2la.indices_of(rng.choice(ker_hx)))
+            for c in (rng.randrange(copies) for _ in range(3))
+        ]
+        h = random_poly(rng, len(parities), m, nterms=rng.randrange(1, 4))
+        f = substitute(h, parities, nvars)
+        if rng.random() < 0.6:
+            f = f + random_poly(rng, nvars, m, nterms=rng.randrange(1, 3))
+        return f
+
     def test_agrees_with_per_generator_check(self):
         rng = random.Random(2024)
         kinds = ("product", "hand-built", "stripped product")
@@ -1031,18 +1103,7 @@ class TestPreservationDifferential:
             kind = kinds[i % 3]
             code = self.random_code(rng, kind)
             copies, m = rng.randrange(1, 4), rng.randrange(1, 4)
-            nvars = copies * code.n
-            # f(x) = h(parities of x against words of ker Hx) is constant on
-            # every X-stabilizer coset; a random extra term usually is not.
-            ker_hx = f2la.kernel_basis(code.hx).bits or [0]
-            parities = [
-                tuple(c * code.n + q for q in f2la.indices_of(rng.choice(ker_hx)))
-                for c in (rng.randrange(copies) for _ in range(3))
-            ]
-            h = random_poly(rng, len(parities), m, nterms=rng.randrange(1, 4))
-            f = substitute(h, parities, nvars)
-            if rng.random() < 0.6:
-                f = f + random_poly(rng, nvars, m, nterms=rng.randrange(1, 3))
+            f = self.random_claim(rng, code, copies, m)
             res = preserves_codespace(f, code, copies=copies)
             expected = self.per_generator(f, code, copies)
             assert (res.preserves, res.violating_copy, res.violating_row) == expected, (i, kind)
@@ -1051,6 +1112,29 @@ class TestPreservationDifferential:
             seen_m.add(m)
         assert min(counts.values()) >= 50, counts
         assert seen_copies == seen_m == {1, 2, 3}
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 1 << 32), st.sampled_from(("product", "hand-built", "stripped product")))
+    def test_the_violation_is_the_lowest_b_variable_any_monomial_holds(self, seed, kind):
+        # Along b-variable j, a monomial c*x_S holding j moves to
+        # c*x_{S-j} - 2c*x_S, which cannot cancel, so the first violating
+        # copy and G row are read off the pullback's lowest b-variable.
+        rng = random.Random(seed)
+        code = self.random_code(rng, kind)
+        copies, m = rng.randrange(1, 4), rng.randrange(1, 4)
+        f = self.random_claim(rng, code, copies, m)
+        full, a_total, g_index = diagonal._pullback(f, code, copies)
+        lowest = min((v for mono in full._terms for v in mono if v >= a_total), default=None)
+        res = preserves_codespace(f, code, copies=copies)
+        if lowest is None:
+            assert (res.preserves, res.violating_copy, res.violating_row) == (True, None, None)
+        else:
+            copy, j = divmod(lowest - a_total, len(g_index))
+            assert (res.preserves, res.violating_copy, res.violating_row) == (
+                False,
+                copy,
+                g_index[j],
+            )
 
 
 class TestCongruenceDifferential:

@@ -11,7 +11,7 @@ from operator import xor
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hgpforge import classical, css, f2la
+from hgpforge import classical, correctability, f2la
 from hgpforge.f2la import BinaryMatrix
 
 MAX_N = 7
@@ -249,4 +249,5 @@ class TestLightestLogical:
             ),
             None,
         )
-        assert css.lightest_logical(h, space, cols) == expected
+        region = correctability.Region.of(cols)
+        assert correctability._witness(h, space, region) == expected
