@@ -22,13 +22,18 @@ logical basis object stays the same.
 The transversal no-go survey is linear: f = sum c_i x_i pulls back to the
 coefficient (-2)^(|T|-1) * (sum of c_i over the qubits whose image holds T)
 on each monomial T.  One pass over the images gives the rows for T holding
-a b-variable (the congruences that cut out the preserving f) and for T made
-of a-variables only (the logical action), so every solution's action is a
-vector in the a-row space and no solution is pulled back.  The b-rows are
-solved by a column echelon form over Z_{2^m} that keeps each working column
-in one integer, one 2m-bit lane per entry, so a column rewrite is one
-multiply-add.  Only the generator that reaches the maximum level is
-confirmed through the public pullback pair.
+a b-variable (the congruences that cut out the preserving f, each a sparse
+{qubit: 2^(|T|-1)} row) and for T made of a-variables only (the logical
+action), so every solution's action is a vector in the a-row space and no
+solution is pulled back.  The b-rows are solved by a column echelon form
+over Z_{2^m} that keeps each working column in one integer, one 2m-bit lane
+per entry, so a column rewrite is one multiply-add.  The solutions are
+checked and their actions read the same way: each qubit's entries over the
+generators are one integer, so a row's sums over every generator are one
+sum of integers, and a mask tests them all.  Each level is read off the
+action's coefficient vector by the rule `hierarchy_level` applies to terms;
+only the generator that reaches the maximum level is confirmed through the
+public pullback pair.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ import math
 import operator
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from . import f2la
 from .correctability import Region, is_correctable
@@ -229,17 +234,22 @@ def hierarchy_level(f: PhasePolynomial) -> int:
     """Diagonal Clifford-hierarchy level from the monomial structure.
 
     A term c*x_S with 2-adic valuation v = v2(c) sits at level
-    |S| + (m - 1 - v); the polynomial's level is the maximum over terms.
-    Constants are trivial (level 0).  Cross-checked against iterated
-    truth-table differences in the test suite.
+    |S| + (m - 1 - v); the polynomial's level is the maximum over terms
+    (`_level`).  Constants are trivial (level 0).  Cross-checked against
+    iterated truth-table differences in the test suite.
     """
-    best = 0
-    for mono, c in f._terms.items():
-        if not mono:
-            continue
-        v = (c & -c).bit_length() - 1
-        best = max(best, len(mono) + f.modulus_log2 - 1 - v)
-    return best
+    return _level(((len(mono), c) for mono, c in f._terms.items()), f.modulus_log2)
+
+
+def _level(terms: Iterable[tuple[int, int]], modulus_log2: int) -> int:
+    """The highest |T| + m - 1 - v2(c) over the (|T|, c) pairs with |T| >= 1
+    and c nonzero mod 2^m, or 0 if there is none.  Below 2^m, v2(c) is the
+    valuation of c's residue, so c need not be reduced."""
+    mod = 1 << modulus_log2
+    return max(
+        (size + modulus_log2 - (c & -c).bit_length() for size, c in terms if size and c % mod),
+        default=0,
+    )
 
 
 def _refuse_wide_terms(f: PhasePolynomial, bits: dict[int, list[int]]) -> None:
@@ -649,9 +659,10 @@ def bk_cascade(
 
 
 def kernel_mod_power_of_two(
-    rows: Sequence[Sequence[int]], ncols: int, modulus_log2: int
+    rows: Sequence[Mapping[int, int]], ncols: int, modulus_log2: int
 ) -> list[tuple[int, ...]]:
-    """Generators of {c : M c = 0 mod 2^m} for an integer matrix M.
+    """Generators of {c : M c = 0 mod 2^m} for an integer matrix M, each row
+    given sparsely as a {column: entry} mapping (absent columns are 0).
 
     Column echelon form over Z_{2^m} (Howell 1986; Storjohann-Mulders 1998)
     by column operations only.  Each working column holds M's column and
@@ -682,8 +693,8 @@ def kernel_mod_power_of_two(
     row_ones = ones & ((1 << u_at) - 1)
     cols = [1 << (u_at + j * w) for j in range(ncols)]
     for i, row in enumerate(rows):
-        for j in itertools.compress(range(ncols), row):
-            cols[j] |= (row[j] % mod) << (i * w)
+        for j, x in row.items():
+            cols[j] |= (x % mod) << (i * w)
     gens = []
     for a in range(modulus_log2):  # every M entry left is divisible by 2^a
         valuation_a = row_ones << a
@@ -718,19 +729,24 @@ def _lanes(packed: int, count: int, modulus_log2: int) -> tuple[int, ...]:
 
 def _preservation_congruences(
     code: CssCode, modulus_log2: int
-) -> tuple[list[tuple[int, ...]], list[tuple[tuple[int, ...], tuple[int, ...]]]]:
-    """The b-rows and the a-rows of the pullback of f(x) = sum c_i x_i.
+) -> tuple[list[dict[int, int]], list[tuple[tuple[int, ...], tuple[int, ...]]], int]:
+    """The b-rows and the a-rows of the pullback of f(x) = sum c_i x_i, and
+    the a count.
 
     Pulled back to x = L a + G b, f has the coefficient (-2)^(|T|-1) * (sum
     of c_i over the qubits i whose image holds T) on the monomial T, so
     |T| <= m.  One pass over the images lists every such T with its qubits.
     The b-rows are the congruences over Z_{2^m} that cut out the
-    codespace-preserving f: one row per T holding a b-variable, 2^(|T|-1) on
-    its qubits (the sign leaves the solutions alone), each distinct row
-    once, in sorted order.  The a-rows are the (T, qubits) pairs of the T
-    made of a-variables only, sorted by T; on a preserving f they give the
-    logical action.  Refused above MAX_CONGRUENCE_ROWS candidate monomials,
-    counted from the image sizes before any row is built."""
+    codespace-preserving f: one row per T holding a b-variable, the sparse
+    {qubit: 2^(|T|-1)} over its qubits (the sign leaves the solutions
+    alone), each distinct row once.  They come in the order of their dense
+    n-tuples: the key [(-i, w) for each qubit i] compares two rows as their
+    dense forms do (the lower first qubit, then the larger weight, then the
+    lower first qubit where they part, then the longer support is larger).
+    The a-rows are the (T, qubits) pairs of the T made of a-variables only,
+    sorted by T; on a preserving f they give the logical action.  Refused
+    above MAX_CONGRUENCE_ROWS candidate monomials, counted from the image
+    sizes before any row is built."""
     images, a_total, _, _ = _images(code, 1)
     bound = sum(math.comb(len(img), s) for img in images for s in range(1, modulus_log2 + 1))
     if bound > MAX_CONGRUENCE_ROWS:
@@ -742,57 +758,80 @@ def _preservation_congruences(
         for size in range(1, modulus_log2 + 1):
             for t in itertools.combinations(img, size):
                 members.setdefault(t, []).append(i)
-    b_rows = set()
-    for t, qubits in members.items():
-        if t[-1] >= a_total:
-            row = [0] * code.n
-            for i in qubits:
-                row[i] = 1 << (len(t) - 1)
-            b_rows.add(tuple(row))
+    distinct = {
+        (tuple(qubits), 1 << (len(t) - 1)) for t, qubits in members.items() if t[-1] >= a_total
+    }
+    b_rows = [
+        dict.fromkeys(qubits, w)
+        for qubits, w in sorted(distinct, key=lambda row: [(-i, row[1]) for i in row[0]])
+    ]
     a_rows = sorted((t, tuple(qubits)) for t, qubits in members.items() if t[-1] < a_total)
-    return sorted(b_rows), a_rows
+    return b_rows, a_rows, a_total
+
+
+def _pack(values: Iterable[int], nbytes: int) -> int:
+    """The values, each below 2^8, in lanes of nbytes bytes, lowest first."""
+    low = bytes(values)
+    buf = bytearray(len(low) * nbytes)
+    buf[::nbytes] = low
+    return int.from_bytes(buf, "little")
+
+
+def _low_bytes(packed: int, count: int, nbytes: int) -> bytes:
+    """The low byte of each of the count nbytes-byte lanes of packed."""
+    return packed.to_bytes(count * nbytes, "little")[::nbytes]
 
 
 def _linear_survey(
     code: CssCode, modulus_log2: int, samples: int, seed: int
-) -> tuple[list[tuple[int, ...]], list[bool], list[PhasePolynomial]]:
+) -> tuple[list[tuple[int, ...]], list[bool], list[tuple[int, ...]], list[tuple[int, ...]], int]:
     """The solution-module generators, whether each satisfies every b-row,
-    and the logical action of each generator and then of each sample.
+    the a-row monomials T, the logical action of each generator and then of
+    each sample as its coefficient vector over those T, and the a count.
 
-    A generator's action is its a-row vector (row . g per a-row, times
-    (-2)^(|T|-1)), computed once; a sample draws one weight per generator
-    (randrange(2^m), in generator order) and takes that combination of the
-    generators' vectors, so no sample is built over the qubits.  The b-row
-    check reads each row's support only.
+    Qubit i's entries over the generators are packed into one int, one lane
+    per generator, lowest first, of m + bit_length(widest row support) bits
+    rounded up to whole bytes (so packing is a bytes copy).  A row's sums
+    over every generator are then one sum of its qubits' ints, and no lane
+    carries.  A b-row of weight 2^k holds on a generator exactly when the
+    low m - k bits of its lane are zero, a mask test (multiplying the sum by
+    the weight would carry across lanes).  An a-row's coefficients,
+    (-2)^(|T|-1) times its lanes mod 2^m, come from the same ints.  A sample
+    draws one weight per generator (randrange(2^m), in generator order) and
+    takes that combination of the generators' vectors, packed over the
+    a-rows in lanes that hold a sum of products below 2^m * 2^m, so no
+    sample is built over the qubits.  Every value is below 2^m <= 2^8, so
+    the low byte of a lane holds its residue.
     """
-    b_rows, a_rows = _preservation_congruences(code, modulus_log2)
+    b_rows, a_rows, a_total = _preservation_congruences(code, modulus_log2)
     gens = kernel_mod_power_of_two(b_rows, code.n, modulus_log2)
-    mod = 1 << modulus_log2
-    cols = list(zip(*gens)) or [()] * code.n  # qubit i's entry in every generator
-
-    def row_sums(qubits):  # each generator's sum over the qubits
-        return map(sum, zip(*(cols[i] for i in qubits)))
-
-    preserving = [True] * len(gens)
+    mod, count = 1 << modulus_log2, len(gens)
+    widest = max(map(len, itertools.chain(b_rows, (qubits for _, qubits in a_rows))), default=0)
+    nbytes = (modulus_log2 + widest.bit_length() + 7) // 8
+    packed = [_pack(col, nbytes) for col in zip(*gens)] or [0] * code.n
+    ones = _pack([1] * count, nbytes)
+    low_bits = {1 << k: ones * ((mod >> k) - 1) for k in range(modulus_log2)}  # by row weight
+    failed = 0
     for row in b_rows:
-        support = [i for i, x in enumerate(row) if x]
-        for j, total in enumerate(row_sums(support)):
-            if row[support[0]] * total % mod:
-                preserving[j] = False
-    # each a-row's coefficient in every generator's action
-    a_cols = [
-        [(-2) ** (len(t) - 1) * total % mod for total in row_sums(qubits)]
-        for t, qubits in a_rows
-    ]
+        failed |= sum(map(packed.__getitem__, row)) & low_bits[next(iter(row.values()))]
+    preserving = [not x for x in _low_bytes(failed, count, nbytes)]
+    a_cols = []  # each a-row's coefficient in every generator's action
+    for t, qubits in a_rows:
+        k = len(t) - 1
+        coeffs = (sum(map(packed.__getitem__, qubits)) & low_bits[1 << k]) << k
+        if k & 1:  # the sign of (-2)^k: mod - c in every lane, then mod 2^m
+            coeffs = (ones * mod - coeffs) & low_bits[1]
+        a_cols.append(_low_bytes(coeffs, count, nbytes))
+    vectors = list(zip(*a_cols)) or [()] * count
+    a_bytes = (2 * modulus_log2 + count.bit_length() + 7) // 8
+    packed_vectors = [_pack(vec, a_bytes) for vec in vectors]
+    residue = bytes(x & (mod - 1) for x in range(256))
     rng = random.Random(seed)
-    vectors = list(zip(*a_cols)) or [()] * len(gens)
     for _ in range(samples):
         lams = [rng.randrange(mod) for _ in gens]
-        vectors.append([sum(map(operator.mul, lams, col)) for col in a_cols])
-    a_total = _images(code, 1)[1]
-    keys = [frozenset(t) for t, _ in a_rows]
-    actions = [PhasePolynomial(a_total, modulus_log2, dict(zip(keys, vec))) for vec in vectors]
-    return gens, preserving, actions
+        total = sum(map(operator.mul, lams, packed_vectors))
+        vectors.append(tuple(_low_bytes(total, len(a_rows), a_bytes).translate(residue)))
+    return gens, preserving, [t for t, _ in a_rows], vectors, a_total
 
 
 @dataclass(frozen=True)
@@ -826,7 +865,9 @@ def transversal_nogo_harness(
     Solves the b-row congruences for f(x) = sum c_i x_i over Z_{2^m} and
     reads the logical action of each solution-module generator and of
     `samples` random combinations off the a-rows (`_linear_survey`); each
-    level is `hierarchy_level` of that action.  `all_preserve` is the exact
+    level is read off that action's coefficient vector by `_level`, the
+    rule `hierarchy_level` applies to a polynomial's terms, so no
+    polynomial is built per solution.  `all_preserve` is the exact
     check that every generator satisfies every b-row, so every combination
     preserves the codespace too.  A combination's level never exceeds its
     summands' largest, since v2 of a sum is at least the smaller v2, so the
@@ -839,8 +880,9 @@ def transversal_nogo_harness(
         raise ValueError(f"modulus_log2 must be >= 1 and <= {MAX_MODULUS_LOG2}")
     if not 0 <= samples <= MAX_SAMPLES:
         raise ValueError(f"samples must be >= 0 and <= {MAX_SAMPLES}")
-    gens, preserving, actions = _linear_survey(code, modulus_log2, samples, seed)
-    levels = [hierarchy_level(action) for action in actions]
+    gens, preserving, monomials, vectors, _ = _linear_survey(code, modulus_log2, samples, seed)
+    sizes = [len(t) for t in monomials]
+    levels = [_level(zip(sizes, vec), modulus_log2) for vec in vectors]
     if gens:
         w = max(range(len(gens)), key=levels.__getitem__)
         f = PhasePolynomial(

@@ -32,6 +32,16 @@ def toric_code(t, length):
     return css.assemble_css(product.build_product(seeds), 1)
 
 
+def sparse_rows(rows):
+    """Dense matrix rows as the {column: entry} mappings the kernel reads."""
+    return [{j: x for j, x in enumerate(row) if x} for row in rows]
+
+
+def dense_rows(rows, ncols):
+    """Sparse {column: entry} rows expanded back to dense ncols-tuples."""
+    return [tuple(row.get(j, 0) for j in range(ncols)) for row in rows]
+
+
 def set_mixed_logical_basis(bare, code, rng):
     """Give bare (code's checks) a different logical basis: dress each
     representative with random stabilizers and mix pairs so that the pairing
@@ -599,11 +609,11 @@ class TestSupportCalculus:
 
 class TestKernelModPowerOfTwo:
     def test_single_congruence(self):
-        gens = kernel_mod_power_of_two([[2]], 1, 3)
+        gens = kernel_mod_power_of_two(sparse_rows([[2]]), 1, 3)
         assert gens == [(4,)]
 
     def test_sum_congruence(self):
-        gens = kernel_mod_power_of_two([[1, 1]], 2, 3)
+        gens = kernel_mod_power_of_two(sparse_rows([[1, 1]]), 2, 3)
         span = {(0, 0)}
         for g in gens:
             span = {
@@ -622,7 +632,7 @@ class TestKernelModPowerOfTwo:
             ncols = rng.randrange(1, 5)
             nrows = rng.randrange(1, 4)
             rows = [[rng.randrange(mod) for _ in range(ncols)] for _ in range(nrows)]
-            gens = kernel_mod_power_of_two(rows, ncols, m)
+            gens = kernel_mod_power_of_two(sparse_rows(rows), ncols, m)
             # every generator solves the system
             for g in gens:
                 for row in rows:
@@ -693,7 +703,7 @@ class TestPackedKernelAgainstLists:
             if rows and i % 3 == 2:
                 rows[rng.randrange(len(rows))] = [2 * rng.randrange(mod) for _ in range(ncols)]
             expected = list_kernel_mod_power_of_two(rows, ncols, m)
-            assert kernel_mod_power_of_two(rows, ncols, m) == expected, (rows, ncols, m)
+            assert kernel_mod_power_of_two(sparse_rows(rows), ncols, m) == expected, (rows, ncols, m)
             seen.add((m, len(rows), ncols))
         assert {m for m, nrows, _ in seen if nrows == 0} == set(range(1, 9))
         assert {ncols for _, _, ncols in seen} == set(range(13))
@@ -701,8 +711,8 @@ class TestPackedKernelAgainstLists:
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_congruence_systems(self, m):
         for code in TestKernelAgainstSmithForm.congruence_codes():
-            rows, _ = diagonal._preservation_congruences(code, m)
-            expected = list_kernel_mod_power_of_two(rows, code.n, m)
+            rows, _, _ = diagonal._preservation_congruences(code, m)
+            expected = list_kernel_mod_power_of_two(dense_rows(rows, code.n), code.n, m)
             assert kernel_mod_power_of_two(rows, code.n, m) == expected, (code.n, m)
 
     def test_lanes_hold_the_largest_products(self):
@@ -719,7 +729,7 @@ class TestPackedKernelAgainstLists:
                 for _ in range(rng.randrange(1, 5))
             ]
             expected = list_kernel_mod_power_of_two(rows, ncols, m)
-            assert kernel_mod_power_of_two(rows, ncols, m) == expected, rows
+            assert kernel_mod_power_of_two(sparse_rows(rows), ncols, m) == expected, rows
 
 
 class TestKernelAgainstSmithForm:
@@ -801,7 +811,7 @@ class TestKernelAgainstSmithForm:
         return span
 
     def check_counts_and_rows(self, rows, ncols, m):
-        gens = kernel_mod_power_of_two(rows, ncols, m)
+        gens = kernel_mod_power_of_two(sparse_rows(rows), ncols, m)
         vals, ref = self.smith_form(rows, ncols, m)
         assert len(gens) == len(ref) == ncols - self.rank_mod_2(rows, ncols)
         for g in gens:
@@ -855,8 +865,8 @@ class TestKernelAgainstSmithForm:
         # the new generators solve M, and the module they span has the order of
         # the solution module, so the two are equal
         for code in self.congruence_codes():
-            rows, _ = diagonal._preservation_congruences(code, m)
-            gens, vals, _ = self.check_counts_and_rows(rows, code.n, m)
+            rows, _, _ = diagonal._preservation_congruences(code, m)
+            gens, vals, _ = self.check_counts_and_rows(dense_rows(rows, code.n), code.n, m)
             solution_log2 = sum(vals) + m * (code.n - len(vals))
             span_vals, _ = self.smith_form(gens, code.n, m)
             assert sum(m - b for b in span_vals) == solution_log2, (code.n, m)
@@ -924,7 +934,7 @@ class TestNogoHarness:
             for c in itertools.product(range(mod), repeat=code.n)
             if all(len({phase(c, x) for x in coset}) == 1 for coset in cosets)
         }
-        rows, _ = diagonal._preservation_congruences(code, m)
+        rows, _, _ = diagonal._preservation_congruences(code, m)
         gens = kernel_mod_power_of_two(rows, code.n, m)
         span = {(0,) * code.n}
         for g in gens:
@@ -1018,8 +1028,10 @@ class TestLinearSurveyDifferential:
         mod = 1 << m
         compared = several = 0
         for code in self.codes():
-            gens, preserving, actions = diagonal._linear_survey(code, m, self.SAMPLES, m)
-            assert all(preserving) and len(actions) == len(gens) + self.SAMPLES
+            gens, preserving, monomials, vectors, a_total = diagonal._linear_survey(
+                code, m, self.SAMPLES, m
+            )
+            assert all(preserving) and len(vectors) == len(gens) + self.SAMPLES
             # the samples over the qubits, drawn as the survey draws them
             rng = random.Random(m)
             solutions = list(gens)
@@ -1028,7 +1040,9 @@ class TestLinearSurveyDifferential:
                 solutions.append(
                     [sum(lam * g[i] for lam, g in zip(lams, gens)) % mod for i in range(code.n)]
                 )
-            for sol, action in zip(solutions, actions):
+            keys = [frozenset(t) for t in monomials]
+            for sol, vec in zip(solutions, vectors):
+                action = PhasePolynomial(a_total, m, dict(zip(keys, vec)))
                 f = PhasePolynomial(code.n, m, {(i,): c for i, c in enumerate(sol) if c})
                 assert preserves_codespace(f, code, copies=1)
                 assert action == logical_action(f, code, copies=1), (code.n, m)
@@ -1036,6 +1050,95 @@ class TestLinearSurveyDifferential:
                 several += any(len(mono) > 1 for mono, _ in action.terms())
         assert compared >= 11 * (self.SAMPLES + 1)
         assert several or m == 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 4),
+        st.lists(
+            st.tuples(st.frozensets(st.integers(0, 3)), st.integers(-100, 100)),
+            max_size=6,
+            unique_by=lambda term: term[0],
+        ),
+    )
+    def test_levels_off_a_vector_agree_with_hierarchy_level(self, m, terms):
+        # the survey's levels come from unreduced (|T|, c) pairs; the
+        # polynomial reduces mod 2^m, drops zeros and keeps the constant
+        f = PhasePolynomial(4, m, dict(terms))
+        level = diagonal._level(((len(t), c) for t, c in terms), m)
+        assert level == hierarchy_level(f) == level_by_truth_tables(f)
+
+
+def reference_preserving(rows, gens, modulus_log2):
+    """Reference: the rows x generators b-row check over dense rows, as the
+    survey made it before its packed lanes."""
+    mod = 1 << modulus_log2
+    cols = list(zip(*gens))  # qubit i's entry in every generator
+    preserving = [True] * len(gens)
+    for row in rows:
+        support = [i for i, x in enumerate(row) if x]
+        for j, total in enumerate(map(sum, zip(*(cols[i] for i in support)))):
+            if row[support[0]] * total % mod:
+                preserving[j] = False
+    return preserving
+
+
+class TestPackedRowCheck:
+    """The survey's packed b-row check against the rows x generators check,
+    on generator lists the kernel is patched to return."""
+
+    @staticmethod
+    def survey_preserving(monkeypatch, code, m, gens, rows=None):
+        if rows is not None:
+            monkeypatch.setattr(
+                diagonal, "_preservation_congruences", lambda *args: (rows, [], 0)
+            )
+        monkeypatch.setattr(diagonal, "kernel_mod_power_of_two", lambda *args: gens)
+        got, preserving, _, vectors, _ = diagonal._linear_survey(code, m, 0, 0)
+        assert got == gens and len(vectors) == len(gens)
+        return preserving
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_a_non_solution_at_the_first_a_middle_and_the_last_lane(self, monkeypatch, m):
+        checked = 0
+        for code in TestLinearSurveyDifferential.codes():
+            rows, _, _ = diagonal._preservation_congruences(code, m)
+            if not rows:
+                continue
+            gens = kernel_mod_power_of_two(rows, code.n, m)
+            dense = dense_rows(rows, code.n)
+            # a unit vector on a qubit of a row of weight 2^k < 2^m breaks it
+            q = min(rows[len(rows) // 2])
+            bad = tuple(int(i == q) for i in range(code.n))
+            for at in (0, len(gens) // 2, len(gens)):
+                with monkeypatch.context() as patch:
+                    trial = gens[:at] + [bad] + gens[at:]
+                    preserving = self.survey_preserving(patch, code, m, trial)
+                expected = reference_preserving(dense, trial, m)
+                assert preserving == expected, (code.n, m, at)
+                assert [j for j, ok in enumerate(preserving) if not ok] == [at]
+                checked += 1
+        assert checked >= 3 * 9
+
+    def test_lanes_hold_the_widest_row_at_the_largest_entries(self, monkeypatch):
+        # m = 8: a 15-qubit row sums entries 2^m - 1 to 3825 < 2^12, inside a
+        # two-byte lane; times a weight of 2^7 it would spill into the next
+        # lane and fail the solution there.  Each row alone checks its
+        # weight's mask: 2 on one qubit holds only under the weight 2^7.
+        m = diagonal.MAX_MODULUS_LOG2
+        top, code = (1 << m) - 1, toric_code(2, 3)
+        rows = [dict.fromkeys(range(15), 1 << k) for k in reversed(range(m))]
+        rows += [{0: 1 << (m - 1), 1: 1 << (m - 1)}, {16: 1, 17: 1}]
+        full, zero = (top,) * 15 + (0,) * 3, (0,) * code.n
+        halves = (1 << (m - 1),) * 2 + (0,) * 16
+        two = (2,) + (0,) * 17
+        gens = [full, zero, full, halves, two, zero, (1,) * 15 + (0, 1, top), full]
+        verdicts = []
+        for system in [rows] + [[row] for row in rows]:
+            with monkeypatch.context() as patch:
+                verdicts.append(self.survey_preserving(patch, code, m, gens, system))
+            assert verdicts[-1] == reference_preserving(dense_rows(system, code.n), gens, m)
+        assert verdicts[0] == [False, True, False, True, False, True, False, False]
+        assert verdicts[1] == [False, True, False, True, True, True, False, False]  # weight 2^7
 
 
 class TestPreservationDifferential:
@@ -1203,10 +1306,11 @@ class TestCongruenceDifferential:
             code = self.random_code(rng, kind)
             m = 1 + (i // len(kinds)) % 4
             mod = 1 << m
-            new_rows, _ = diagonal._preservation_congruences(code, m)
+            new_rows, _, _ = diagonal._preservation_congruences(code, m)
+            new_rows = dense_rows(new_rows, code.n)
             old_rows = self.per_hx_row(code, m)
-            new_gens = kernel_mod_power_of_two(new_rows, code.n, m)
-            old_gens = kernel_mod_power_of_two(old_rows, code.n, m)
+            new_gens = kernel_mod_power_of_two(sparse_rows(new_rows), code.n, m)
+            old_gens = kernel_mod_power_of_two(sparse_rows(old_rows), code.n, m)
             assert self.satisfies(new_gens, old_rows, mod), (i, kind, m)
             assert self.satisfies(old_gens, new_rows, mod), (i, kind, m)
             assert len(new_gens) == len(old_gens), (i, kind, m)
@@ -1220,8 +1324,8 @@ class TestStabilizerCoordinates:
 
     @staticmethod
     def build(name):
-        if name == "toric t=2 L=8":
-            return toric_code(2, 8)
+        if name.startswith("toric t=2 L="):
+            return toric_code(2, int(name[len("toric t=2 L="):]))
         if name == "toric t=3 L=3":
             return toric_code(3, 3)
         if name == "hamming hgp":
@@ -1249,10 +1353,37 @@ class TestStabilizerCoordinates:
         if name == "hand-built":
             assert g_index[:3] == [1, 2, 5]
 
-    @pytest.mark.parametrize("name", ["toric t=2 L=8", "toric t=3 L=3", "hamming hgp", "hand-built"])
+    @staticmethod
+    def dense_congruence_rows(code, m):
+        """Reference: the b-rows as the distinct dense n-tuples, sorted, built
+        as the survey built them before its rows were sparse."""
+        images, a_total, _, _ = diagonal._images(code, 1)
+        members = {}
+        for i, img in enumerate(images):
+            for size in range(1, m + 1):
+                for t in itertools.combinations(img, size):
+                    members.setdefault(t, []).append(i)
+        rows = set()
+        for t, qubits in members.items():
+            if t[-1] >= a_total:
+                row = [0] * code.n
+                for i in qubits:
+                    row[i] = 1 << (len(t) - 1)
+                rows.add(tuple(row))
+        return sorted(rows)
+
+    @pytest.mark.parametrize(
+        "name",
+        [f"toric t=2 L={length}" for length in range(3, 9)]
+        + ["toric t=3 L=3", "hamming hgp", "hand-built"],
+    )
     def test_congruence_rows_are_distinct_and_sorted(self, name):
-        rows, _ = diagonal._preservation_congruences(self.build(name), 4)
-        assert rows == sorted(set(map(tuple, rows)))
+        # the sparse rows come in the order of the sorted dense rows, which
+        # fixes the kernel's pivots and so its generators
+        code = self.build(name)
+        for m in (1, 2, 3, 4):
+            rows, _, _ = diagonal._preservation_congruences(code, m)
+            assert dense_rows(rows, code.n) == self.dense_congruence_rows(code, m), m
         if name == "hamming hgp":
             assert len(rows) == 141  # 286 before duplicates were dropped
 
