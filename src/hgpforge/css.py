@@ -140,6 +140,12 @@ class CssCode:
     `hz_space` are their row spaces, `rank_hx` and `rank_hz` the ranks, and
     `hx_basis_rows` the indices of the Hx rows that extend the span of the
     rows before them, in row order.
+
+    The CSS condition Hx Hz^T = 0 is checked once per code.  When Hx and Hz
+    are the very matrices `complex.boundary(level)` and
+    `complex.transposed_boundary(level + 1)`, as `assemble_css` passes them,
+    the product is the dd = 0 that `ProductComplex` asserted when it was
+    built, and it is not formed again; any other pair is multiplied here.
     """
 
     def __init__(
@@ -151,8 +157,9 @@ class CssCode:
     ):
         if hx.cols != hz.cols:
             raise ValueError("Hx and Hz qubit counts differ")
-        if not f2la.matmul(hx, f2la.transpose(hz)).is_zero():
-            raise ValueError("Hx @ Hz^T != 0: not a CSS pair")
+        if not _complex_maps(complex, level, hx, hz):
+            if not f2la.matmul(hx, f2la.transpose(hz)).is_zero():
+                raise ValueError("Hx @ Hz^T != 0: not a CSS pair")
         self.hx = hx
         self.hz = hz
         self.n = hx.cols
@@ -207,6 +214,18 @@ class CssCode:
         self.logicals = LogicalBasis(wrapped_x, wrapped_z, pairing)
 
 
+def _complex_maps(
+    pc: Optional[ProductComplex], level: Optional[int], hx: BinaryMatrix, hz: BinaryMatrix
+) -> bool:
+    """True when hx and hz are pc's own maps out of and into `level`."""
+    return (
+        pc is not None
+        and level in range(1, pc.t)
+        and hx is pc.boundary(level)
+        and hz is pc.transposed_boundary(level + 1)
+    )
+
+
 def _check_logical(code: CssCode, v: int, kind: str):
     if kind == "X":
         checks, name, space = code.hz, "Hz", code.hx_space
@@ -222,9 +241,9 @@ def assemble_css(pc: ProductComplex, level: int) -> CssCode:
     """CSS code on level `level` of the product, 1 <= level <= t-1."""
     if not (1 <= level <= pc.t - 1):
         raise ValueError(f"level must be in [1, {pc.t - 1}] for t={pc.t}")
-    hx = pc.boundary(level)
-    hz = f2la.transpose(pc.boundary(level + 1))
-    return CssCode(hx, hz, complex=pc, level=level)
+    return CssCode(
+        pc.boundary(level), pc.transposed_boundary(level + 1), complex=pc, level=level
+    )
 
 
 def kunneth_parameters(pc: ProductComplex, level: int) -> KunnethParameters:

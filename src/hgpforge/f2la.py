@@ -10,7 +10,6 @@ Matrices are immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
@@ -37,13 +36,13 @@ class BinaryMatrix:
             raise ValueError("matrix dimensions must be non-negative")
         if len(bits) != rows:
             raise ValueError(f"expected {rows} row words, got {len(bits)}")
-        mask = _full_mask(cols)
-        for r, word in enumerate(bits):
-            if word < 0 or word & ~mask:
-                raise ValueError(f"row {r} has bits outside {cols} columns")
+        bits = tuple(bits)
+        if bits and (min(bits) < 0 or max(bits) >> cols):
+            r = next(r for r, word in enumerate(bits) if word < 0 or word >> cols)
+            raise ValueError(f"row {r} has bits outside {cols} columns")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "bits", tuple(bits))
+        object.__setattr__(self, "bits", bits)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard rail
         raise AttributeError("BinaryMatrix is immutable")
@@ -159,13 +158,11 @@ class RrefResult:
 def rref(m: BinaryMatrix) -> RrefResult:
     """Reduced row-echelon form over GF(2), pivots leftmost-first.
 
-    The reduced rows are the basis of RowSpace(m), padded with zero rows;
-    each pivot is its row's lowest set bit.
+    The reduced rows are the reduced basis of RowSpace(m), padded with zero
+    rows; each pivot is its row's lowest set bit.
     """
-    space = RowSpace(m)
-    basis = [word for _, word in space._rows]
-    pivots = tuple(low.bit_length() - 1 for low, _ in space._rows)
-    reduced = BinaryMatrix(m.rows, m.cols, basis + [0] * (m.rows - len(basis)))
+    pivots, basis = RowSpace(m)._reduced_basis()
+    reduced = BinaryMatrix(m.rows, m.cols, basis + (0,) * (m.rows - len(basis)))
     return RrefResult(reduced, pivots, len(basis))
 
 
@@ -198,15 +195,18 @@ def row_combination(m: BinaryMatrix, v: int) -> int:
 
 
 def kron(a: BinaryMatrix, b: BinaryMatrix) -> BinaryMatrix:
-    """Kronecker product; entry ((ia*rb + ib), (ja*cb + jb)) = a[ia,ja]*b[ib,jb]."""
+    """Kronecker product; entry ((ia*rb + ib), (ja*cb + jb)) = a[ia,ja]*b[ib,jb].
+
+    Row (ia, ib) is b's row ib times a's row ia spread to one bit per
+    b.cols-bit lane: the copies of b's row sit in disjoint lanes, so the
+    product has no carries.
+    """
     out = []
     for arow in a.bits:
-        cols_a = indices_of(arow)
-        for brow in b.bits:
-            word = 0
-            for ja in cols_a:
-                word |= brow << (ja * b.cols)
-            out.append(word)
+        spread = 0
+        for ja in indices_of(arow):
+            spread |= 1 << (ja * b.cols)
+        out += [brow * spread for brow in b.bits]
     return BinaryMatrix(a.rows * b.rows, a.cols * b.cols, out)
 
 
@@ -228,18 +228,19 @@ def kernel_basis(m: BinaryMatrix | RowSpace) -> BinaryMatrix:
     carries a 1 at f and reproduces the bound pivot entries, so the result
     is deterministic and in a canonical (echelon-complement) form.  The
     kernel depends on the row space alone, so m may be a RowSpace already
-    built, whose reduced basis is read instead of eliminating again.
+    built, whose reduced basis is read instead of eliminating again.  One
+    pass over the reduced rows sets pivot p in the vector of every free
+    column that p's row holds.
     """
     space = m if isinstance(m, RowSpace) else RowSpace(m)
-    pivots = [low.bit_length() - 1 for low, _ in space._rows]
+    pivots, basis = space._reduced_basis()
     pivot_set = set(pivots)
-    columns = transpose(BinaryMatrix(space.rank, space.cols, [w for _, w in space._rows])).bits
-    rows = [
-        (1 << f) | lift(columns[f], pivots)
-        for f in range(space.cols)
-        if f not in pivot_set
-    ]
-    return BinaryMatrix(len(rows), space.cols, rows)
+    free = {f: 1 << f for f in range(space.cols) if f not in pivot_set}
+    for p, word in zip(pivots, basis):
+        bit = 1 << p
+        for f in indices_of(word ^ bit):
+            free[f] |= bit
+    return BinaryMatrix(len(free), space.cols, list(free.values()))
 
 
 def solve(m: BinaryMatrix, b: int) -> Optional[int]:
@@ -337,13 +338,16 @@ def lightest_word(
 
 
 class RowSpace:
-    """Row space over GF(2), kept as its reduced row-echelon basis.
+    """Row space over GF(2), kept as a row-echelon basis.
 
-    `extend` is the package's one Gauss-Jordan elimination: rref, rank and
-    every membership test go through it.  Each basis row is stored with its
-    pivot as a low-bit mask, in ascending pivot order, and no row has a 1 in
-    another row's pivot column.  The RREF of a span is unique, so the basis
-    does not depend on the order the rows arrive in.  RowSpace(m) extends
+    Each basis row is stored under its pivot, its lowest set bit as a
+    low-bit mask, and no two rows share a pivot.  `extend` is the forward
+    half of the package's one Gauss-Jordan elimination: it strips a new
+    row's lowest bit by pivot lookups and stores what is left, rewriting no
+    stored row.  `_reduced_basis` is the back half: it reads the reduced
+    row-echelon basis off the echelon rows, for rref and kernel_basis.  The
+    pivots, and so the RREF and the coset keys of `reduce`, depend on the
+    span alone, not on the order the rows arrive in.  RowSpace(m) extends
     by the rows of m in order; RowSpace(cols=n) starts empty.
     """
 
@@ -351,7 +355,9 @@ class RowSpace:
         if m is None and cols is None:
             raise ValueError("need a matrix or an explicit column count")
         self.cols = cols if m is None else m.cols
-        self._rows: list[tuple[int, int]] = []  # (pivot low-bit mask, reduced row)
+        self._rows: dict[int, int] = {}  # pivot low-bit mask -> echelon row
+        self._pivots = 0  # OR of the pivot masks
+        self._reduced: Optional[tuple[tuple[int, ...], tuple[int, ...]]] = None
         if m is not None:
             for word in m.bits:
                 self.extend(word)
@@ -361,26 +367,62 @@ class RowSpace:
         return len(self._rows)
 
     def reduce(self, v: int) -> int:
-        for low, word in self._rows:
-            if v & low:
-                v ^= word
+        """v with every pivot bit cleared: one key per coset of the span."""
+        rows, pivots = self._rows, self._pivots
+        hit = v & pivots
+        while hit:
+            # A row touches no bit below its pivot, so the lowest pivot bit
+            # of v only moves up.
+            v ^= rows[hit & -hit]
+            hit = v & pivots
         return v
 
     def contains(self, v: int) -> bool:
-        return self.reduce(v) == 0
+        rows = self._rows
+        while v:
+            row = rows.get(v & -v)
+            if row is None:
+                return False
+            v ^= row
+        return True
 
     def extend(self, v: int) -> bool:
         """Add v to the span; returns True if it was independent."""
-        v = self.reduce(v)
-        if v == 0:
-            return False
-        low = v & -v
-        # Clear the new pivot column from the other rows so the basis stays reduced.
-        for i, (row_low, word) in enumerate(self._rows):
-            if word & low:
-                self._rows[i] = (row_low, word ^ v)
-        bisect.insort(self._rows, (low, v))
-        return True
+        rows = self._rows
+        while v:
+            low = v & -v
+            row = rows.get(low)
+            if row is None:
+                rows[low] = v
+                self._pivots |= low
+                self._reduced = None
+                return True
+            v ^= row
+        return False
+
+    def _reduced_basis(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(pivot columns, reduced rows), both in ascending pivot order.
+
+        Back-substitution in descending pivot order: a row's pivot bits
+        above its own are cleared by the rows already reduced, which hold
+        no other pivot bit.  Kept until the next `extend`.
+        """
+        if self._reduced is None:
+            pivots, done = self._pivots, {}
+            for low in sorted(self._rows, reverse=True):
+                row = self._rows[low]
+                hit = (row & pivots) ^ low
+                while hit:
+                    above = hit & -hit
+                    row ^= done[above]
+                    hit ^= above
+                done[low] = row
+            order = sorted(done)
+            self._reduced = (
+                tuple(low.bit_length() - 1 for low in order),
+                tuple(done[low] for low in order),
+            )
+        return self._reduced
 
 
 def compose_blocks(

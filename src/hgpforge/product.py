@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Iterable, Optional, Sequence
 
 from . import classical, f2la
@@ -31,17 +31,31 @@ class OneComplex:
     """A seed map A : F_2^n -> F_2^m with its kernel/cokernel data.
 
     ``code`` is the kernel of A viewed as a classical code (checks A) and
-    ``code_t`` the kernel of A^T.  Distances of both are computed lazily.
+    ``code_t`` the kernel of A^T.  Each is built the first time it is read
+    (by k, k_t, the distances or a canonical logical basis), so a product
+    whose callers never look at the seeds eliminates none of them.
     """
 
     def __init__(self, a: BinaryMatrix):
         self.a = a
         self.n = a.cols
         self.m = a.rows
-        self.code = ClassicalCode(a)
-        self.code_t = ClassicalCode(f2la.transpose(a))
-        self.k = self.code.k
-        self.k_t = self.code_t.k
+
+    @cached_property
+    def code(self) -> ClassicalCode:
+        return ClassicalCode(self.a)
+
+    @cached_property
+    def code_t(self) -> ClassicalCode:
+        return ClassicalCode(f2la.transpose(self.a))
+
+    @property
+    def k(self) -> int:
+        return self.code.k
+
+    @property
+    def k_t(self) -> int:
+        return self.code_t.k
 
     @property
     def d(self) -> int:
@@ -178,6 +192,7 @@ class ProductComplex:
         self._boundaries = {
             level: self._build_boundary(level) for level in range(1, self.t + 1)
         }
+        self._transposed: dict[int, BinaryMatrix] = {}
         for level in range(2, self.t + 1):
             prod = f2la.matmul(self._boundaries[level - 1], self._boundaries[level])
             if not prod.is_zero():
@@ -189,6 +204,12 @@ class ProductComplex:
     def boundary(self, level: int) -> BinaryMatrix:
         """The map from level to level-1, as a dim(level-1) x dim(level) matrix."""
         return self._boundaries[level]
+
+    def transposed_boundary(self, level: int) -> BinaryMatrix:
+        """boundary(level) transposed, built on first use and kept."""
+        if level not in self._transposed:
+            self._transposed[level] = f2la.transpose(self._boundaries[level])
+        return self._transposed[level]
 
     def _build_boundary(self, level: int) -> BinaryMatrix:
         src = self.tables[level]

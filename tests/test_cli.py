@@ -183,6 +183,31 @@ class TestDistance:
         assert widths.count(50) == 2
 
 
+class TestSeedCodes:
+    @pytest.mark.parametrize(
+        "argv, builds",
+        [
+            (["correctable", "{bundle}", "{region}"], False),
+            (["distance", "{bundle}"], False),
+            (["logicals", "{bundle}"], True),
+        ],
+    )
+    def test_only_commands_that_read_the_seeds_build_their_codes(
+        self, capsys, tmp_path, toric_bundle, monkeypatch, argv, builds
+    ):
+        region = tmp_path / "r.txt"
+        region.write_text("0 5\n")
+        built = []
+        real = classical.ClassicalCode.__init__
+        monkeypatch.setattr(
+            classical.ClassicalCode, "__init__", lambda self, h: built.append(h) or real(self, h)
+        )
+        argv = [arg.format(bundle=toric_bundle, region=region) for arg in argv]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert bool(built) == builds
+
+
 class TestCorrectable:
     def test_correctable_region(self, capsys, tmp_path, toric_bundle):
         region = tmp_path / "r.txt"

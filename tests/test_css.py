@@ -58,6 +58,37 @@ class TestAssemble:
         assert toric18.stabilizer_weight == 4
 
 
+class TestCssCondition:
+    def test_a_non_css_pair_is_rejected(self):
+        hx = BinaryMatrix.from_rows(["110"])
+        with pytest.raises(ValueError, match="not a CSS pair"):
+            css.CssCode(hx, BinaryMatrix.from_rows(["100"]))
+
+    def test_foreign_checks_beside_a_complex_are_multiplied(self, toric18, monkeypatch):
+        pc, products = toric18.complex, []
+        real = f2la.matmul
+        monkeypatch.setattr(f2la, "matmul", lambda a, b: products.append(a) or real(a, b))
+        hx = BinaryMatrix(toric18.hx.rows, toric18.n, list(toric18.hx.bits))
+        hz = BinaryMatrix(toric18.hz.rows, toric18.n, list(toric18.hz.bits))
+        code = css.CssCode(hx, hz, complex=pc, level=1)
+        assert products == [hx] and code.k == 2
+        with pytest.raises(ValueError, match="not a CSS pair"):
+            css.CssCode(pc.boundary(1), BinaryMatrix(1, 18, [1]), complex=pc, level=1)
+        assert len(products) == 2
+
+    def test_assemble_css_forms_dd_once_per_code(self, monkeypatch):
+        products = []
+        real = f2la.matmul
+        monkeypatch.setattr(
+            f2la, "matmul", lambda a, b: products.append((a.rows, a.cols, b.cols)) or real(a, b)
+        )
+        pc = product.build_product([classical.cyclic_repetition_check(3)] * 3)
+        # ProductComplex asserts d_1 d_2 = 0 and d_2 d_3 = 0 (dims 27, 81, 81, 27)
+        assert products == [(27, 81, 81), (81, 81, 27)]
+        codes = [css.assemble_css(pc, level) for level in (1, 2)]
+        assert len(products) == 2 and [c.k for c in codes] == [3, 3]
+
+
 class TestKunneth:
     def test_toric18(self, toric18):
         params = css.kunneth_parameters(toric18.complex, 1)

@@ -234,6 +234,14 @@ class TestEdgeShapes:
         with pytest.raises(ValueError):
             BinaryMatrix(1, 2, [0b100])
 
+    @pytest.mark.parametrize(
+        "bits, row",
+        [([0b11, -1, 0b01], 1), ([0b01, 0b10, 0b100], 2), ([0b1000, -2], 0)],
+    )
+    def test_row_outside_the_columns_is_named(self, bits, row):
+        with pytest.raises(ValueError, match=f"^row {row} has bits outside 2 columns$"):
+            BinaryMatrix(len(bits), 2, bits)
+
     def test_compose_blocks(self):
         a = BinaryMatrix.identity(2)
         m = f2la.compose_blocks(2, 4, [(0, 0, a), (0, 2, a)])

@@ -4,14 +4,16 @@ Every instance is small enough that the oracle enumerates all 2^n vectors
 or all subsets outright.
 """
 
+import bisect
 import itertools
+import random
 from functools import reduce
 from operator import xor
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hgpforge import classical, correctability, f2la
+from hgpforge import classical, correctability, f2la, product
 from hgpforge.f2la import BinaryMatrix
 
 MAX_N = 7
@@ -73,6 +75,78 @@ def rows_with_repeats(draw, max_rows=8, max_cols=MAX_N):
 ELIMINATION_INPUTS = st.one_of(matrices(max_rows=8), rows_with_repeats())
 
 
+class GaussJordanRowSpace:
+    """Reference row space kept in reduced row-echelon form: each new pivot
+    is cleared from every stored row, and `reduce` runs over all of them."""
+
+    def __init__(self, cols):
+        self.cols = cols
+        self.rows = []  # (pivot low-bit mask, reduced row), ascending pivot
+
+    def reduce(self, v):
+        for low, word in self.rows:
+            if v & low:
+                v ^= word
+        return v
+
+    def extend(self, v):
+        v = self.reduce(v)
+        if v == 0:
+            return False
+        low = v & -v
+        for i, (row_low, word) in enumerate(self.rows):
+            if word & low:
+                self.rows[i] = (row_low, word ^ v)
+        bisect.insort(self.rows, (low, v))
+        return True
+
+    def rref(self, nrows):
+        pivots = tuple(low.bit_length() - 1 for low, _ in self.rows)
+        basis = [word for _, word in self.rows]
+        reduced = BinaryMatrix(nrows, self.cols, basis + [0] * (nrows - len(basis)))
+        return f2la.RrefResult(reduced, pivots, len(basis))
+
+    def kernel_basis(self):
+        """One vector per free column f: f itself plus the pivots whose
+        reduced row holds f."""
+        out = []
+        for f in range(self.cols):
+            if any(low >> f & 1 for low, _ in self.rows):
+                continue
+            word = 1 << f
+            for low, row in self.rows:
+                if row >> f & 1:
+                    word |= low
+            out.append(word)
+        return BinaryMatrix(len(out), self.cols, out)
+
+
+def seeded_matrices():
+    """Random matrices of several shapes and densities, and the boundary
+    maps of toric and random products with their transposes."""
+    rng = random.Random(2026)
+    out = []
+    for _ in range(60):
+        rows, cols = rng.randrange(0, 24), rng.randrange(0, 40)
+        density = rng.choice((0.05, 0.2, 0.5))
+        words = [
+            sum(1 << j for j in range(cols) if rng.random() < density) for _ in range(rows)
+        ]
+        out.append(BinaryMatrix(rows, cols, words))
+    complexes = [
+        product.build_product([classical.cyclic_repetition_check(length)] * t)
+        for t, length in ((2, 3), (2, 5), (3, 3))
+    ]
+    for _ in range(6):
+        shapes = [rng.choice(((3, 4), (4, 4), (4, 5), (2, 3))) for _ in range(rng.choice((2, 3)))]
+        seeds = [BinaryMatrix(r, c, [rng.getrandbits(c) for _ in range(r)]) for r, c in shapes]
+        complexes.append(product.build_product(seeds))
+    for pc in complexes:
+        for level in range(1, pc.t + 1):
+            out += [pc.boundary(level), f2la.transpose(pc.boundary(level))]
+    return out
+
+
 class TestElimination:
     @SETTINGS
     @given(ELIMINATION_INPUTS)
@@ -103,6 +177,40 @@ class TestElimination:
         assert f2la.kernel_basis(f2la.RowSpace(m)) == basis
         assert basis.rows == m.cols - f2la.rank(m)
         assert span(basis.bits) == set(codewords(m))
+
+
+class TestEchelonRowSpace:
+    """The echelon RowSpace against the Gauss-Jordan reference."""
+
+    def test_matches_gauss_jordan(self):
+        rng = random.Random(7)
+        for m in seeded_matrices():
+            space, ref = f2la.RowSpace(cols=m.cols), GaussJordanRowSpace(m.cols)
+            for row in m.bits:
+                assert space.extend(row) == ref.extend(row)
+            assert space.rank == f2la.rank(m) == len(ref.rows)
+            assert f2la.rref(m) == ref.rref(m.rows)
+            assert f2la.kernel_basis(m) == f2la.kernel_basis(space) == ref.kernel_basis()
+            probes = [rng.getrandbits(m.cols) for _ in range(20)]
+            probes += [f2la.row_combination(m, rng.getrandbits(m.rows)) for _ in range(20)]
+            for v in probes:
+                assert space.reduce(v) == ref.reduce(v)
+                assert space.contains(v) == (ref.reduce(v) == 0)
+
+    def test_reduced_basis_follows_each_extend(self):
+        for m in seeded_matrices()[:30]:
+            space, ref = f2la.RowSpace(cols=m.cols), GaussJordanRowSpace(m.cols)
+            for row in m.bits:
+                space.extend(row)
+                ref.extend(row)
+                assert f2la.kernel_basis(space) == ref.kernel_basis()
+
+    @SETTINGS
+    @given(ELIMINATION_INPUTS, st.data())
+    def test_reduce_is_one_key_per_coset(self, m, data):
+        x, y = (data.draw(st.integers(0, (1 << m.cols) - 1)) for _ in range(2))
+        space = f2la.RowSpace(m)
+        assert (space.reduce(x) == space.reduce(y)) == ((x ^ y) in span(m.bits))
 
 
 class TestSolve:
@@ -178,6 +286,19 @@ class TestLightestWord:
         else:
             # the walk was cut after more than budget of the 2^rank - 1 subsets
             assert len(candidates) > budget
+
+
+class TestKron:
+    @SETTINGS
+    @given(matrices(max_rows=3, max_cols=4), matrices(max_rows=3, max_cols=4))
+    def test_entrywise(self, a, b):
+        k = f2la.kron(a, b)
+        assert (k.rows, k.cols) == (a.rows * b.rows, a.cols * b.cols)
+        for ia, ib, ja, jb in itertools.product(
+            range(a.rows), range(b.rows), range(a.cols), range(b.cols)
+        ):
+            entry = k.get(ia * b.rows + ib, ja * b.cols + jb)
+            assert entry == a.get(ia, ja) * b.get(ib, jb)
 
 
 class TestColumnSupports:

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from hgpforge import classical, f2la, product
+from hgpforge import classical, css, f2la, product
 from hgpforge.f2la import BinaryMatrix
 from hgpforge.product import Hyperplane, OneComplex
 
@@ -268,3 +268,46 @@ class TestOneComplex:
         oc = OneComplex(BinaryMatrix.identity(3))
         assert oc.k == 0 and oc.k_t == 0
         assert oc.min_distance() is None
+
+    def test_seed_codes_are_built_on_first_read(self, monkeypatch):
+        built = []
+        real = classical.ClassicalCode.__init__
+
+        def spy(self, h):
+            built.append(h)
+            real(self, h)
+
+        monkeypatch.setattr(classical.ClassicalCode, "__init__", spy)
+        a = classical.cyclic_repetition_check(4)
+        oc = OneComplex(a)
+        assert built == []
+        assert oc.k == 1 and built == [a]
+        assert oc.k_t == 1 and oc.d == 4 and oc.d_t == 4
+        assert built == [a, f2la.transpose(a)]
+
+    def test_lazy_seed_data_equals_eager(self):
+        rng = random.Random(11)
+        shapes = [(0, 3), (3, 0), (0, 0), (2, 2), (3, 4), (4, 3), (4, 5), (5, 4)]
+        for _ in range(12):
+            seeds = [
+                random_matrix(rng, *rng.choice(shapes), rng.choice((0.3, 0.6)))
+                for _ in range(rng.choice((2, 3)))
+            ]
+            lazy = product.build_product(seeds)
+            for fac, a in zip(lazy.factors, seeds):
+                code = classical.ClassicalCode(a)
+                code_t = classical.ClassicalCode(f2la.transpose(a))
+                assert (fac.k, fac.k_t) == (code.k, code_t.k)
+                assert fac.k == a.cols - f2la.rank(a) and fac.k_t == a.rows - f2la.rank(a)
+                if code.k:
+                    assert fac.d == classical.distance(code)
+                if code_t.k:
+                    assert fac.d_t == classical.distance(code_t)
+            eager = product.build_product(seeds)
+            # read both seed codes of every factor before any parameter
+            assert all(fac.code.n == fac.n and fac.code_t.n == fac.m for fac in eager.factors)
+            for level in range(1, lazy.t):
+                fresh = product.build_product(seeds)
+                params = css.kunneth_parameters(fresh, level)
+                assert params == css.kunneth_parameters(eager, level)
+                assert params.k == css.assemble_css(fresh, level).k
