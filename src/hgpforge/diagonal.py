@@ -12,12 +12,18 @@ ever enumerated.  The codespace check and the logical action share one
 pullback of f to x = L a + G b (L the X logicals, G the independent Hx
 rows), which expands each XOR multilinearly and prunes branches whose
 coefficient 2-adic valuation reaches the modulus, keeping it polynomial-
-sized.  The pullback reads only the images of f's variables, lists their
-subsets once as bitmasks and accumulates monomials as integers.  The last
-pullback is kept on the code, so a claim checked for codespace preservation
-and then for its logical action is pulled back once.  The per-qubit images
-are built once per code and copy count and kept on the code while its
-logical basis object stays the same.
+sized.  The pullback reads only the images of f's variables, builds each
+once as a bitmask and accumulates monomials as integers.  Terms of
+coefficient 2^(m-1), which every C^(t-1)Z gate has, are pulled back mod 2:
+2^(m-1) * g mod 2^m depends only on g mod 2, and mod 2 each factor is a
+GF(2) linear form.  Such terms that share every variable but the highest
+fold into one linear form, an XOR of image masks, and are expanded once,
+over singletons only.  The result is exactly the subset expansion's; other
+terms keep that expansion.  The last pullback is kept on the code, so a
+claim checked for codespace preservation and then for its logical action
+is pulled back once.  The per-qubit images are built once per code and
+copy count and kept on the code while its logical basis object stays the
+same.
 
 The transversal no-go survey is linear: f = sum c_i x_i pulls back to the
 coefficient (-2)^(|T|-1) * (sum of c_i over the qubits whose image holds T)
@@ -252,24 +258,25 @@ def _level(terms: Iterable[tuple[int, int]], modulus_log2: int) -> int:
     )
 
 
-def _refuse_wide_terms(f: PhasePolynomial, bits: dict[int, list[int]]) -> None:
+def _refuse_wide_terms(f: PhasePolynomial, widths: dict[int, int]) -> None:
     """Raise ValueError if the pullback of a monomial of f would hold more
-    than MAX_TERM_BRANCHES branches at some step (bits: each variable's
-    deduplicated image).
+    than MAX_TERM_BRANCHES branches at some step (widths: the number of
+    distinct entries in each variable's image).
 
-    A variable lists at most 2^|image| - 1 subsets, so the widest image and
+    A variable lists at most 2^width - 1 subsets, so the widest image and
     the highest degree bound every term's branches and every listing.  Past
-    that bound, each term is counted exactly by the expansion's recurrence
-    on the branches per room left.
+    that bound, each term is counted exactly by the subset expansion's
+    recurrence on the branches per room left, also for a term that
+    `substitute` folds mod 2 and so expands less.
     """
-    widest, degree = max(map(len, bits.values()), default=0), max(map(len, f._terms), default=0)
+    widest, degree = max(widths.values(), default=0), max(map(len, f._terms), default=0)
     if max((1 << widest) - 1, 1) ** degree <= MAX_TERM_BRANCHES:
         return
     m = f.modulus_log2
     for mono, c in f._terms.items():
         rooms, peak = {m + 1 - (c & -c).bit_length(): 1}, 1  # open branches per room
         for v in sorted(mono):
-            width, grown = len(bits[v]), {}
+            width, grown = widths[v], {}
             for room, count in rooms.items():
                 for size in range(1, min(room, width) + 1):
                     left = room + 1 - size
@@ -283,52 +290,37 @@ def _refuse_wide_terms(f: PhasePolynomial, bits: dict[int, list[int]]) -> None:
             )
 
 
-def substitute(
-    f: PhasePolynomial, images: Sequence[Sequence[int]], new_nvars: int
-) -> PhasePolynomial:
-    """Compose f with the GF(2)-linear map x_i = XOR of images[i], each
-    distinct entry of an image counted once.
+def _singletons(mask: int) -> list[int]:
+    """The set bits of mask, each as its own int."""
+    return [1 << j for j in f2la.indices_of(mask)]
 
-    The XOR of p bits has multilinear form sum over nonempty subsets T of
-    (-2)^(|T|-1) * product(T), so a degree-d monomial expands into a
-    product of such sums.  Branches whose coefficient valuation reaches m
-    are pruned, which caps the expansion sharply for small m.
 
-    Only the images of f's variables are read: each is deduplicated and
-    range-checked, and its subsets are listed once as (size, bitmask) pairs
-    up to the deepest size a term holding the variable can reach, m - v2(c).
-    Monomials are accumulated as bitmasks; an image of a variable f does not
-    use is never read, so an out-of-range one raises nothing.  Before any
-    subset is listed, `_refuse_wide_terms` refuses a monomial whose
-    expansion would hold more than MAX_TERM_BRANCHES branches.
+def _expand_subsets(
+    terms: list[tuple[Monomial, int]], masks: dict[int, int], m: int
+) -> dict[int, int]:
+    """Pull the (monomial, coefficient) terms back by the subset expansion:
+    {monomial mask: coefficient mod 2^m}, zero coefficients left out.
+
+    Each variable's subsets are listed once, as (size, bitmask) pairs up to
+    the deepest size a term holding it can reach, m - v2(c).
     """
-    if len(images) != f.nvars:
-        raise ValueError("need one image per variable")
-    m = f.modulus_log2
     mod = 1 << m
     reach: dict[int, int] = {}
-    for mono, c in f._terms.items():
+    for mono, c in terms:
         depth = m + 1 - (c & -c).bit_length()
         for v in mono:
             if reach.get(v, 0) < depth:
                 reach[v] = depth
-    bits: dict[int, list[int]] = {}
-    for v in reach:
-        img = sorted(set(images[v]))
-        if img and (img[0] < 0 or img[-1] >= new_nvars):
-            raise ValueError("image variable out of range")
-        bits[v] = [1 << j for j in img]
-    _refuse_wide_terms(f, bits)
-    subsets = {
-        v: [
+    subsets = {}
+    for v, depth in reach.items():
+        row = _singletons(masks[v])
+        subsets[v] = [
             (size, sum(t))
-            for size in range(1, min(reach[v], len(row)) + 1)
+            for size in range(1, min(depth, len(row)) + 1)
             for t in itertools.combinations(row, size)
         ]
-        for v, row in bits.items()
-    }
     out: dict[int, int] = {}
-    for mono, c in f._terms.items():
+    for mono, c in terms:
         # (monomial mask, coefficient, m - its valuation) per open branch
         branches = [(0, c, m + 1 - (c & -c).bit_length())]
         for v in sorted(mono):
@@ -345,6 +337,109 @@ def substitute(
             total = (out.pop(acc, 0) + coeff) % mod
             if total:
                 out[acc] = total
+    return out
+
+
+def _odd_monomials(monos: list[Monomial], masks: dict[int, int]) -> set[int]:
+    """The monomial masks of the GF(2) polynomial
+    sum over monos of prod over v in mono of (XOR of v's image), mod 2.
+
+    The monomials are grouped by their prefix, every variable but the
+    highest, and the highest variable's image masks XOR into one linear
+    form per prefix.  Each prefix is expanded once, over the singletons of
+    its variables' images, and its form XORs into the form of each branch.
+    Equal branches of different prefixes share one form, and on a
+    codespace-preserving layer almost all of these cancel.  Each bit left
+    in a branch's form then toggles the monomial branch | bit.
+    """
+    forms: dict[tuple[int, ...], int] = {}
+    for mono in monos:
+        *prefix, last = sorted(mono)
+        key = tuple(prefix)
+        form = forms.get(key)
+        # a prefix's first form is the image mask itself, not a copy of it
+        forms[key] = masks[last] if form is None else form ^ masks[last]
+    singletons: dict[int, list[int]] = {}
+    at: dict[int, int] = {}  # branch monomial -> its GF(2) linear form
+    for prefix, form in forms.items():
+        if not form:
+            continue
+        accs = [0]
+        for v in prefix:
+            bits = singletons.get(v)
+            if bits is None:
+                bits = singletons[v] = _singletons(masks[v])
+            accs = [acc | bit for acc in accs for bit in bits]
+        for acc in accs:
+            # a branch whose form cancels leaves the map
+            left = at.pop(acc, 0) ^ form
+            if left:
+                at[acc] = left
+    odd: set[int] = set()
+    for acc, form in at.items():
+        for bit in _singletons(form):
+            key = acc | bit
+            if key in odd:
+                odd.remove(key)
+            else:
+                odd.add(key)
+    return odd
+
+
+def substitute(
+    f: PhasePolynomial, images: Sequence[Sequence[int]], new_nvars: int
+) -> PhasePolynomial:
+    """Compose f with the GF(2)-linear map x_i = XOR of images[i], each
+    distinct entry of an image counted once.
+
+    The XOR of p bits has multilinear form sum over nonempty subsets T of
+    (-2)^(|T|-1) * product(T), so a degree-d monomial expands into a
+    product of such sums.  Branches whose coefficient valuation reaches m
+    are pruned, which caps the expansion sharply for small m.
+
+    A nonconstant term of coefficient 2^(m-1) (every C^(t-1)Z gate, and
+    every term at m = 1) is pulled back mod 2 instead (`_odd_monomials`).
+    2^(m-1) * g mod 2^m depends only on g mod 2, and mod 2 each factor is the
+    GF(2) linear form of its image, so these terms sum to 2^(m-1) times the
+    product of those forms, expanded with 0/1 coefficients.  A multilinear
+    polynomial mod 2^m is fixed by its values, so the result is the one the
+    subset expansion gives; for these terms that expansion keeps only
+    singletons, since any larger subset reaches the modulus.  Terms of any
+    other valuation, and constants, keep the subset expansion
+    (`_expand_subsets`), and the two parts add up mod 2^m.
+
+    Only the images of f's variables are read: each is built once as a
+    bitmask, which drops repeated entries, after a range check.  An image
+    of a variable f does not use is never read, so an out-of-range one
+    raises nothing.  Subsets are listed only for the variables of terms
+    that are not folded.  Before anything is expanded, `_refuse_wide_terms`
+    refuses a monomial whose subset expansion would hold more than
+    MAX_TERM_BRANCHES branches.
+    """
+    if len(images) != f.nvars:
+        raise ValueError("need one image per variable")
+    m = f.modulus_log2
+    masks: dict[int, int] = {}
+    for mono in f._terms:
+        for v in mono:
+            if v not in masks:
+                img = images[v]
+                if img and (min(img) < 0 or max(img) >= new_nvars):
+                    raise ValueError("image variable out of range")
+                mask = 0
+                for j in img:
+                    mask |= 1 << j
+                masks[v] = mask
+    _refuse_wide_terms(f, {v: mask.bit_count() for v, mask in masks.items()})
+    half = 1 << (m - 1)
+    folded = [mono for mono, c in f._terms.items() if c == half and mono]
+    out = _expand_subsets(
+        [(mono, c) for mono, c in f._terms.items() if c != half or not mono], masks, m
+    )
+    for acc in _odd_monomials(folded, masks):
+        total = (out.pop(acc, 0) + half) % (1 << m)
+        if total:
+            out[acc] = total
     return PhasePolynomial(
         new_nvars, m, {frozenset(f2la.indices_of(acc)): c for acc, c in out.items()}
     )

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hgpforge import classical, css, diagonal, f2la, product
+from hgpforge import classical, css, diagonal, f2la, product, toric_cnz
 from hgpforge.css import PauliOperator
 from hgpforge.diagonal import (
     CircuitSupportModel,
@@ -355,6 +355,132 @@ class TestSubstitute:
         g = f.renumber(5, 10)
         assert g.terms() == [((5, 7), 1)]
         assert g.nvars == 10
+
+
+def substitute_by_subsets(f, images, new_nvars):
+    """The pullback with every term expanded subset by subset: the XOR of an
+    image's distinct entries is the sum over its nonempty subsets T of
+    (-2)^(|T|-1) * product(T), and a branch is pruned once its coefficient's
+    valuation reaches m.  `substitute` folds the terms of coefficient
+    2^(m-1) mod 2 instead and must give the same polynomial."""
+    if len(images) != f.nvars:
+        raise ValueError("need one image per variable")
+    m = f.modulus_log2
+    reach = {}
+    for mono, c in f._terms.items():
+        for v in mono:
+            reach[v] = max(reach.get(v, 0), m + 1 - (c & -c).bit_length())
+    subsets = {}
+    for v, depth in reach.items():
+        img = sorted(set(images[v]))
+        if img and (img[0] < 0 or img[-1] >= new_nvars):
+            raise ValueError("image variable out of range")
+        subsets[v] = [
+            (size, sum(1 << j for j in t))
+            for size in range(1, min(depth, len(img)) + 1)
+            for t in itertools.combinations(img, size)
+        ]
+    out = {}
+    for mono, c in f._terms.items():
+        branches = [(0, c, m + 1 - (c & -c).bit_length())]
+        for v in sorted(mono):
+            branches = [
+                (acc | mask, (coeff if size & 1 else -coeff) << (size - 1), room + 1 - size)
+                for acc, coeff, room in branches
+                for size, mask in subsets[v]
+                if size <= room
+            ]
+        for acc, coeff, _ in branches:
+            out[acc] = out.get(acc, 0) + coeff
+    return PhasePolynomial(
+        new_nvars, m, {frozenset(f2la.indices_of(acc)): c for acc, c in out.items()}
+    )
+
+
+def outcome(fn, *args):
+    """fn's result, or the type and message of the ValueError it raised."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return ValueError, str(exc)
+
+
+class TestSubstituteAgainstSubsetExpansion:
+    """`substitute` pulls terms of coefficient 2^(m-1) back mod 2 and every
+    other term by its subset expansion; the reference expands every term."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_agrees_with_the_subset_expansion(self, data):
+        m = data.draw(st.integers(1, 5), label="m")
+        half = 1 << (m - 1)
+        nvars = data.draw(st.integers(1, 5), label="nvars")
+        new_nvars = data.draw(st.integers(1, 7), label="new_nvars")
+        # few variables, so folded and expanded terms share them; the empty
+        # monomial is the constant term
+        monomials = st.frozensets(st.integers(0, nvars - 1), max_size=4)
+        coeffs = st.one_of(st.just(half), st.integers(0, (1 << m) - 1))
+        terms = data.draw(st.dictionaries(monomials, coeffs, max_size=8), label="terms")
+        f = PhasePolynomial(nvars, m, terms)
+        # repeated and overlapping entries; an image is read as a set
+        image = st.lists(st.integers(0, new_nvars - 1), max_size=5).map(tuple)
+        images = data.draw(st.lists(image, min_size=nvars, max_size=nvars), label="images")
+        assert substitute(f, images, new_nvars) == substitute_by_subsets(f, images, new_nvars)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_out_of_range_images_raise_the_same_error(self, data):
+        m = data.draw(st.integers(1, 3))
+        nvars, new_nvars = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+        monomials = st.frozensets(st.integers(0, nvars - 1), max_size=3)
+        terms = data.draw(st.dictionaries(monomials, st.integers(0, (1 << m) - 1), max_size=5))
+        f = PhasePolynomial(nvars, m, terms)
+        image = st.lists(st.integers(-1, new_nvars), max_size=3).map(tuple)
+        images = data.draw(st.lists(image, min_size=nvars, max_size=nvars))
+        assert outcome(substitute, f, images, new_nvars) == outcome(
+            substitute_by_subsets, f, images, new_nvars
+        )
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    @pytest.mark.parametrize(
+        "terms",
+        [
+            # x0 leads the folded term and sits in an odd term, which lists
+            # its subsets of every size; the fold multiplies in singletons only
+            lambda half: {(0, 1): half, (0,): 1},
+            # the folded term's last variable sits in the odd term
+            lambda half: {(0, 1): half, (1,): 1},
+            # a prefix shared by a folded term and a term of valuation m - 2
+            lambda half: {(0, 1, 2): half, (0, 1): half // 2, (0, 2): 3},
+        ],
+        ids=["odd-term-holds-the-prefix", "odd-term-holds-the-last", "shared-prefix"],
+    )
+    def test_a_folded_term_sharing_variables_with_an_expanded_one(self, m, terms):
+        half = 1 << (m - 1)
+        f = PhasePolynomial(3, m, {frozenset(mono): c for mono, c in terms(half).items()})
+        images = [(0, 1, 2, 1), (1, 3, 4), (0, 4, 2)]
+        sub = substitute(f, images, 5)
+        assert sub == substitute_by_subsets(f, images, 5)
+        for y in range(1 << 5):
+            x = sum((sum((y >> j) & 1 for j in set(img)) & 1) << i for i, img in enumerate(images))
+            assert sub.evaluate(y) == f.evaluate(x)
+
+    def test_folded_terms_that_cancel_leave_nothing(self):
+        # two CZ gates whose last qubits have the same image: their linear
+        # forms XOR to zero, so the prefix is never expanded
+        f = poly_from_circuit([(2, (0, 1)), (2, (0, 2))], 2)
+        assert substitute(f, [(0, 1), (2, 3), (3, 2, 3)], 4).is_zero()
+        assert substitute_by_subsets(f, [(0, 1), (2, 3), (3, 2, 3)], 4).is_zero()
+
+    @pytest.mark.parametrize("t, length", [(2, 3), (3, 2)])
+    def test_toric_layers_at_every_modulus(self, t, length):
+        bundle = toric_cnz.build_bundle(t, length)
+        images, _, nvars, _ = diagonal._images(bundle.code, t)
+        for m in (1, 2, 3):
+            layer = PhasePolynomial(
+                bundle.circuit.nvars, m, dict.fromkeys(bundle.circuit._terms, 1 << (m - 1))
+            )
+            assert substitute(layer, images, nvars) == substitute_by_subsets(layer, images, nvars)
 
 
 class TestPreservesCodespace:

@@ -164,6 +164,25 @@ class TestLogicalAction:
             ver = toric_cnz.verify_logical_cnz(bundle)
             assert ver.verified and ver.level == t
 
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("t, length", [(2, 3), (3, 2)])
+    def test_layer_written_at_a_higher_modulus_keeps_level_t(self, t, length, m):
+        # the same gates under a MOD m header carry 2^(m-1) each: the layer
+        # still preserves the codespace, its logical action is 2^(m-1) times
+        # the m = 1 action, and the level is still t
+        bundle = toric_cnz.build_bundle(t, length)
+        text = diagonal.format_circuit_text(bundle.circuit)
+        assert text.startswith("MOD 1\n")
+        layer = diagonal.parse_circuit_text(f"MOD {m}\n" + text[len("MOD 1\n"):])
+        layer = layer.renumber(0, bundle.circuit.nvars)
+        assert set(layer._terms.values()) == {1 << (m - 1)}
+        assert diagonal.preserves_codespace(layer, bundle.code, copies=t)
+        action = diagonal.logical_action(layer, bundle.code, copies=t)
+        base = diagonal.logical_action(bundle.circuit, bundle.code, copies=t)
+        assert action.modulus_log2 == m
+        assert action.terms() == [(mono, c << (m - 1)) for mono, c in base.terms()]
+        assert diagonal.hierarchy_level(action) == t == diagonal.hierarchy_level(base)
+
     def test_logical_polynomial_pointwise_oracle(self):
         # semantic check of logical_action: evaluating the physical phase at
         # x = L a + G b (per copy) must equal the logical polynomial at a,
