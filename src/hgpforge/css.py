@@ -227,11 +227,20 @@ def _complex_maps(
 
 
 def _check_logical(code: CssCode, v: int, kind: str):
+    """Raise unless v is in ker Hz (X) or ker Hx (Z) and outside the
+    stabilizer row space.  On a product code Hz is the transpose of the
+    complex's boundary(level + 1), so Hz v is the XOR of that map's rows on
+    supp(v): weight(v) XORs instead of a parity per Hz row."""
     if kind == "X":
-        checks, name, space = code.hz, "Hz", code.hx_space
+        name, space = "Hz", code.hx_space
+        if _complex_maps(code.complex, code.level, code.hx, code.hz):
+            syndrome = f2la.row_combination(code.complex.boundary(code.level + 1), v)
+        else:
+            syndrome = f2la.mat_vec(code.hz, v)
     else:
-        checks, name, space = code.hx, "Hx", code.hz_space
-    if f2la.mat_vec(checks, v) != 0:
+        name, space = "Hx", code.hz_space
+        syndrome = f2la.mat_vec(code.hx, v)
+    if syndrome:
         raise ValueError(f"{kind} representative is not in ker {name}")
     if space.contains(v):
         raise ValueError(f"{kind} representative lies in the stabilizer row space")
@@ -491,23 +500,35 @@ def canonical_logical_basis(code: CssCode) -> LogicalBasis:
 
 
 def _tensor_support(pc: ProductComplex, level: int, mu: int, factors: Sequence[int]) -> int:
-    supports = [f2la.indices_of(w) for w in factors]
-    bits = 0
-    for coords in itertools.product(*supports):
-        bits |= 1 << product.flat_index(pc, level, mu, coords)
-    return bits
+    """The word of the tensor product of one factor word per direction in
+    sector mu.  Built from the last direction up: the word so far fills one
+    stride of direction d, so one multiply by factor d's word spread to one
+    bit per stride places a copy at each of its coordinates, with no carry."""
+    sec = pc.tables[level][mu]
+    bits, stride = 1, 1
+    for word, size in zip(reversed(factors), reversed(sec.shape), strict=True):
+        if word >> size:
+            raise ValueError(f"coordinate {word.bit_length() - 1} out of range for size {size}")
+        spread = 0
+        for c in f2la.indices_of(word):
+            spread |= 1 << (c * stride)
+        bits *= spread
+        stride *= size
+    return bits << sec.offset
 
 
 def _pairing_matrix(x_reps: Sequence[LogicalRep], z_reps: Sequence[LogicalRep]) -> BinaryMatrix:
-    k = len(x_reps)
+    """Entry (i, j) is the symplectic product of x_reps[i] and z_reps[j]."""
+    zs = [(zr.pauli.x, zr.pauli.z) for zr in z_reps]
     rows = []
     for xr in x_reps:
+        px, pz = xr.pauli.x, xr.pauli.z
         word = 0
-        for j, zr in enumerate(z_reps):
-            if symplectic_product(xr.pauli, zr.pauli):
+        for j, (qx, qz) in enumerate(zs):
+            if ((px & qz).bit_count() + (pz & qx).bit_count()) & 1:
                 word |= 1 << j
         rows.append(word)
-    return BinaryMatrix(k, k, rows)
+    return BinaryMatrix(len(x_reps), len(x_reps), rows)
 
 
 # -- representative deformation ----------------------------------------------

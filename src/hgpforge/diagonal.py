@@ -12,8 +12,9 @@ ever enumerated.  The codespace check and the logical action share one
 pullback of f to x = L a + G b (L the X logicals, G the independent Hx
 rows), which expands each XOR multilinearly and prunes branches whose
 coefficient 2-adic valuation reaches the modulus, keeping it polynomial-
-sized.  The pullback reads only the images of f's variables, builds each
-once as a bitmask and accumulates monomials as integers.  Terms of
+sized.  Each qubit's image is one int mask, a shift of the qubit's word
+in the transposes of L and of G per copy, and the pullback reads only the
+masks of f's variables and accumulates monomials as integers.  Terms of
 coefficient 2^(m-1), which every C^(t-1)Z gate has, are pulled back mod 2:
 2^(m-1) * g mod 2^m depends only on g mod 2, and mod 2 each factor is a
 GF(2) linear form.  Such terms that share every variable but the highest
@@ -21,19 +22,19 @@ fold into one linear form, an XOR of image masks, and are expanded once,
 over singletons only.  The result is exactly the subset expansion's; other
 terms keep that expansion.  The last pullback is kept on the code, so a
 claim checked for codespace preservation and then for its logical action
-is pulled back once.  The per-qubit images are built once per code and
-copy count and kept on the code while its logical basis object stays the
+is pulled back once.  The image masks are built once per code and copy
+count and kept on the code while its logical basis object stays the
 same.
 
 The transversal no-go survey is linear: f = sum c_i x_i pulls back to the
 coefficient (-2)^(|T|-1) * (sum of c_i over the qubits whose image holds T)
-on each monomial T.  One pass over the images gives the rows for T holding
-a b-variable (the congruences that cut out the preserving f, each a sparse
-{qubit: 2^(|T|-1)} row) and for T made of a-variables only (the logical
-action), so every solution's action is a vector in the a-row space and no
-solution is pulled back.  The b-rows are solved by a column echelon form
-over Z_{2^m} that keeps each working column in one integer, one 2m-bit lane
-per entry, so a column rewrite is one multiply-add.  The solutions are
+on each monomial T.  One pass over the images' entries gives the rows for
+T holding a b-variable (the congruences that cut out the preserving f,
+each a sparse {qubit: 2^(|T|-1)} row) and for T made of a-variables only
+(the logical action), so every solution's action is a vector in the a-row
+space and no solution is pulled back.  The b-rows are solved by a column
+echelon form over Z_{2^m} that keeps each working column in one integer,
+one 2m-bit lane per entry, so a column rewrite is one multiply-add.  The solutions are
 checked and their actions read the same way: each qubit's entries over the
 generators are one integer, so a row's sums over every generator are one
 sum of integers, and a mask tests them all.  Each level is read off the
@@ -387,10 +388,11 @@ def _odd_monomials(monos: list[Monomial], masks: dict[int, int]) -> set[int]:
 
 
 def substitute(
-    f: PhasePolynomial, images: Sequence[Sequence[int]], new_nvars: int
+    f: PhasePolynomial, images: Sequence[Sequence[int] | int], new_nvars: int
 ) -> PhasePolynomial:
     """Compose f with the GF(2)-linear map x_i = XOR of images[i], each
-    distinct entry of an image counted once.
+    distinct entry of an image counted once.  An image is a sequence of
+    variable indices or an int mask whose set bits are its entries.
 
     The XOR of p bits has multilinear form sum over nonempty subsets T of
     (-2)^(|T|-1) * product(T), so a degree-d monomial expands into a
@@ -408,13 +410,13 @@ def substitute(
     other valuation, and constants, keep the subset expansion
     (`_expand_subsets`), and the two parts add up mod 2^m.
 
-    Only the images of f's variables are read: each is built once as a
-    bitmask, which drops repeated entries, after a range check.  An image
-    of a variable f does not use is never read, so an out-of-range one
-    raises nothing.  Subsets are listed only for the variables of terms
-    that are not folded.  Before anything is expanded, `_refuse_wide_terms`
-    refuses a monomial whose subset expansion would hold more than
-    MAX_TERM_BRANCHES branches.
+    Only the images of f's variables are read: each sequence is built once
+    as a bitmask, which drops repeated entries, and a mask is taken as it
+    is, after the same range check.  An image of a variable f does not use
+    is never read, so an out-of-range one raises nothing.  Subsets are
+    listed only for the variables of terms that are not folded.  Before
+    anything is expanded, `_refuse_wide_terms` refuses a monomial whose
+    subset expansion would hold more than MAX_TERM_BRANCHES branches.
     """
     if len(images) != f.nvars:
         raise ValueError("need one image per variable")
@@ -424,6 +426,11 @@ def substitute(
         for v in mono:
             if v not in masks:
                 img = images[v]
+                if isinstance(img, int):
+                    if img < 0 or img >> new_nvars:
+                        raise ValueError("image variable out of range")
+                    masks[v] = img
+                    continue
                 if img and (min(img) < 0 or max(img) >= new_nvars):
                     raise ValueError("image variable out of range")
                 mask = 0
@@ -488,16 +495,17 @@ def _coordinates(code: CssCode) -> tuple[list[int], list[int]]:
     return [rep.pauli.x for rep in basis.x_reps], code.hx_basis_rows
 
 
-def _images(
-    code: CssCode, copies: int
-) -> tuple[tuple[tuple[int, ...], ...], int, int, list[int]]:
-    """Per-qubit images of x = L a + G b per copy (G the independent Hx
-    rows), the a count, the variable count and G's Hx row indices.
+def _images(code: CssCode, copies: int) -> tuple[tuple[int, ...], int, int, list[int]]:
+    """Each qubit's image of x = L a + G b per copy as one int mask (G the
+    independent Hx rows), the a count, the variable count and G's Hx row
+    indices.
 
-    Memoised on the code per copy count: an entry is reused while
-    `code.logicals` is the very object it was built from (Hx is fixed at
-    construction; `set_logical_basis` and `canonical_logical_basis` install a
-    new basis object).  The images are tuples, so callers share them safely.
+    Qubit i's a-part is its column word in L, i.e. word i of transpose(L),
+    and its b-part its word in transpose(G); copy c shifts them to its
+    a- and b-variables.  Memoised on the code per copy count: an entry is
+    reused while `code.logicals` is the very object it was built from (Hx is
+    fixed at construction; `set_logical_basis` and `canonical_logical_basis`
+    install a new basis object).
     """
     hit = code._images.get(copies)
     if hit is not None and hit[0] is code.logicals:
@@ -505,12 +513,10 @@ def _images(
     lead_rows, g_index = _coordinates(code)
     k, r = len(lead_rows), len(g_index)
     a_total = copies * k
-    a_cols = f2la.column_supports(lead_rows, code.n)
-    b_cols = f2la.column_supports([code.hx.bits[g] for g in g_index], code.n)
+    a_cols = f2la.transpose(f2la.BinaryMatrix(k, code.n, lead_rows)).bits
+    b_cols = f2la.transpose(f2la.BinaryMatrix(r, code.n, [code.hx.bits[g] for g in g_index])).bits
     images = tuple(
-        tuple(c * k + j for j in a_cols[i]) + tuple(a_total + c * r + j for j in b_cols[i])
-        for c in range(copies)
-        for i in range(code.n)
+        a << (c * k) | b << (a_total + c * r) for c in range(copies) for a, b in zip(a_cols, b_cols)
     )
     result = (images, a_total, a_total + copies * r, g_index)
     code._images[copies] = (code.logicals, result)
@@ -842,7 +848,8 @@ def _preservation_congruences(
     sorted by T; on a preserving f they give the logical action.  Refused
     above MAX_CONGRUENCE_ROWS candidate monomials, counted from the image
     sizes before any row is built."""
-    images, a_total, _, _ = _images(code, 1)
+    masks, a_total, _, _ = _images(code, 1)
+    images = [f2la.indices_of(mask) for mask in masks]
     bound = sum(math.comb(len(img), s) for img in images for s in range(1, modulus_log2 + 1))
     if bound > MAX_CONGRUENCE_ROWS:
         raise ValueError(
@@ -892,10 +899,12 @@ def _linear_survey(
     low m - k bits of its lane are zero, a mask test (multiplying the sum by
     the weight would carry across lanes).  An a-row's coefficients,
     (-2)^(|T|-1) times its lanes mod 2^m, come from the same ints.  A sample
-    draws one weight per generator (randrange(2^m), in generator order) and
-    takes that combination of the generators' vectors, packed over the
-    a-rows in lanes that hold a sum of products below 2^m * 2^m, so no
-    sample is built over the qubits.  Every value is below 2^m <= 2^8, so
+    draws its weights as one rng.randbytes(count), one byte per generator in
+    generator order, each reduced mod 2^m by a byte table (2^m divides 256
+    for m <= 8, so each weight is uniform on [0, 2^m)), and takes that
+    combination of the generators' vectors, packed over the a-rows in lanes
+    that hold a sum of products below 2^m * 2^m, so no sample is built over
+    the qubits.  Every value is below 2^m <= 2^8, so
     the low byte of a lane holds its residue.
     """
     b_rows, a_rows, a_total = _preservation_congruences(code, modulus_log2)
@@ -923,7 +932,7 @@ def _linear_survey(
     residue = bytes(x & (mod - 1) for x in range(256))
     rng = random.Random(seed)
     for _ in range(samples):
-        lams = [rng.randrange(mod) for _ in gens]
+        lams = rng.randbytes(count).translate(residue)
         total = sum(map(operator.mul, lams, packed_vectors))
         vectors.append(tuple(_low_bytes(total, len(a_rows), a_bytes).translate(residue)))
     return gens, preserving, [t for t, _ in a_rows], vectors, a_total

@@ -287,12 +287,6 @@ def restrict_columns(m: BinaryMatrix, cols: Sequence[int]) -> BinaryMatrix:
     return BinaryMatrix(m.rows, len(cols), [restrict(word, cols) for word in m.bits])
 
 
-def column_supports(rows: Sequence[int], cols: int) -> list[tuple[int, ...]]:
-    """For each column i, the indices of the rows with a 1 in column i."""
-    t = transpose(BinaryMatrix(len(rows), cols, rows))
-    return [tuple(indices_of(word)) for word in t.bits]
-
-
 def subset_xors(
     words: Sequence[int], max_size: Optional[int] = None
 ) -> Iterator[tuple[int, int]]:
@@ -423,19 +417,6 @@ class RowSpace:
                 tuple(done[low] for low in order),
             )
         return self._reduced
-
-
-def compose_blocks(
-    rows: int, cols: int, placements: Iterable[tuple[int, int, BinaryMatrix]]
-) -> BinaryMatrix:
-    """Assemble a matrix from (row_offset, col_offset, block) placements."""
-    out = [0] * rows
-    for ro, co, block in placements:
-        if ro < 0 or co < 0 or ro + block.rows > rows or co + block.cols > cols:
-            raise ValueError("block placement out of range")
-        for r in range(block.rows):
-            out[ro + r] ^= block.bits[r] << co
-    return BinaryMatrix(rows, cols, out)
 
 
 # -- text exchange format --------------------------------------------------

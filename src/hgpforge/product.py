@@ -16,8 +16,10 @@ file formats and by every downstream module.
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from . import classical, f2la
@@ -33,7 +35,9 @@ class OneComplex:
     ``code`` is the kernel of A viewed as a classical code (checks A) and
     ``code_t`` the kernel of A^T.  Each is built the first time it is read
     (by k, k_t, the distances or a canonical logical basis), so a product
-    whose callers never look at the seeds eliminates none of them.
+    whose callers never look at the seeds eliminates none of them.  ``a_t``
+    is A^T, built on first use: the transposed boundary blocks and
+    ``code_t`` share it.
     """
 
     def __init__(self, a: BinaryMatrix):
@@ -46,8 +50,12 @@ class OneComplex:
         return ClassicalCode(self.a)
 
     @cached_property
+    def a_t(self) -> BinaryMatrix:
+        return f2la.transpose(self.a)
+
+    @cached_property
     def code_t(self) -> ClassicalCode:
-        return ClassicalCode(f2la.transpose(self.a))
+        return ClassicalCode(self.a_t)
 
     @property
     def k(self) -> int:
@@ -90,7 +98,7 @@ class Sector:
 
     @property
     def size(self) -> int:
-        return reduce(lambda x, y: x * y, self.shape, 1)
+        return math.prod(self.shape)
 
     def strides(self) -> tuple[int, ...]:
         out = [1] * len(self.shape)
@@ -208,26 +216,34 @@ class ProductComplex:
     def transposed_boundary(self, level: int) -> BinaryMatrix:
         """boundary(level) transposed, built on first use and kept."""
         if level not in self._transposed:
-            self._transposed[level] = f2la.transpose(self._boundaries[level])
+            self._transposed[level] = self._build_boundary(level, transposed=True)
         return self._transposed[level]
 
-    def _build_boundary(self, level: int) -> BinaryMatrix:
-        src = self.tables[level]
-        dst = self.tables[level - 1]
-        placements = []
-        for sec in src.sectors:
+    def _build_boundary(self, level: int, transposed: bool = False) -> BinaryMatrix:
+        """boundary(level), or its transpose, block by block.
+
+        The block from sector J to J minus {j} is I_p (x) A_j (x) I_q, with p
+        and q the sizes of the sector's directions before and after j
+        multiplied out: one kron(A_j, I_q) (A_j itself when q = 1), placed p
+        times down a diagonal.  It spans every row of its target sector; in
+        the transpose the block I_p (x) A_j^T (x) I_q spans every row of
+        sector J.  So each row sector's rows are the XOR of its blocks' rows,
+        and the map is those rows, sector after sector.
+        """
+        src, dst = self.tables[level], self.tables[level - 1]
+        rows: list[Optional[list[int]]] = [None] * len(src if transposed else dst)
+        for s, sec in enumerate(src.sectors):
             for j in sec.J:
-                target = dst.sectors[dst.index_of(tuple(d for d in sec.J if d != j))]
-                block = None
-                for d in range(self.t):
-                    piece = (
-                        self.factors[d].a
-                        if d == j
-                        else BinaryMatrix.identity(sec.shape[d])
-                    )
-                    block = piece if block is None else f2la.kron(block, piece)
-                placements.append((target.offset, sec.offset, block))
-        return f2la.compose_blocks(dst.dim, src.dim, placements)
+                mu = dst.index_of(tuple(d for d in sec.J if d != j))
+                p, q = math.prod(sec.shape[:j]), math.prod(sec.shape[j + 1 :])
+                a = self.factors[j].a_t if transposed else self.factors[j].a
+                block = a if q == 1 else f2la.kron(a, BinaryMatrix.identity(q))
+                r, col = (s, dst[mu].offset) if transposed else (mu, sec.offset)
+                shifts = [col + u * block.cols for u in range(p)]
+                placed = [word << shift for shift in shifts for word in block.bits]
+                rows[r] = placed if rows[r] is None else list(map(operator.xor, rows[r], placed))
+        out = [word for sector_rows in rows for word in sector_rows]
+        return BinaryMatrix(len(out), (dst if transposed else src).dim, out)
 
     def __repr__(self) -> str:
         dims = ", ".join(str(self.dim(level)) for level in range(self.t + 1))
@@ -235,8 +251,14 @@ class ProductComplex:
 
 
 def build_product(factors: Sequence[OneComplex | BinaryMatrix]) -> ProductComplex:
-    """Assemble the product complex; accepts raw seed matrices for convenience."""
-    wrapped = [f if isinstance(f, OneComplex) else OneComplex(f) for f in factors]
+    """Assemble the product complex; accepts raw seed matrices for convenience.
+
+    Equal seed matrices share one OneComplex, so a seed repeated across
+    directions (every toric code) is eliminated once."""
+    shared: dict[BinaryMatrix, OneComplex] = {}
+    wrapped = [
+        f if isinstance(f, OneComplex) else shared.setdefault(f, OneComplex(f)) for f in factors
+    ]
     return ProductComplex(wrapped)
 
 

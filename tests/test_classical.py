@@ -9,6 +9,8 @@ from hgpforge import classical, f2la
 from hgpforge.classical import ClassicalCode
 from hgpforge.f2la import BinaryMatrix
 
+from helpers import compose_blocks
+
 
 def enumerate_codewords(code):
     """Oracle: all 2^k codewords by direct combination of generator rows."""
@@ -180,7 +182,7 @@ class TestPuncture:
     def test_standard_form_example(self):
         # H = (J | I) in standard form: the first k coordinates puncture H.
         j_block = BinaryMatrix.from_rows(["10", "11", "01"])
-        h = f2la.compose_blocks(3, 5, [(0, 0, j_block), (0, 2, BinaryMatrix.identity(3))])
+        h = compose_blocks(3, 5, [(0, 0, j_block), (0, 2, BinaryMatrix.identity(3))])
         code = ClassicalCode(h)
         assert code.k == 2
         assert classical.is_puncture(code, {0, 1})

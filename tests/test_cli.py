@@ -296,11 +296,11 @@ class TestNogoTransversal:
         assert code.rank_hx == len(code.hx_basis_rows) == code.hx_space.rank
 
     def test_survey_builds_images_once(self, capsys, toric_bundle, monkeypatch):
-        # column_supports is called by diagonal._images alone, twice per build
+        # _coordinates is called by diagonal._images alone, once per build
         calls = []
-        real = f2la.column_supports
+        real = diagonal._coordinates
         monkeypatch.setattr(
-            f2la, "column_supports", lambda *args: calls.append(args) or real(*args)
+            diagonal, "_coordinates", lambda *args: calls.append(args) or real(*args)
         )
         counts = []
         for samples in ("0", "16"):
@@ -309,7 +309,7 @@ class TestNogoTransversal:
             assert main(argv) == 0
             capsys.readouterr()
             counts.append(len(calls))
-        assert counts == [2, 2]
+        assert counts == [1, 1]
 
     def test_one_pullback_per_survey(self, capsys, toric_bundle, monkeypatch):
         calls = []

@@ -3,11 +3,15 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hgpforge import classical, css, f2la, product
 from hgpforge.css import PauliOperator
 from hgpforge.f2la import BinaryMatrix
 from hgpforge.product import Hyperplane
+
+from helpers import flat_index_tensor_support, seed_matrices
 
 
 def random_matrix(rng, rows, cols, density=0.5):
@@ -325,6 +329,69 @@ class TestCanonicalBasis:
                 assert basis.k == code.k
                 assert basis.pairing == BinaryMatrix.identity(code.k)
             built += 1
+
+
+class TestTensorSupport:
+    """Factor words spread by one multiply per direction against one
+    flat_index call per support point."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_one_flat_index_per_point(self, data):
+        shapes = data.draw(
+            st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=4)
+        )
+        pc = product.build_product([BinaryMatrix.zeros(r, c) for r, c in shapes])
+        level = data.draw(st.integers(0, pc.t))
+        mu = data.draw(st.integers(0, len(pc.tables[level]) - 1))
+        factors = [data.draw(st.integers(0, (1 << size) - 1)) for size in pc.tables[level][mu].shape]
+        expected = flat_index_tensor_support(pc, level, mu, factors)
+        assert css._tensor_support(pc, level, mu, factors) == expected
+
+    @pytest.mark.parametrize("factors", [[0b1, 0b1001], [0b1000, 0b1], [0b1000, 0]])
+    def test_a_word_wider_than_its_direction_raises(self, toric18, factors):
+        with pytest.raises(ValueError, match="coordinate 3 out of range for size 3"):
+            css._tensor_support(toric18.complex, 1, 0, factors)
+
+
+def check_outcome(code, v, kind):
+    """None if `_check_logical` accepts v, else its ValueError message."""
+    try:
+        css._check_logical(code, v, kind)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+class TestLogicalChecksOnProducts:
+    """An X word's Hz syndrome on a product code is the XOR of the rows of
+    boundary(level + 1) on its support; the reference is one parity per Hz
+    row, on a bare code with the same checks."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_agrees_with_a_parity_per_hz_row(self, data):
+        seeds = data.draw(st.lists(seed_matrices(1, 3), min_size=2, max_size=3))
+        pc = product.build_product(seeds)
+        code = css.assemble_css(pc, data.draw(st.integers(1, pc.t - 1)))
+        bare = css.CssCode(code.hx, code.hz)
+        for kind, checks in (("X", code.hz), ("Z", code.hx)):
+            kernel = f2la.kernel_basis(checks).bits
+            picked = data.draw(st.lists(st.sampled_from(kernel), max_size=3)) if kernel else []
+            v = 0
+            for row in picked:
+                v ^= row
+            if code.n and data.draw(st.booleans()):
+                v ^= 1 << data.draw(st.integers(0, code.n - 1))
+            assert check_outcome(code, v, kind) == check_outcome(bare, v, kind)
+
+    def test_each_rejection_is_named(self, toric18):
+        x = css.canonical_logical_basis(toric18).x_reps[0].pauli.x
+        assert check_outcome(toric18, x, "X") is None
+        assert check_outcome(toric18, x ^ 1, "X") == "X representative is not in ker Hz"
+        assert check_outcome(toric18, toric18.hx.bits[0], "X") == (
+            "X representative lies in the stabilizer row space"
+        )
 
 
 class TestHandBuiltBasis:

@@ -26,6 +26,8 @@ from hgpforge.diagonal import (
 )
 from hgpforge.f2la import BinaryMatrix
 
+from helpers import column_supports, seed_matrices, tuple_images
+
 
 def toric_code(t, length):
     seeds = [classical.cyclic_repetition_check(length)] * t
@@ -293,6 +295,13 @@ class TestSubstitute:
             with pytest.raises(ValueError, match="image variable out of range"):
                 substitute(f, [(0,), bad], 3)
 
+    def test_out_of_range_mask_image_of_a_used_variable_raises(self):
+        f = PhasePolynomial(2, 2, {frozenset((1,)): 1})
+        for bad in (0b1001, -1, -2):
+            with pytest.raises(ValueError, match="image variable out of range"):
+                substitute(f, [0b1, bad], 3)
+        assert substitute(f, [-1, 0b100], 3) == PhasePolynomial(3, 2, {frozenset((2,)): 1})
+
     def test_image_of_an_unused_variable_is_never_read(self):
         class Unread:
             def __iter__(self):
@@ -475,12 +484,69 @@ class TestSubstituteAgainstSubsetExpansion:
     @pytest.mark.parametrize("t, length", [(2, 3), (3, 2)])
     def test_toric_layers_at_every_modulus(self, t, length):
         bundle = toric_cnz.build_bundle(t, length)
-        images, _, nvars, _ = diagonal._images(bundle.code, t)
+        masks, _, nvars, _ = diagonal._images(bundle.code, t)
+        images = tuple_images(bundle.code, t)[0]
         for m in (1, 2, 3):
             layer = PhasePolynomial(
                 bundle.circuit.nvars, m, dict.fromkeys(bundle.circuit._terms, 1 << (m - 1))
             )
-            assert substitute(layer, images, nvars) == substitute_by_subsets(layer, images, nvars)
+            assert substitute(layer, masks, nvars) == substitute_by_subsets(layer, images, nvars)
+
+
+class TestMaskImages:
+    """`substitute` reads an int image as the mask of its entries: mask and
+    index-tuple images give the same polynomial, or the same error."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_masks_equal_their_index_tuples(self, data):
+        m = data.draw(st.integers(1, 4), label="m")
+        nvars = data.draw(st.integers(1, 4), label="nvars")
+        new_nvars = data.draw(st.integers(1, 5), label="new_nvars")
+        monomials = st.frozensets(st.integers(0, nvars - 1), max_size=3)
+        coeffs = st.integers(0, (1 << m) - 1)
+        f = PhasePolynomial(nvars, m, data.draw(st.dictionaries(monomials, coeffs, max_size=6)))
+        # -1 and new_nvars are out of range; a mask cannot hold -1, so an
+        # image holding it becomes a negative mask
+        image = st.lists(st.integers(-1, new_nvars), max_size=4).map(tuple)
+        tuples = data.draw(st.lists(image, min_size=nvars, max_size=nvars), label="tuples")
+        masks = [
+            -data.draw(st.integers(1, 8)) if -1 in img else f2la.vector_from_indices(img)
+            for img in tuples
+        ]
+        mixed = [data.draw(st.sampled_from((img, mask))) for img, mask in zip(tuples, masks)]
+        expected = outcome(substitute, f, tuples, new_nvars)
+        assert outcome(substitute, f, masks, new_nvars) == expected
+        assert outcome(substitute, f, mixed, new_nvars) == expected
+
+
+class TestImageMasks:
+    """`_images` reads each qubit's image off transpose(L) and transpose(G)
+    as one mask; the reference lists its variables from the column supports
+    of L and of the G rows."""
+
+    @staticmethod
+    def assert_masks_match(code, bare):
+        if bare:
+            code = css.CssCode(code.hx, code.hz)
+        for copies in (1, 2, 3):
+            masks, *rest = diagonal._images(code, copies)
+            images, *expected = tuple_images(code, copies)
+            assert rest == expected
+            assert list(masks) == [f2la.vector_from_indices(img) for img in images]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_masks_match_the_tuple_images(self, data):
+        seeds = data.draw(st.lists(seed_matrices(1, 4), min_size=2, max_size=3), label="seeds")
+        pc = product.build_product(seeds)
+        code = css.assemble_css(pc, data.draw(st.integers(1, pc.t - 1), label="level"))
+        self.assert_masks_match(code, data.draw(st.booleans(), label="bare"))
+
+    @pytest.mark.parametrize("t, length", [(2, 3), (3, 2), (3, 3)])
+    @pytest.mark.parametrize("bare", [False, True])
+    def test_toric_masks(self, t, length, bare):
+        self.assert_masks_match(toric_code(t, length), bare)
 
 
 class TestPreservesCodespace:
@@ -1162,7 +1228,7 @@ class TestLinearSurveyDifferential:
             rng = random.Random(m)
             solutions = list(gens)
             for _ in range(self.SAMPLES):
-                lams = [rng.randrange(mod) for _ in gens]
+                lams = [x % mod for x in rng.randbytes(len(gens))]
                 solutions.append(
                     [sum(lam * g[i] for lam, g in zip(lams, gens)) % mod for i in range(code.n)]
                 )
@@ -1278,7 +1344,7 @@ class TestPreservationDifferential:
     def per_generator(f, code, copies):
         basis = code.x_domain_basis()
         kdim = len(basis)
-        per_qubit = f2la.column_supports(basis, code.n)
+        per_qubit = column_supports(basis, code.n)
         images = [tuple(c * kdim + j for j in cols) for c in range(copies) for cols in per_qubit]
         for c in range(copies):
             for r, row in enumerate(code.hx.bits):
@@ -1372,7 +1438,7 @@ class TestCongruenceDifferential:
 
     @staticmethod
     def per_hx_row(code, m):
-        touching = f2la.column_supports(code.x_domain_basis(), code.n)
+        touching = column_supports(code.x_domain_basis(), code.n)
         rows = []
         for g in code.hx.bits:
             if g == 0:
@@ -1471,8 +1537,8 @@ class TestStabilizerCoordinates:
         g_rows = [code.hx.bits[g] for g in g_index]
         assert f2la.rank(BinaryMatrix(len(g_rows), code.n, g_rows)) == len(g_rows)
         assert len(g_index) == f2la.rank(code.hx) == nvars - a_total
-        column_weights = [len(cols) for cols in f2la.column_supports(code.hx.bits, code.n)]
-        b_sizes = [sum(1 for v in img if v >= a_total) for img in images]
+        column_weights = [len(cols) for cols in column_supports(code.hx.bits, code.n)]
+        b_sizes = [(mask >> a_total).bit_count() for mask in images]
         assert all(b <= w for b, w in zip(b_sizes, column_weights))
         if name.startswith("toric"):
             assert max(b_sizes) <= 2
@@ -1483,7 +1549,7 @@ class TestStabilizerCoordinates:
     def dense_congruence_rows(code, m):
         """Reference: the b-rows as the distinct dense n-tuples, sorted, built
         as the survey built them before its rows were sparse."""
-        images, a_total, _, _ = diagonal._images(code, 1)
+        images, a_total, _, _ = tuple_images(code, 1)
         members = {}
         for i, img in enumerate(images):
             for size in range(1, m + 1):

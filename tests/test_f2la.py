@@ -8,6 +8,8 @@ import pytest
 from hgpforge import f2la
 from hgpforge.f2la import BinaryMatrix
 
+from helpers import compose_blocks
+
 
 def random_matrix(rng, rows, cols, density=0.5):
     return BinaryMatrix(
@@ -244,5 +246,5 @@ class TestEdgeShapes:
 
     def test_compose_blocks(self):
         a = BinaryMatrix.identity(2)
-        m = f2la.compose_blocks(2, 4, [(0, 0, a), (0, 2, a)])
+        m = compose_blocks(2, 4, [(0, 0, a), (0, 2, a)])
         assert m == BinaryMatrix.from_rows(["1010", "0101"])

@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 from hgpforge import classical, correctability, f2la, product
 from hgpforge.f2la import BinaryMatrix
 
+from helpers import column_supports
+
 MAX_N = 7
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -305,7 +307,7 @@ class TestColumnSupports:
     @SETTINGS
     @given(matrices())
     def test_matches_scan(self, m):
-        supports = f2la.column_supports(m.bits, m.cols)
+        supports = column_supports(m.bits, m.cols)
         assert supports == [
             tuple(r for r in range(m.rows) if m.get(r, c)) for c in range(m.cols)
         ]

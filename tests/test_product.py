@@ -4,10 +4,14 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hgpforge import classical, css, f2la, product
 from hgpforge.f2la import BinaryMatrix
 from hgpforge.product import Hyperplane, OneComplex
+
+from helpers import compose_blocks, kron_chain_boundary, seed_matrices
 
 
 def random_matrix(rng, rows, cols, density=0.5):
@@ -42,14 +46,14 @@ class TestBuild:
         ia, ib = BinaryMatrix.identity(3), BinaryMatrix.identity(2)
         ina, inb = BinaryMatrix.identity(4), BinaryMatrix.identity(5)
         d1 = pc.boundary(1)
-        expected = f2la.compose_blocks(
+        expected = compose_blocks(
             pc.dim(0),
             pc.dim(1),
             [(0, 0, f2la.kron(a, ib)), (0, pc.tables[1][1].offset, f2la.kron(ia, b))],
         )
         assert d1 == expected
         d2 = pc.boundary(2)
-        expected2 = f2la.compose_blocks(
+        expected2 = compose_blocks(
             pc.dim(1),
             pc.dim(2),
             [(0, 0, f2la.kron(ina, b)), (pc.tables[1][1].offset, 0, f2la.kron(a, inb))],
@@ -102,6 +106,79 @@ class TestBuild:
                     term *= cube3.factors[i].n if i in J else cube3.factors[i].m
                 expected += term
             assert total == expected
+
+
+class TestKroneckerBlocks:
+    """Boundaries built as I_p (x) A_j (x) I_q blocks against the kron chain
+    over every direction, and their transposes against f2la.transpose."""
+
+    @staticmethod
+    def assert_matches_the_kron_chain(seeds):
+        pc = product.build_product(seeds)
+        for level in range(1, pc.t + 1):
+            reference = kron_chain_boundary(pc, level)
+            assert pc.boundary(level) == reference, level
+            assert pc.transposed_boundary(level) == f2la.transpose(reference), level
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(seed_matrices(), min_size=1, max_size=4))
+    def test_every_level_matches_the_kron_chain(self, seeds):
+        self.assert_matches_the_kron_chain(seeds)
+
+    @pytest.mark.parametrize(
+        "shapes",
+        [
+            [(0, 2), (2, 3)],
+            [(2, 0), (3, 2), (2, 2)],
+            [(0, 0), (2, 3), (3, 2)],
+            [(3, 2), (0, 3), (2, 3), (2, 0)],
+            [(0, 3)],
+            [(3, 0)],
+        ],
+    )
+    def test_zero_row_and_zero_column_seeds(self, shapes):
+        rng = random.Random(len(shapes))
+        self.assert_matches_the_kron_chain([random_matrix(rng, r, c) for r, c in shapes])
+
+    @pytest.mark.parametrize("t, length", [(2, 5), (3, 4), (4, 3)])
+    def test_toric_blocks_with_identities_on_both_sides(self, t, length):
+        # from t = 3 on, some blocks have p > 1 and q > 1 at once
+        self.assert_matches_the_kron_chain([classical.cyclic_repetition_check(length)] * t)
+
+
+class TestSharedSeeds:
+    def test_equal_seeds_share_one_complex(self):
+        seeds = [classical.cyclic_repetition_check(3) for _ in range(3)]
+        pc = product.build_product(seeds)
+        assert len(pc.factors) == 3
+        assert pc.factors[0] is pc.factors[1] is pc.factors[2]
+
+    def test_unequal_seeds_do_not(self):
+        a = classical.cyclic_repetition_check(3)
+        flipped = BinaryMatrix(3, 3, a.bits[::-1])  # same shape, other entries
+        pc = product.build_product([a, classical.cyclic_repetition_check(4), flipped, a])
+        assert len(pc.factors) == 4
+        assert len({id(fac) for fac in pc.factors}) == 3
+        assert pc.factors[0] is pc.factors[3]
+        assert [fac.a for fac in pc.factors][:3] == [a, classical.cyclic_repetition_check(4), flipped]
+
+    def test_complexes_passed_in_are_kept(self):
+        a = classical.cyclic_repetition_check(3)
+        given_factors = [OneComplex(a), OneComplex(a), a]
+        pc = product.build_product(given_factors)
+        assert len(pc.factors) == 3
+        assert pc.factors[0] is given_factors[0] and pc.factors[1] is given_factors[1]
+
+    def test_a_toric_seed_is_eliminated_once(self, monkeypatch):
+        built = []
+        real = classical.ClassicalCode.__init__
+        monkeypatch.setattr(
+            classical.ClassicalCode, "__init__", lambda self, h: built.append(h) or real(self, h)
+        )
+        a = classical.cyclic_repetition_check(3)
+        pc = product.build_product([classical.cyclic_repetition_check(3) for _ in range(3)])
+        assert css.kunneth_parameters(pc, 1).k == 3
+        assert built == [a, f2la.transpose(a)]
 
 
 class TestCoordinates:

@@ -7,6 +7,8 @@ import pytest
 
 from hgpforge import classical, css, diagonal, f2la, product, toric_cnz
 
+from helpers import column_supports
+
 
 class TestBuildToric:
     @pytest.mark.parametrize(
@@ -113,7 +115,7 @@ class TestInvariance:
         code, f = bundle.code, bundle.circuit
         basis = code.x_domain_basis()
         kdim = len(basis)
-        per_qubit = f2la.column_supports(basis, code.n)
+        per_qubit = column_supports(basis, code.n)
         images = [
             tuple(c * kdim + j for j in cols) for c in range(bundle.copies) for cols in per_qubit
         ]
