@@ -9,9 +9,12 @@ not codespace-preserving, hierarchy bound broken), 2 usage or parse error.
 Each command returns its input paths, results and verdict; `main` alone
 hashes the inputs, writes the envelope and maps the verdict to the status
 and the exit code.
-Output is byte-identical for identical inputs; randomized searches take a
---seed (default 0).  `distance --jobs N` is accepted and ignored; searches
-run in one thread.
+Output is byte-identical for identical inputs.  `distance --jobs N` is
+accepted and ignored; searches run in one thread.
+`nogo-transversal --samples N --seed S` are accepted and unused: the survey
+reads the solution-module generators alone, since no combination of them
+reaches a higher level; `--samples` is still capped and echoed as
+`sample_count`.
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ def _read_text(path: str) -> str:
 
 
 def _sparse_rows(m: f2la.BinaryMatrix) -> list[list[int]]:
-    return [f2la.indices_of(m.bits[r]) for r in range(m.rows)]
+    return list(map(f2la.indices_of, m.bits))
 
 
 def write_bundle(path: str, code: css.CssCode, sources: list[str]) -> None:
@@ -314,8 +317,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("bundle")
     p.add_argument("--mod", type=int, required=True, help="modulus exponent m")
-    p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=int, default=100, help="accepted and unused; echoed")
+    p.add_argument("--seed", type=int, default=0, help="accepted and unused")
     p.set_defaults(func=cmd_nogo_transversal)
 
     p = sub.add_parser(

@@ -173,9 +173,7 @@ class CssCode:
         self.k = self.n - self.rank_hx - self.rank_hz
         if self.k < 0:
             raise AssertionError("negative logical count; checks are inconsistent")
-        weights = [hx.row_weight(r) for r in range(hx.rows)]
-        weights += [hz.row_weight(r) for r in range(hz.rows)]
-        self.stabilizer_weight = max(weights, default=0)
+        self.stabilizer_weight = max(map(int.bit_count, hx.bits + hz.bits), default=0)
         self.logicals: Optional[LogicalBasis] = None
         self._x_domain: Optional[list[int]] = None
         # diagonal._images per copy count, each with the `logicals` it read
@@ -321,8 +319,10 @@ def brute_distance(
     needs every type proven heavier than W (a cut-off type beside one of
     weight <= W raises a budget error).  The nodes of the limits up to W,
     at most `_node_bound` for the largest check weight r, are refused
-    before any walk when they may exceed `_DISTANCE_BUDGET`.  `jobs` is
-    accepted and ignored.
+    before any walk when they may exceed `_DISTANCE_BUDGET`.  On a product
+    code the walks take the checks' transposes from the complex: Hx^T is
+    `transposed_boundary(level)` and Hz^T is `boundary(level + 1)`.  `jobs`
+    is accepted and ignored.
     """
     if code.k == 0:
         raise ValueError("no logical operators")
@@ -333,8 +333,12 @@ def brute_distance(
                 f"max_weight {max_weight} needs up to {need} nodes,"
                 f" above the cap of {_DISTANCE_BUDGET}"
             )
-    d_z, _ = _walk_logical_weight(code.hx, code.hz_space, max_weight, budget)
-    d_x, _ = _walk_logical_weight(code.hz, code.hx_space, max_weight, budget)
+    hx_t = hz_t = None
+    if _complex_maps(code.complex, code.level, code.hx, code.hz):
+        hx_t = code.complex.transposed_boundary(code.level)
+        hz_t = code.complex.boundary(code.level + 1)
+    d_z, _ = _walk_logical_weight(code.hx, code.hz_space, max_weight, budget, hx_t)
+    d_x, _ = _walk_logical_weight(code.hz, code.hx_space, max_weight, budget, hz_t)
     if max_weight is not None and all(d is None or d > max_weight for d in (d_x, d_z)):
         raise ValueError(f"no logical operator of weight <= {max_weight} found")
     if d_x is None or d_z is None:
@@ -367,6 +371,7 @@ def _walk_logical_weight(
     stab_space: RowSpace,
     max_weight: Optional[int],
     budget: int,
+    checks_t: Optional[BinaryMatrix] = None,
 ) -> tuple[Optional[int], int]:
     """(lightest weight in ker checks outside stab_space, nodes visited), by
     the cluster walk of Dumer, Kovalev and Pryadko (IEEE Trans. Inf. Theory
@@ -384,13 +389,16 @@ def _walk_logical_weight(
     leave a lighter logical, a logical subset is one), so every unsatisfied
     check on a part of v meets the rest of v, and the search from v's lowest
     qubit reaches v.  The checks are read as given, not reduced: their rows
-    are sparse, so a node has at most (row weight - 1) children.
+    are sparse, so a node has at most (row weight - 1) children.  Each
+    qubit's syndrome is its column of the checks, a row of `checks_t` when
+    the caller holds the transpose already (a product code's complex does)
+    and of `f2la.transpose(checks)` otherwise.
     """
     if max_weight is not None and max_weight < 1:
         raise ValueError("max_weight must be >= 1")
     n = checks.cols
     rows = [f2la.indices_of(word) for word in checks.bits]
-    syndromes = f2la.transpose(checks).bits
+    syndromes = (f2la.transpose(checks) if checks_t is None else checks_t).bits
     ends: dict[int, list[int]] = {}  # syndrome -> the qubits with that column
     for q, syndrome in enumerate(syndromes):
         ends.setdefault(syndrome, []).append(q)

@@ -34,21 +34,20 @@ each a sparse {qubit: 2^(|T|-1)} row) and for T made of a-variables only
 (the logical action), so every solution's action is a vector in the a-row
 space and no solution is pulled back.  The b-rows are solved by a column
 echelon form over Z_{2^m} that keeps each working column in one integer,
-one 2m-bit lane per entry, so a column rewrite is one multiply-add.  The solutions are
-checked and their actions read the same way: each qubit's entries over the
-generators are one integer, so a row's sums over every generator are one
-sum of integers, and a mask tests them all.  Each level is read off the
-action's coefficient vector by the rule `hierarchy_level` applies to terms;
-only the generator that reaches the maximum level is confirmed through the
-public pullback pair.
+one byte-aligned lane of at least 2m bits per entry, so a column rewrite
+is one multiply-add.  The generators are checked and their actions read the
+same way: each qubit's entries over the generators are one integer, so a
+row's sums over every generator are one sum of integers, and a mask tests
+them all.  Each level is read off the action's coefficient vector by the
+rule `hierarchy_level` applies to terms; no combination of generators
+reaches a higher level, so only the generator that reaches the maximum is
+confirmed through the public pullback pair.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import operator
-import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
@@ -58,7 +57,7 @@ from .css import CssCode, LogicalRep, PauliOperator, canonical_logical_basis
 
 Monomial = frozenset
 
-# Input caps: the modulus exponent m of a circuit or survey, survey samples,
+# Input caps: the modulus exponent m of a circuit or survey, echoed samples,
 # the no-go survey's candidate congruence rows, the code copies a circuit
 # spans (toric C^(t-1)Z layers need up to product.MAX_DIMENSION = 6), and the
 # branches the pullback of one monomial holds (a toric layer needs <= 486).
@@ -775,19 +774,21 @@ def kernel_mod_power_of_two(
     their pivot rows, so the kernel is 2^(m-a) U_j per pivot with a >= 1
     plus U_j per column left at the end: ncols - rank(M mod 2) generators.
 
-    A working column is one int of w = 2m-bit lanes, lowest first: the
-    entries of M's rows, then the ncols entries of U (the identity column j
-    is one bit).  Every lane holds a residue below 2^m, so clearing an entry
-    by adding g < 2^m times the pivot column is one multiply-add of whole
-    columns: x + g*y <= (2^m - 1) * 2^m < 2^w carries into no other lane,
-    and a mask reduces every lane mod 2^m.  The columns with an entry of
-    valuation a are those that meet bit a of some row lane, and the lowest
-    such bit is the first such row.  The pivot order and the arithmetic are
-    the ones above, lane for lane, so the generators do not depend on the
-    packing.
+    A working column is one int of w-bit lanes, lowest first, w = 2m
+    rounded up to whole bytes: the entries of M's rows, then the ncols
+    entries of U (the identity column j is one bit).  Every lane holds a
+    residue below 2^m, so clearing an entry by adding g < 2^m times the
+    pivot column is one multiply-add of whole columns: x + g*y <= (2^m - 1)
+    * 2^m < 2^w carries into no other lane, and a mask reduces every lane
+    mod 2^m.  The columns with an entry of valuation a are those that meet
+    bit a of some row lane, and the lowest such bit is the first such row.
+    The pivot order and the arithmetic are the ones above, lane for lane,
+    so the generators do not depend on the packing.  For m <= 8 a residue
+    is its lane's low byte, so one sliced `to_bytes` reads a generator.
     """
     mod = 1 << modulus_log2
-    w = 2 * modulus_log2
+    nbytes = (modulus_log2 + 3) // 4
+    w = 8 * nbytes
     u_at = len(rows) * w
     ones = ((1 << (u_at + ncols * w)) - 1) // ((1 << w) - 1)  # 1 in every lane
     mask = ones * (mod - 1)
@@ -812,20 +813,10 @@ def kernel_mod_power_of_two(
             ]
             if a:
                 gens.append((piv >> u_at) * (mod >> a) & mask)
-    return [_lanes(u, ncols, modulus_log2) for u in gens + [col >> u_at for col in cols]]
-
-
-def _lanes(packed: int, count: int, modulus_log2: int) -> tuple[int, ...]:
-    """The residues mod 2^m in the count 2m-bit lanes of packed, lowest
-    first, reading only the nonzero lanes."""
-    w = 2 * modulus_log2
-    lane = (1 << modulus_log2) - 1
-    out = [0] * count
-    while packed:
-        at = ((packed & -packed).bit_length() - 1) // w * w
-        out[at // w] = x = (packed >> at) & lane
-        packed ^= x << at
-    return tuple(out)
+    gens += [col >> u_at for col in cols]
+    if modulus_log2 <= 8:  # every residue is its lane's low byte
+        return [tuple(u.to_bytes(ncols * nbytes, "little")[::nbytes]) for u in gens]
+    return [tuple(u >> at & (mod - 1) for at in range(0, ncols * w, w)) for u in gens]
 
 
 def _preservation_congruences(
@@ -874,6 +865,8 @@ def _preservation_congruences(
 def _pack(values: Iterable[int], nbytes: int) -> int:
     """The values, each below 2^8, in lanes of nbytes bytes, lowest first."""
     low = bytes(values)
+    if nbytes == 1:
+        return int.from_bytes(low, "little")
     buf = bytearray(len(low) * nbytes)
     buf[::nbytes] = low
     return int.from_bytes(buf, "little")
@@ -885,34 +878,30 @@ def _low_bytes(packed: int, count: int, nbytes: int) -> bytes:
 
 
 def _linear_survey(
-    code: CssCode, modulus_log2: int, samples: int, seed: int
+    code: CssCode, modulus_log2: int
 ) -> tuple[list[tuple[int, ...]], list[bool], list[tuple[int, ...]], list[tuple[int, ...]], int]:
     """The solution-module generators, whether each satisfies every b-row,
-    the a-row monomials T, the logical action of each generator and then of
-    each sample as its coefficient vector over those T, and the a count.
+    the a-row monomials T, the logical action of each generator as its
+    coefficient vector over those T, and the a count.
 
     Qubit i's entries over the generators are packed into one int, one lane
     per generator, lowest first, of m + bit_length(widest row support) bits
-    rounded up to whole bytes (so packing is a bytes copy).  A row's sums
-    over every generator are then one sum of its qubits' ints, and no lane
-    carries.  A b-row of weight 2^k holds on a generator exactly when the
-    low m - k bits of its lane are zero, a mask test (multiplying the sum by
-    the weight would carry across lanes).  An a-row's coefficients,
-    (-2)^(|T|-1) times its lanes mod 2^m, come from the same ints.  A sample
-    draws its weights as one rng.randbytes(count), one byte per generator in
-    generator order, each reduced mod 2^m by a byte table (2^m divides 256
-    for m <= 8, so each weight is uniform on [0, 2^m)), and takes that
-    combination of the generators' vectors, packed over the a-rows in lanes
-    that hold a sum of products below 2^m * 2^m, so no sample is built over
-    the qubits.  Every value is below 2^m <= 2^8, so
-    the low byte of a lane holds its residue.
+    rounded up to whole bytes (so packing is a bytes copy of the slice
+    [i::n] of the generators laid end to end).  A row's sums over every
+    generator are then one sum of its qubits' ints, and no lane carries.  A
+    b-row of weight 2^k holds on a generator exactly when the low m - k bits
+    of its lane are zero, a mask test (multiplying the sum by the weight
+    would carry across lanes).  An a-row's coefficients, (-2)^(|T|-1) times
+    its lanes mod 2^m, come from the same ints.  Every value is below
+    2^m <= 2^8, so the low byte of a lane holds its residue.
     """
     b_rows, a_rows, a_total = _preservation_congruences(code, modulus_log2)
     gens = kernel_mod_power_of_two(b_rows, code.n, modulus_log2)
     mod, count = 1 << modulus_log2, len(gens)
     widest = max(map(len, itertools.chain(b_rows, (qubits for _, qubits in a_rows))), default=0)
     nbytes = (modulus_log2 + widest.bit_length() + 7) // 8
-    packed = [_pack(col, nbytes) for col in zip(*gens)] or [0] * code.n
+    flat = bytes(itertools.chain.from_iterable(gens))
+    packed = [_pack(flat[i :: code.n], nbytes) for i in range(code.n)]
     ones = _pack([1] * count, nbytes)
     low_bits = {1 << k: ones * ((mod >> k) - 1) for k in range(modulus_log2)}  # by row weight
     failed = 0
@@ -927,14 +916,6 @@ def _linear_survey(
             coeffs = (ones * mod - coeffs) & low_bits[1]
         a_cols.append(_low_bytes(coeffs, count, nbytes))
     vectors = list(zip(*a_cols)) or [()] * count
-    a_bytes = (2 * modulus_log2 + count.bit_length() + 7) // 8
-    packed_vectors = [_pack(vec, a_bytes) for vec in vectors]
-    residue = bytes(x & (mod - 1) for x in range(256))
-    rng = random.Random(seed)
-    for _ in range(samples):
-        lams = rng.randbytes(count).translate(residue)
-        total = sum(map(operator.mul, lams, packed_vectors))
-        vectors.append(tuple(_low_bytes(total, len(a_rows), a_bytes).translate(residue)))
     return gens, preserving, [t for t, _ in a_rows], vectors, a_total
 
 
@@ -967,24 +948,25 @@ def transversal_nogo_harness(
     """Survey every codespace-preserving transversal diagonal family.
 
     Solves the b-row congruences for f(x) = sum c_i x_i over Z_{2^m} and
-    reads the logical action of each solution-module generator and of
-    `samples` random combinations off the a-rows (`_linear_survey`); each
-    level is read off that action's coefficient vector by `_level`, the
-    rule `hierarchy_level` applies to a polynomial's terms, so no
-    polynomial is built per solution.  `all_preserve` is the exact
-    check that every generator satisfies every b-row, so every combination
-    preserves the codespace too.  A combination's level never exceeds its
-    summands' largest, since v2 of a sum is at least the smaller v2, so the
-    maximum is reached on a generator: that one generator is confirmed
-    through `preserves_codespace`, `logical_action` and `hierarchy_level`,
-    and a disagreement raises AssertionError.  For hypergraph product codes
-    with distance >= 3 the maximum must come out <= 2 (Clifford).
+    reads the logical action of each solution-module generator off the
+    a-rows (`_linear_survey`); each level is read off that action's
+    coefficient vector by `_level`, the rule `hierarchy_level` applies to a
+    polynomial's terms, so no polynomial is built per solution.
+    `all_preserve` is the exact check that every generator satisfies every
+    b-row, so every combination preserves the codespace too.  A
+    combination's level never exceeds its summands' largest, since v2 of a
+    sum is at least the smaller v2, so no combination is drawn: `samples` is
+    only validated and echoed, and `seed` is unused.  The maximum-level
+    generator is confirmed through `preserves_codespace`, `logical_action`
+    and `hierarchy_level`, and a disagreement raises AssertionError.  For
+    hypergraph product codes with distance >= 3 the maximum must come out
+    <= 2 (Clifford).
     """
     if not 1 <= modulus_log2 <= MAX_MODULUS_LOG2:
         raise ValueError(f"modulus_log2 must be >= 1 and <= {MAX_MODULUS_LOG2}")
     if not 0 <= samples <= MAX_SAMPLES:
         raise ValueError(f"samples must be >= 0 and <= {MAX_SAMPLES}")
-    gens, preserving, monomials, vectors, _ = _linear_survey(code, modulus_log2, samples, seed)
+    gens, preserving, monomials, vectors, _ = _linear_survey(code, modulus_log2)
     sizes = [len(t) for t in monomials]
     levels = [_level(zip(sizes, vec), modulus_log2) for vec in vectors]
     if gens:

@@ -476,9 +476,10 @@ def vector_from_indices(indices: Iterable[int]) -> int:
 
 
 def indices_of(v: int) -> list[int]:
+    """The positions of v's set bits, ascending; stripping the top bit
+    shortens v, so no step negates or masks the whole word."""
     out = []
     while v:
-        low = v & -v
-        out.append(low.bit_length() - 1)
-        v ^= low
-    return out
+        out.append(b := v.bit_length() - 1)
+        v ^= 1 << b
+    return out[::-1]

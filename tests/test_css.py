@@ -208,6 +208,28 @@ class TestBruteDistance:
         with pytest.raises(ValueError, match="no logical operator of weight <= 1 found"):
             css.brute_distance(toric3d, max_weight=1, budget=4)
 
+    @pytest.mark.parametrize("level", [1, 2])
+    def test_product_walks_read_columns_off_the_complex(self, monkeypatch, level):
+        # Hx^T and Hz^T are the complex's own maps, so a product code's walks
+        # transpose nothing; a bare code with the same checks transposes
+        # both and walks the same nodes to the same weights
+        pc = product.build_product([classical.cyclic_repetition_check(3)] * 3)
+        code = css.assemble_css(pc, level)
+        params = css.kunneth_parameters(pc, level)
+        bare = css.CssCode(code.hx, code.hz)
+        real_walk, real_transpose = css._walk_logical_weight, f2la.transpose
+        walks, transposed = [], []
+        monkeypatch.setattr(
+            css, "_walk_logical_weight", lambda *args: walks.append(real_walk(*args)) or walks[-1]
+        )
+        monkeypatch.setattr(f2la, "transpose", lambda m: transposed.append(m) or real_transpose(m))
+        product_result = css.brute_distance(code)
+        assert transposed == []
+        bare_result = css.brute_distance(bare)
+        assert transposed == [code.hx, code.hz]
+        assert product_result == bare_result == css.DistanceResult(params.d_x, params.d_z)
+        assert walks[:2] == walks[2:] and all(nodes > 1 for _, nodes in walks)
+
 
 class TestPauli:
     def test_xz_same_qubit(self):

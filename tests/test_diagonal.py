@@ -923,6 +923,27 @@ class TestPackedKernelAgainstLists:
             expected = list_kernel_mod_power_of_two(rows, ncols, m)
             assert kernel_mod_power_of_two(sparse_rows(rows), ncols, m) == expected, rows
 
+    @pytest.mark.parametrize("m", [5, 6, 7, 8, 9, 12])
+    def test_byte_lanes_read_every_residue_whole(self, m):
+        # m = 5..8 computes in two-byte lanes and reads each residue off its
+        # low byte; from m = 9 a residue outgrows that byte (x_0 + x_1 = 0
+        # has the generator (2^m - 1, 1), and a low-byte read gives 255), so
+        # each lane is read whole
+        mod = 1 << m
+        assert kernel_mod_power_of_two([{0: 1, 1: 1}], 2, m) == [(mod - 1, 1)]
+        rng = random.Random(m)
+        largest = 0
+        for _ in range(150):
+            ncols = rng.randrange(1, 9)
+            rows = [
+                [rng.choice((0, 1, mod - 1, mod - 2, -1, rng.randrange(mod))) for _ in range(ncols)]
+                for _ in range(rng.randrange(5))
+            ]
+            expected = list_kernel_mod_power_of_two(rows, ncols, m)
+            assert kernel_mod_power_of_two(sparse_rows(rows), ncols, m) == expected, rows
+            largest = max([largest, *itertools.chain.from_iterable(expected)])
+        assert largest == mod - 1
+
 
 class TestKernelAgainstSmithForm:
     """The column-only kernel against the two-sided Smith form it replaced."""
@@ -1083,6 +1104,22 @@ class TestNogoHarness:
         report = transversal_nogo_harness(code, 2, samples=5, seed=1)
         assert report.max_level == 0
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_samples_and_seed_change_only_the_echo(self, m):
+        # a combination's level never exceeds its generators' largest, so the
+        # survey reads the generators alone: one level each, and a report
+        # that echoes `samples` but does not depend on it or on the seed
+        for code in (toric_code(2, 3), toric_code(3, 2)):
+            reports = [
+                transversal_nogo_harness(code, m, samples=samples, seed=seed)
+                for samples, seed in ((0, 0), (1000, 0), (1000, 7))
+            ]
+            jsons = [report.to_json() for report in reports]
+            assert [j.pop("sample_count") for j in jsons] == [0, 1000, 1000]
+            assert jsons[0] == jsons[1] == jsons[2]
+            assert reports[0].levels == reports[1].levels == reports[2].levels
+            assert len(reports[0].levels) == reports[0].generator_count > 0
+
     def test_bare_code_survey_matches_its_product_code(self):
         # a bare code takes its Hx completion to ker Hz as L; the solution
         # module and the hierarchy levels do not depend on that choice
@@ -1185,10 +1222,8 @@ class TestNogoHarness:
 
 
 class TestLinearSurveyDifferential:
-    """Each solution's a-row action against `preserves_codespace` and
-    `logical_action` on the solution itself, as polynomials."""
-
-    SAMPLES = 20
+    """Each generator's a-row action against `preserves_codespace` and
+    `logical_action` on the generator itself, as polynomials."""
 
     @staticmethod
     def codes():
@@ -1217,30 +1252,19 @@ class TestLinearSurveyDifferential:
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_every_action_equals_the_pullback(self, m):
-        mod = 1 << m
         compared = several = 0
         for code in self.codes():
-            gens, preserving, monomials, vectors, a_total = diagonal._linear_survey(
-                code, m, self.SAMPLES, m
-            )
-            assert all(preserving) and len(vectors) == len(gens) + self.SAMPLES
-            # the samples over the qubits, drawn as the survey draws them
-            rng = random.Random(m)
-            solutions = list(gens)
-            for _ in range(self.SAMPLES):
-                lams = [x % mod for x in rng.randbytes(len(gens))]
-                solutions.append(
-                    [sum(lam * g[i] for lam, g in zip(lams, gens)) % mod for i in range(code.n)]
-                )
+            gens, preserving, monomials, vectors, a_total = diagonal._linear_survey(code, m)
+            assert all(preserving) and len(vectors) == len(gens)
             keys = [frozenset(t) for t in monomials]
-            for sol, vec in zip(solutions, vectors):
+            for sol, vec in zip(gens, vectors):
                 action = PhasePolynomial(a_total, m, dict(zip(keys, vec)))
                 f = PhasePolynomial(code.n, m, {(i,): c for i, c in enumerate(sol) if c})
                 assert preserves_codespace(f, code, copies=1)
                 assert action == logical_action(f, code, copies=1), (code.n, m)
                 compared += 1
                 several += any(len(mono) > 1 for mono, _ in action.terms())
-        assert compared >= 11 * (self.SAMPLES + 1)
+        assert compared >= 11
         assert several or m == 1
 
     @settings(max_examples=150, deadline=None)
@@ -1285,7 +1309,7 @@ class TestPackedRowCheck:
                 diagonal, "_preservation_congruences", lambda *args: (rows, [], 0)
             )
         monkeypatch.setattr(diagonal, "kernel_mod_power_of_two", lambda *args: gens)
-        got, preserving, _, vectors, _ = diagonal._linear_survey(code, m, 0, 0)
+        got, preserving, _, vectors, _ = diagonal._linear_survey(code, m)
         assert got == gens and len(vectors) == len(gens)
         return preserving
 

@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hgpforge import f2la
 from hgpforge.f2la import BinaryMatrix
@@ -248,3 +250,27 @@ class TestEdgeShapes:
         a = BinaryMatrix.identity(2)
         m = compose_blocks(2, 4, [(0, 0, a), (0, 2, a)])
         assert m == BinaryMatrix.from_rows(["1010", "0101"])
+
+
+def low_bit_indices(v):
+    """Reference: the set bits of v, ascending, by clearing the lowest."""
+    out = []
+    while v:
+        low = v & -v
+        out.append(low.bit_length() - 1)
+        v ^= low
+    return out
+
+
+class TestIndicesOf:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(
+            st.just(0),
+            st.integers(0, 39_999).map(lambda b: 1 << b),
+            st.sets(st.integers(0, 39_999), max_size=16).map(f2la.vector_from_indices),
+            st.binary(max_size=5_000).map(lambda raw: int.from_bytes(raw, "little")),
+        )
+    )
+    def test_matches_the_low_bit_loop(self, v):
+        assert f2la.indices_of(v) == low_bit_indices(v)
