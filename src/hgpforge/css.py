@@ -144,8 +144,9 @@ class CssCode:
     The CSS condition Hx Hz^T = 0 is checked once per code.  When Hx and Hz
     are the very matrices `complex.boundary(level)` and
     `complex.transposed_boundary(level + 1)`, as `assemble_css` passes them,
-    the product is the dd = 0 that `ProductComplex` asserted when it was
-    built, and it is not formed again; any other pair is multiplied here.
+    the product is the dd = 0 that `ProductComplex` asserts when the second
+    of boundary(level) and boundary(level + 1) is built, and it is not
+    formed again; any other pair is multiplied here.
     """
 
     def __init__(
@@ -215,13 +216,16 @@ class CssCode:
 def _complex_maps(
     pc: Optional[ProductComplex], level: Optional[int], hx: BinaryMatrix, hz: BinaryMatrix
 ) -> bool:
-    """True when hx and hz are pc's own maps out of and into `level`."""
-    return (
-        pc is not None
-        and level in range(1, pc.t)
-        and hx is pc.boundary(level)
-        and hz is pc.transposed_boundary(level + 1)
-    )
+    """True when hx and hz are pc's own maps out of and into `level`.
+
+    Then boundary(level + 1) is built here if it is not yet, so whichever
+    order the caller built the maps in, their dd = 0 has been asserted."""
+    if pc is None or level not in range(1, pc.t):
+        return False
+    if hx is not pc.boundary(level) or hz is not pc.transposed_boundary(level + 1):
+        return False
+    pc.boundary(level + 1)
+    return True
 
 
 def _check_logical(code: CssCode, v: int, kind: str):
@@ -245,9 +249,14 @@ def _check_logical(code: CssCode, v: int, kind: str):
 
 
 def assemble_css(pc: ProductComplex, level: int) -> CssCode:
-    """CSS code on level `level` of the product, 1 <= level <= t-1."""
+    """CSS code on level `level` of the product, 1 <= level <= t-1.
+
+    Builds boundary(level + 1) and then boundary(level), the two maps the
+    code reads; building the second asserts their dd = 0, which is the
+    code's Hx Hz^T = 0."""
     if not (1 <= level <= pc.t - 1):
         raise ValueError(f"level must be in [1, {pc.t - 1}] for t={pc.t}")
+    pc.boundary(level + 1)
     return CssCode(
         pc.boundary(level), pc.transposed_boundary(level + 1), complex=pc, level=level
     )

@@ -73,6 +73,14 @@ class PhasePolynomial:
 
     Zero-coefficient terms are never stored; the empty monomial is the
     constant term.  Instances are immutable.
+
+    Terms are normalized once, where they enter from outside: this
+    constructor, `poly_from_circuit` and `parse_circuit_text` make each
+    monomial a frozenset, check its variables against nvars and reduce its
+    coefficient mod 2^m, dropping zeros.  Code in this package that builds
+    a polynomial from terms that are already in that form (a pullback, a
+    difference, a renumbering by 0, a C^(t-1)Z layer) hands the dict to
+    `_of`, which stores it as it is.
     """
 
     __slots__ = ("modulus_log2", "nvars", "_terms")
@@ -86,7 +94,7 @@ class PhasePolynomial:
         clean: dict[Monomial, int] = {}
         for mono, coeff in (terms or {}).items():
             mono = frozenset(mono)
-            if any(v < 0 or v >= nvars for v in mono):
+            if mono and (min(mono) < 0 or max(mono) >= nvars):
                 raise ValueError("monomial variable out of range")
             c = coeff % mod
             if c:
@@ -94,6 +102,17 @@ class PhasePolynomial:
         object.__setattr__(self, "modulus_log2", modulus_log2)
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "_terms", clean)
+
+    @classmethod
+    def _of(cls, nvars: int, modulus_log2: int, terms: dict[Monomial, int]) -> "PhasePolynomial":
+        """The polynomial holding terms as they are: frozenset monomials over
+        variables below nvars, each coefficient reduced mod 2^m and nonzero.
+        Nothing is checked, and the dict is shared, not copied."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "modulus_log2", modulus_log2)
+        object.__setattr__(poly, "nvars", nvars)
+        object.__setattr__(poly, "_terms", terms)
+        return poly
 
     def __setattr__(self, name, value):  # pragma: no cover - guard rail
         raise AttributeError("PhasePolynomial is immutable")
@@ -151,7 +170,10 @@ class PhasePolynomial:
         return total % self.modulus
 
     def renumber(self, offset: int, nvars: int) -> "PhasePolynomial":
-        """Shift every variable index by offset (multi-copy embedding)."""
+        """Shift every variable index by offset (multi-copy embedding).  With
+        offset 0 and no fewer variables, the result shares these terms."""
+        if offset == 0 and nvars >= self.nvars:
+            return PhasePolynomial._of(nvars, self.modulus_log2, self._terms)
         return PhasePolynomial(
             nvars,
             self.modulus_log2,
@@ -179,21 +201,32 @@ def poly_from_circuit(
 
     A C^{j-1}Z on a qubit set contributes 2^(m-1) times the product of its
     variables; a Z rotation by 2pi/2^l on one qubit contributes 2^(m-l)
-    times that variable (see the coefficient helpers below).
+    times that variable (see the coefficient helpers below).  Each gate's
+    qubits become one frozenset, and the variable range is checked once,
+    from the lowest and highest qubit of all gates.
     """
     terms: dict[Monomial, int] = {}
-    maxvar = -1
+    lo, hi = 0, -1
     for coeff, qubits in gates:
-        qubits = tuple(qubits)
-        if len(set(qubits)) != len(qubits):
-            raise ValueError(f"repeated qubit in gate {qubits}")
+        if not isinstance(qubits, tuple):
+            qubits = tuple(qubits)
         mono = frozenset(qubits)
+        if len(mono) != len(qubits):
+            raise ValueError(f"repeated qubit in gate {qubits}")
         terms[mono] = terms.get(mono, 0) + coeff
-        if qubits:
-            maxvar = max(maxvar, max(qubits))
+        if mono:
+            lo, hi = min(lo, min(mono)), max(hi, max(mono))
     if nvars is None:
-        nvars = maxvar + 1
-    return PhasePolynomial(nvars, modulus_log2, terms)
+        nvars = hi + 1
+    if modulus_log2 < 1:
+        raise ValueError("modulus_log2 must be >= 1")
+    if nvars < 0:
+        raise ValueError("nvars must be >= 0")
+    if lo < 0 or hi >= nvars:
+        raise ValueError("monomial variable out of range")
+    mod = 1 << modulus_log2
+    reduced = {mono: r for mono, c in terms.items() if (r := c % mod)}
+    return PhasePolynomial._of(nvars, modulus_log2, reduced)
 
 
 def controlled_z_coeff(modulus_log2: int) -> int:
@@ -233,7 +266,10 @@ def difference(f: PhasePolynomial, g: int) -> PhasePolynomial:
                 coeff = c if size % 2 == 0 else -c
                 out[key] = out.get(key, 0) + coeff
         out[mono] = out.get(mono, 0) - c
-    return PhasePolynomial(f.nvars, f.modulus_log2, out)
+    mod = f.modulus
+    return PhasePolynomial._of(
+        f.nvars, f.modulus_log2, {mono: r for mono, c in out.items() if (r := c % mod)}
+    )
 
 
 def hierarchy_level(f: PhasePolynomial) -> int:
@@ -446,7 +482,7 @@ def substitute(
         total = (out.pop(acc, 0) + half) % (1 << m)
         if total:
             out[acc] = total
-    return PhasePolynomial(
+    return PhasePolynomial._of(
         new_nvars, m, {frozenset(f2la.indices_of(acc)): c for acc, c in out.items()}
     )
 
@@ -554,7 +590,7 @@ def preserves_codespace(
     copies = _infer_copies(f, code, copies)
     full, a_total, g_index = _pullback(f, code, copies)
     moving = {mono: c for mono, c in full._terms.items() if max(mono, default=-1) >= a_total}
-    moving = PhasePolynomial(full.nvars, f.modulus_log2, moving)
+    moving = PhasePolynomial._of(full.nvars, f.modulus_log2, moving)
     for c in range(copies):
         for j, r in enumerate(g_index):
             if not difference(moving, 1 << (a_total + c * len(g_index) + j)).is_zero():
@@ -579,7 +615,7 @@ def logical_action(
             "stabilizer dependence failed to cancel; circuit does not "
             "preserve the codespace"
         )
-    return PhasePolynomial(a_total, f.modulus_log2, full._terms)
+    return PhasePolynomial._of(a_total, f.modulus_log2, full._terms)
 
 
 # -- circuit text format -------------------------------------------------------
@@ -596,14 +632,15 @@ def logical_action(
 def parse_circuit_text(text: str) -> PhasePolynomial:
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not lines or not lines[0].startswith("MOD"):
+    head = lines[0].split() if lines else []
+    if not head or head[0] != "MOD":
         raise ValueError("circuit file must start with a 'MOD m' header")
-    head = lines[0].split()
     if len(head) != 2:
         raise ValueError(f"bad circuit header {lines[0]!r}")
     m = int(head[1])
     if not 1 <= m <= MAX_MODULUS_LOG2:
         raise ValueError(f"modulus exponent must be >= 1 and <= {MAX_MODULUS_LOG2}")
+    cz, arity = controlled_z_coeff(m), {"CZ": 2, "CCZ": 3, "CNZ": None}
     gates: list[tuple[int, tuple[int, ...]]] = []
     for ln in lines[1:]:
         parts = ln.split()
@@ -612,14 +649,14 @@ def parse_circuit_text(text: str) -> PhasePolynomial:
             if len(args) != 2:
                 raise ValueError(f"PHASE needs a coefficient and a qubit: {ln!r}")
             gates.append((int(args[0]), (int(args[1]),)))
-        elif op in ("CZ", "CCZ", "CNZ"):
-            qubits = tuple(int(a) for a in args)
-            expected = {"CZ": 2, "CCZ": 3}.get(op)
+        elif op in arity:
+            qubits = tuple(map(int, args))
+            expected = arity[op]
             if expected is not None and len(qubits) != expected:
                 raise ValueError(f"{op} needs {expected} qubits: {ln!r}")
-            if len(qubits) < 1:
+            if not qubits:
                 raise ValueError(f"empty gate line {ln!r}")
-            gates.append((controlled_z_coeff(m), qubits))
+            gates.append((cz, qubits))
         else:
             raise ValueError(f"unknown circuit line {ln!r}")
     return poly_from_circuit(gates, m)
@@ -632,7 +669,7 @@ def format_circuit_text(f: PhasePolynomial, comment: Optional[str] = None) -> st
         for ln in comment.splitlines():
             out.append(f"# {ln}")
     out.append(f"MOD {f.modulus_log2}")
-    cz = controlled_z_coeff(f.modulus_log2)
+    cz, names = controlled_z_coeff(f.modulus_log2), {2: "CZ", 3: "CCZ"}
     for mono, c in f.terms():
         if len(mono) == 0:
             raise ValueError("constant phase terms are not representable")
@@ -643,8 +680,7 @@ def format_circuit_text(f: PhasePolynomial, comment: Optional[str] = None) -> st
                 raise ValueError(
                     f"multi-qubit term {mono} has coefficient {c}, not 2^(m-1)"
                 )
-            name = {2: "CZ", 3: "CCZ"}.get(len(mono), "CNZ")
-            out.append(f"{name} " + " ".join(str(q) for q in mono))
+            out.append(f"{names.get(len(mono), 'CNZ')} {' '.join(map(str, mono))}")
     return "\n".join(out) + "\n"
 
 

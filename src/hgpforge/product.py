@@ -5,7 +5,8 @@ A_i : F_2^{n_i} -> F_2^{m_i}.  The level-l space splits into sectors, one
 per size-l subset J of the t directions; direction i of a sector has size
 n_i when i is in J and m_i otherwise.  Boundary maps follow the graded
 Leibniz rule (signs vanish in characteristic 2) and satisfy dd = 0 by
-construction, which is asserted when the complex is assembled.
+construction.  Each map is built on first use, and dd = 0 is asserted for
+each pair of adjacent maps, when the second is built.
 
 Sectors are listed in lexicographic order of their (sorted, 0-based) index
 subsets, and every flat qubit index is row-major mixed radix within its
@@ -178,7 +179,13 @@ class Hypertube:
 
 
 class ProductComplex:
-    """The full t-dimensional product: sector tables and boundary maps."""
+    """The full t-dimensional product: sector tables and boundary maps.
+
+    The sector tables are laid out on construction.  Each boundary map, and
+    each transpose, is built the first time it is read, so a level-l code
+    builds boundary(l) and boundary(l + 1) and no other.  dd = 0 is asserted
+    for each pair of adjacent maps, when the second is built.
+    """
 
     def __init__(self, factors: Sequence[OneComplex]):
         if not (1 <= len(factors) <= MAX_DIMENSION):
@@ -197,21 +204,27 @@ class ProductComplex:
                 sectors.append(sec)
                 offset += sec.size
             self.tables.append(SectorTable(sectors))
-        self._boundaries = {
-            level: self._build_boundary(level) for level in range(1, self.t + 1)
-        }
+        self._boundaries: dict[int, BinaryMatrix] = {}
         self._transposed: dict[int, BinaryMatrix] = {}
-        for level in range(2, self.t + 1):
-            prod = f2la.matmul(self._boundaries[level - 1], self._boundaries[level])
-            if not prod.is_zero():
-                raise AssertionError(f"boundary composition at level {level} is nonzero")
 
     def dim(self, level: int) -> int:
         return self.tables[level].dim
 
     def boundary(self, level: int) -> BinaryMatrix:
-        """The map from level to level-1, as a dim(level-1) x dim(level) matrix."""
-        return self._boundaries[level]
+        """The map from level to level-1, as a dim(level-1) x dim(level) matrix,
+        built on first use and kept.  Building it asserts dd = 0 with each
+        adjacent map already built."""
+        d = self._boundaries.get(level)
+        if d is None:
+            d = self._build_boundary(level)
+            below = self._boundaries.get(level - 1)
+            if below is not None:
+                _assert_composes_to_zero(below, d, level)
+            above = self._boundaries.get(level + 1)
+            if above is not None:
+                _assert_composes_to_zero(d, above, level + 1)
+            self._boundaries[level] = d
+        return d
 
     def transposed_boundary(self, level: int) -> BinaryMatrix:
         """boundary(level) transposed, built on first use and kept."""
@@ -228,8 +241,11 @@ class ProductComplex:
         times down a diagonal.  It spans every row of its target sector; in
         the transpose the block I_p (x) A_j^T (x) I_q spans every row of
         sector J.  So each row sector's rows are the XOR of its blocks' rows,
-        and the map is those rows, sector after sector.
+        and the map is those rows, sector after sector.  A level outside
+        1..t raises KeyError.
         """
+        if not 1 <= level <= self.t:
+            raise KeyError(level)
         src, dst = self.tables[level], self.tables[level - 1]
         rows: list[Optional[list[int]]] = [None] * len(src if transposed else dst)
         for s, sec in enumerate(src.sectors):
@@ -248,6 +264,12 @@ class ProductComplex:
     def __repr__(self) -> str:
         dims = ", ".join(str(self.dim(level)) for level in range(self.t + 1))
         return f"ProductComplex(t={self.t}, dims=[{dims}])"
+
+
+def _assert_composes_to_zero(low: BinaryMatrix, high: BinaryMatrix, level: int) -> None:
+    """dd = 0 for boundary(level - 1) = low and boundary(level) = high."""
+    if not f2la.matmul(low, high).is_zero():
+        raise AssertionError(f"boundary composition at level {level} is nonzero")
 
 
 def build_product(factors: Sequence[OneComplex | BinaryMatrix]) -> ProductComplex:

@@ -73,7 +73,7 @@ def build_cnz_circuit(t: int, length: int, pc: Optional[ProductComplex] = None) 
         for sigma in itertools.permutations(range(t))
     ]
     pos = [0] * (1 << t)
-    gates = []
+    terms: dict[frozenset[int], int] = {}
     for cell in itertools.product(range(length), repeat=t):
         # one step along d adds its stride, or wraps back by L - 1 strides
         step = [s if c + 1 < length else s * (1 - length) for c, s in zip(cell, strides)]
@@ -82,8 +82,13 @@ def build_cnz_circuit(t: int, length: int, pc: Optional[ProductComplex] = None) 
             low = mask & -mask
             pos[mask] = pos[mask ^ low] + step[low.bit_length() - 1]
         for order in orders:
-            gates.append((1, tuple(base + pos[mask] for base, mask in order)))
-    return diagonal.poly_from_circuit(gates, 1, nvars=t * n)
+            mono = frozenset([base + pos[mask] for base, mask in order])
+            # coefficients live mod 2: a repeated monomial cancels
+            if terms.pop(mono, 0) == 0:
+                terms[mono] = 1
+    # Copy i's qubit lies in its own block of n variables, so every monomial
+    # has t distinct variables below t * n: the terms are already normalized.
+    return PhasePolynomial._of(t * n, 1, terms)
 
 
 @dataclass(frozen=True)
@@ -157,7 +162,7 @@ def verify_logical_cnz(bundle: ToricBundle) -> CnzVerification:
     expected = expected_logical_monomials(bundle)
     missing = [mono for mono in expected if poly.coefficient(mono) != 1]
     level = diagonal.hierarchy_level(poly)
-    pattern = PhasePolynomial(poly.nvars, poly.modulus_log2, dict.fromkeys(expected, 1))
+    pattern = PhasePolynomial._of(poly.nvars, poly.modulus_log2, dict.fromkeys(expected, 1))
     verified = bool(expected) and poly == pattern
     return CnzVerification(
         verified,

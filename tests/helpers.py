@@ -9,7 +9,7 @@ import itertools
 
 from hypothesis import strategies as st
 
-from hgpforge import diagonal, f2la, product
+from hgpforge import classical, diagonal, f2la, product
 from hgpforge.f2la import BinaryMatrix
 
 
@@ -79,3 +79,39 @@ def tuple_images(code, copies):
         for i in range(code.n)
     )
     return images, a_total, a_total + copies * r, g_index
+
+
+def cnz_layer_gates(t, length, pc=None):
+    """The toric C^(t-1)Z layer as (1, qubit tuple) gates, one per cell and
+    ordering sigma, before any cancellation: copy i's qubit is the edge along
+    sigma(i) leaving cell + e_S, S = sigma(0..i), read off a per-cell table of
+    the positions of cell + e_S over all 2^t subsets S."""
+    if pc is None:
+        pc = product.build_product([classical.cyclic_repetition_check(length)] * t)
+    n = pc.dim(1)
+    table = pc.tables[1]
+    sectors = [table[table.index_of((d,))] for d in range(t)]
+    strides = sectors[0].strides()
+    orders = [
+        [
+            (copy * n + sectors[d].offset, sum(1 << e for e in sigma[: copy + 1]))
+            for copy, d in enumerate(sigma)
+        ]
+        for sigma in itertools.permutations(range(t))
+    ]
+    pos = [0] * (1 << t)
+    gates = []
+    for cell in itertools.product(range(length), repeat=t):
+        step = [s if c + 1 < length else s * (1 - length) for c, s in zip(cell, strides)]
+        pos[0] = sum(c * s for c, s in zip(cell, strides))
+        for mask in range(1, 1 << t):
+            low = mask & -mask
+            pos[mask] = pos[mask ^ low] + step[low.bit_length() - 1]
+        for order in orders:
+            gates.append((1, tuple(base + pos[mask] for base, mask in order)))
+    return gates
+
+
+def renormalized(poly):
+    """The terms the public constructor makes of poly's own terms."""
+    return diagonal.PhasePolynomial(poly.nvars, poly.modulus_log2, dict(poly._terms))._terms

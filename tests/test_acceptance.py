@@ -11,9 +11,13 @@ import time
 from contextlib import contextmanager
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hgpforge import classical, correctability, css, diagonal, f2la, product, toric_cnz
 from hgpforge.f2la import BinaryMatrix
+
+from helpers import seed_matrices
 
 
 @contextmanager
@@ -50,6 +54,30 @@ def verified_min_logical_weight(code, predicted, h_kernel, h_stab):
     return css._walk_logical_weight(
         h_kernel, f2la.RowSpace(h_stab), predicted, 1 << 20
     )[0]
+
+
+def coset_oracle(code, f, copies=1):
+    """The 2^(n copies) diagonal fixes the projector of `copies` copies of
+    the code iff the phase is constant on every coset of rowspace(Hx) inside
+    ker Hz, each taken over all copies."""
+    shifts = [c * code.n for c in range(copies)]
+    kernel = [0]
+    for b in code.x_domain_basis():
+        for shift in shifts:
+            kernel += [v ^ b << shift for v in kernel]
+    stab = [0]
+    for b in f2la.rref(code.hx).nonzero_rows():
+        for shift in shifts:
+            stab += [v ^ b << shift for v in stab]
+    seen = set()
+    for v in kernel:
+        if v in seen:
+            continue
+        coset = {v ^ s for s in stab}
+        seen |= coset
+        if len({f.evaluate(x) for x in coset}) != 1:
+            return False
+    return True
 
 
 @pytest.fixture(scope="module")
@@ -275,25 +303,6 @@ def test_criterion_10_symbolic_vs_state_vector():
             if code.n <= 12:
                 codes.append(code)
 
-        def coset_oracle(code, f):
-            # the 2^n diagonal fixes the projector iff the phase is constant
-            # on every coset of rowspace(Hx) inside ker Hz
-            kernel = [0]
-            for b in code.x_domain_basis():
-                kernel += [v ^ b for v in kernel]
-            stab = [0]
-            for b in f2la.rref(code.hx).nonzero_rows():
-                stab += [v ^ b for v in stab]
-            seen = set()
-            for v in kernel:
-                if v in seen:
-                    continue
-                coset = {v ^ s for s in stab}
-                seen |= coset
-                if len({f.evaluate(x) for x in coset}) != 1:
-                    return False
-            return True
-
         checked = 0
         while checked < 50:
             code = codes[checked % len(codes)]
@@ -305,3 +314,45 @@ def test_criterion_10_symbolic_vs_state_vector():
             f = diagonal.PhasePolynomial(code.n, m, terms)
             assert bool(diagonal.preserves_codespace(f, code)) == coset_oracle(code, f)
             checked += 1
+
+
+@st.composite
+def code_and_circuit_text(draw):
+    """One or two copies of a small level-1 product code (n * copies <= 12)
+    and a circuit file over their qubits: random PHASE, CZ, CCZ and CNZ
+    lines, and sometimes the PHASE lines of Z-type stabilizers, which always
+    preserve the codespace."""
+    copies = draw(st.sampled_from([1, 2]))
+    size = 3 if copies == 1 else 2
+    seeds = [draw(seed_matrices(1, size)) for _ in range(2)]
+    code = css.assemble_css(product.build_product(seeds), 1)
+    assume(code.n * copies <= 12)
+    m = draw(st.integers(1, 3))
+    qubits = st.integers(0, code.n * copies - 1)
+    lines = [f"MOD {m}"]
+    for row in draw(st.lists(st.sampled_from(code.hz.bits), max_size=2)) if code.hz.rows else []:
+        shift = code.n * draw(st.integers(0, copies - 1))
+        lines += [f"PHASE {1 << (m - 1)} {q + shift}" for q in f2la.indices_of(row)]
+    for _ in range(draw(st.integers(0, 3))):
+        gate = draw(st.sampled_from(["PHASE", "CZ", "CCZ", "CNZ"]))
+        if gate == "PHASE":
+            lines.append(f"PHASE {draw(st.integers(-4, 8))} {draw(qubits)}")
+            continue
+        arity = {"CZ": 2, "CCZ": 3}.get(gate) or draw(st.integers(1, 4))
+        if arity > code.n * copies:
+            continue
+        gate_qubits = draw(st.lists(qubits, min_size=arity, max_size=arity, unique=True))
+        lines.append(" ".join([gate, *map(str, gate_qubits)]))
+    return code, copies, "\n".join(lines) + "\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(code_and_circuit_text())
+def test_parsed_circuits_preserve_the_codespace_as_the_coset_oracle_says(case):
+    """Circuit text through parse_circuit_text, the renumbering onto every
+    copy's qubits and preserves_codespace, as verify-diagonal runs them."""
+    code, copies, text = case
+    f = diagonal.parse_circuit_text(text).renumber(0, code.n * copies)
+    assert bool(diagonal.preserves_codespace(f, code, copies=copies)) == coset_oracle(
+        code, f, copies
+    )

@@ -257,6 +257,16 @@ class TestVerifyDiagonal:
         circ.write_text("MOD 1\nPHASE 1 40\n")
         assert main(["verify-diagonal", toric_bundle, str(circ)]) == 2
 
+    @pytest.mark.parametrize("header", ["MODX 2", "MODULUS 2"])
+    def test_a_header_that_only_starts_with_mod_is_refused(
+        self, capsys, tmp_path, toric_bundle, header
+    ):
+        circ = tmp_path / "c.txt"
+        circ.write_text(f"{header}\nCZ 0 1\n")
+        rc, report = run_json(capsys, ["verify-diagonal", toric_bundle, str(circ), "--copies", "2"])
+        assert rc == 2 and report["status"] == "error"
+        assert report["results"]["error"] == "circuit file must start with a 'MOD m' header"
+
 
 class TestNogoTransversal:
     def test_toric_respects_bound(self, capsys, toric_bundle):

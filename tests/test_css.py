@@ -87,10 +87,32 @@ class TestCssCondition:
             f2la, "matmul", lambda a, b: products.append((a.rows, a.cols, b.cols)) or real(a, b)
         )
         pc = product.build_product([classical.cyclic_repetition_check(3)] * 3)
-        # ProductComplex asserts d_1 d_2 = 0 and d_2 d_3 = 0 (dims 27, 81, 81, 27)
-        assert products == [(27, 81, 81), (81, 81, 27)]
+        # no map is built before a code reads it (dims 27, 81, 81, 27)
+        assert products == []
         codes = [css.assemble_css(pc, level) for level in (1, 2)]
-        assert len(products) == 2 and [c.k for c in codes] == [3, 3]
+        # level 1 builds d_2, then d_1 and asserts d_1 d_2 = 0; level 2 builds
+        # d_3 and asserts d_2 d_3 = 0
+        assert products == [(27, 81, 81), (81, 81, 27)] and [c.k for c in codes] == [3, 3]
+
+    def test_a_corrupt_map_a_code_reads_fails_its_first_assembly(self, monkeypatch):
+        real = product.ProductComplex._build_boundary
+
+        def corrupt_level_two(self, level, transposed=False):
+            d = real(self, level, transposed)
+            if level != 2 or transposed:
+                return d
+            return BinaryMatrix(d.rows, d.cols, [d.bits[0] ^ 1, *d.bits[1:]])
+
+        monkeypatch.setattr(product.ProductComplex, "_build_boundary", corrupt_level_two)
+        pc = product.build_product([classical.cyclic_repetition_check(3)] * 3)
+        with pytest.raises(AssertionError, match="boundary composition at level 2 is nonzero"):
+            css.assemble_css(pc, 1)
+        pc = product.build_product([classical.cyclic_repetition_check(3)] * 3)
+        with pytest.raises(AssertionError, match="boundary composition at level 3 is nonzero"):
+            css.assemble_css(pc, 2)
+        pc = product.build_product([classical.cyclic_repetition_check(3)] * 3)
+        with pytest.raises(AssertionError, match="boundary composition at level 2 is nonzero"):
+            css.CssCode(pc.boundary(1), pc.transposed_boundary(2), complex=pc, level=1)
 
 
 class TestKunneth:

@@ -26,7 +26,7 @@ from hgpforge.diagonal import (
 )
 from hgpforge.f2la import BinaryMatrix
 
-from helpers import column_supports, seed_matrices, tuple_images
+from helpers import column_supports, renormalized, seed_matrices, tuple_images
 
 
 def toric_code(t, length):
@@ -135,6 +135,41 @@ class TestPolyFromCircuit:
     def test_duplicate_gates_cancel(self):
         f = poly_from_circuit([(1, (0, 1)), (1, (0, 1))], 1)
         assert f.is_zero()
+
+    @pytest.mark.parametrize(
+        "gates, nvars, message",
+        [
+            ([(1, (0, 0))], None, "repeated qubit in gate (0, 0)"),
+            ([(1, [2, 1, 2])], None, "repeated qubit in gate (2, 1, 2)"),
+            ([(1, (x for x in (4, 4)))], None, "repeated qubit in gate (4, 4)"),
+            ([(1, (-1, 2))], None, "monomial variable out of range"),
+            ([(1, (-1,))], None, "monomial variable out of range"),
+            ([(1, (0, 3))], 3, "monomial variable out of range"),
+            ([(1, (2,))], -1, "nvars must be >= 0"),
+            # every gate is read before the variable range is checked
+            ([(1, (0, 5)), (1, (1, 1))], 3, "repeated qubit in gate (1, 1)"),
+        ],
+    )
+    def test_error_messages(self, gates, nvars, message):
+        with pytest.raises(ValueError) as err:
+            poly_from_circuit(gates, 1, nvars=nvars)
+        assert str(err.value) == message
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_sums_the_gates_as_the_constructor_does(self, data):
+        m = data.draw(st.integers(1, 4))
+        nvars = data.draw(st.integers(1, 7))
+        gate = st.tuples(
+            st.integers(-20, 20), st.sets(st.integers(0, nvars - 1), max_size=3).map(tuple)
+        )
+        gates = data.draw(st.lists(gate, max_size=8))
+        summed = {}
+        for coeff, qubits in gates:
+            summed[frozenset(qubits)] = summed.get(frozenset(qubits), 0) + coeff
+        f = poly_from_circuit(gates, m, nvars=nvars)
+        assert f == PhasePolynomial(nvars, m, summed)
+        assert f._terms == renormalized(f)
 
 
 class TestDifference:
@@ -722,6 +757,30 @@ class TestCircuitText:
     def test_rejects_malformed(self, bad):
         with pytest.raises(ValueError):
             diagonal.parse_circuit_text(bad)
+
+    @pytest.mark.parametrize("header", ["MODX 2", "MODULUS 2", "mod 2", "MOD2", "2"])
+    def test_the_header_token_must_be_mod(self, header):
+        with pytest.raises(ValueError) as err:
+            diagonal.parse_circuit_text(f"{header}\nCZ 0 1\n")
+        assert str(err.value) == "circuit file must start with a 'MOD m' header"
+
+    def test_a_header_without_a_modulus(self):
+        with pytest.raises(ValueError) as err:
+            diagonal.parse_circuit_text("# comment\nMOD\nCZ 0 1\n")
+        assert str(err.value) == "bad circuit header 'MOD'"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("MOD 1\nCZ 3 3\n", "repeated qubit in gate (3, 3)"),
+            ("MOD 1\nPHASE 1 -2\n", "monomial variable out of range"),
+            ("MOD 1\nCNZ 0 -1 4\n", "monomial variable out of range"),
+        ],
+    )
+    def test_gate_errors(self, text, message):
+        with pytest.raises(ValueError) as err:
+            diagonal.parse_circuit_text(text)
+        assert str(err.value) == message
 
     def test_unrepresentable_coefficient(self):
         f = PhasePolynomial(3, 3, {frozenset((0, 1)): 3})
@@ -1742,3 +1801,52 @@ class TestPullbackMemo:
         # the same f read as one copy is substituted again, and refused
         with pytest.raises(ValueError, match="one image per variable"):
             diagonal._pullback(f, code, 1)
+
+
+class TestSingleNormalization:
+    """The producers that skip the public constructor's pass leave frozenset
+    monomials in range with reduced nonzero coefficients: normalizing their
+    terms again changes nothing."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_substitute_and_difference(self, data):
+        rng = random.Random(data.draw(st.integers(0, 1 << 30)))
+        nvars, m = rng.randrange(1, 7), rng.randrange(1, 5)
+        f = random_poly(rng, nvars, m)
+        new_nvars = rng.randrange(1, 7)
+        images = [rng.getrandbits(new_nvars) for _ in range(nvars)]
+        pulled = substitute(f, images, new_nvars)
+        assert pulled._terms == renormalized(pulled)
+        shifted = difference(f, rng.getrandbits(nvars))
+        assert shifted._terms == renormalized(shifted)
+
+    def test_renumber(self):
+        f = poly_from_circuit([(1, (0, 2)), (3, (1,))], 2)
+        same = f.renumber(0, 3)
+        assert same == f and same._terms is f._terms
+        wider = f.renumber(0, 7)
+        assert wider.nvars == 7 and wider._terms is f._terms
+        moved = f.renumber(4, 7)
+        assert moved.terms() == [((5,), 3), ((4, 6), 1)]
+        assert moved._terms == renormalized(moved)
+        with pytest.raises(ValueError, match="monomial variable out of range"):
+            f.renumber(0, 2)
+        with pytest.raises(ValueError, match="monomial variable out of range"):
+            f.renumber(5, 7)
+
+    def test_logical_action_and_the_moving_part(self, monkeypatch):
+        bundle = toric_cnz.build_bundle(2, 3)
+        action = logical_action(bundle.circuit, bundle.code, copies=2)
+        assert action._terms == renormalized(action) and len(action) == 2
+        moving = []
+        real = diagonal.difference
+        monkeypatch.setattr(
+            diagonal, "difference", lambda f, g: moving.append(f) or real(f, g)
+        )
+        terms = dict(bundle.circuit._terms)
+        del terms[min(terms, key=sorted)]
+        broken = PhasePolynomial(bundle.circuit.nvars, 1, terms)
+        assert not preserves_codespace(broken, bundle.code, copies=2)
+        assert moving and not moving[0].is_zero()
+        assert moving[0]._terms == renormalized(moving[0])

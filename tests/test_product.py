@@ -60,6 +60,13 @@ class TestBuild:
         )
         assert d2 == expected2
 
+    @pytest.mark.parametrize("level", [-1, 0, 3])
+    def test_a_level_outside_the_complex_has_no_map(self, level):
+        pc = product.build_product([classical.cyclic_repetition_check(3)] * 2)
+        for build in (pc.boundary, pc.transposed_boundary):
+            with pytest.raises(KeyError):
+                build(level)
+
     def test_one_dim_is_seed(self):
         a = BinaryMatrix.from_rows(["110", "011"])
         pc = product.build_product([a])

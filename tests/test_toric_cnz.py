@@ -7,7 +7,7 @@ import pytest
 
 from hgpforge import classical, css, diagonal, f2la, product, toric_cnz
 
-from helpers import column_supports
+from helpers import cnz_layer_gates, column_supports, renormalized
 
 
 class TestBuildToric:
@@ -47,7 +47,7 @@ class TestCircuit:
     def test_degenerate_torus_allowed(self):
         # L=1 is legal: each path still selects one qubit per copy, and the
         # copy labels keep the two path monomials distinct (duplicate gates,
-        # when they do coincide, cancel inside the polynomial constructor)
+        # when they do coincide, cancel mod 2 as the layer is built)
         circuit = toric_cnz.build_cnz_circuit(2, 1)
         assert circuit.nvars == 4
         assert len(circuit) == 2
@@ -81,6 +81,17 @@ class TestCircuit:
         expected = diagonal.poly_from_circuit(gates, 1, nvars=t * n)
         assert toric_cnz.build_cnz_circuit(t, length, pc=pc) == expected
         assert toric_cnz.build_cnz_circuit(t, length) == expected
+
+    @pytest.mark.parametrize(
+        "t, length", [(2, 1), (2, 2), (2, 5), (3, 1), (3, 2), (3, 3), (4, 2), (5, 1)]
+    )
+    def test_layer_equals_the_tuple_gate_builder(self, t, length):
+        # the layer fills its terms directly; normalizing them again, or
+        # building it gate by gate through poly_from_circuit, changes nothing
+        layer = toric_cnz.build_cnz_circuit(t, length)
+        gates = cnz_layer_gates(t, length)
+        assert layer == diagonal.poly_from_circuit(gates, 1, nvars=layer.nvars)
+        assert layer._terms == renormalized(layer)
 
     def test_physical_level_is_t(self):
         for t, length in [(2, 2), (2, 3), (3, 2)]:
