@@ -78,15 +78,6 @@ def distance(code: ClassicalCode, budget: int = _SEARCH_BUDGET) -> int:
     return code._distance
 
 
-def distance_at_least(code: ClassicalCode, w: int) -> bool:
-    """Certify d >= w by enumerating all messages of weight < w."""
-    if code.k == 0:
-        raise ValueError("distance undefined for trivial code")
-    return not any(
-        0 < word.bit_count() < w for _, word in f2la.subset_xors(code.g.bits, w - 1)
-    )
-
-
 def distance_certificate(code: ClassicalCode) -> dict:
     """JSON-ready certificate: parameters plus a minimum-weight witness."""
     d = distance(code)

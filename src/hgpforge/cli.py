@@ -9,12 +9,11 @@ not codespace-preserving, hierarchy bound broken), 2 usage or parse error.
 Each command returns its input paths, results and verdict; `main` alone
 hashes the inputs, writes the envelope and maps the verdict to the status
 and the exit code.
-Output is byte-identical for identical inputs.  `distance --jobs N` is
-accepted and ignored; searches run in one thread.
-`nogo-transversal --samples N --seed S` are accepted and unused: the survey
-reads the solution-module generators alone, since no combination of them
-reaches a higher level; `--samples` is still capped and echoed as
-`sample_count`.
+Output is byte-identical for identical inputs.  `distance --jobs N` and
+`nogo-transversal --seed S` are parsed and stop here: no library call
+takes them, since searches run in one thread and the survey reads the
+solution-module generators alone (no combination of them reaches a higher
+level).  `--samples N` is still capped and echoed as `sample_count`.
 """
 
 from __future__ import annotations
@@ -188,7 +187,7 @@ def cmd_logicals(args) -> tuple[list[str], dict, bool]:
 
 def cmd_distance(args) -> tuple[list[str], dict, bool]:
     code = read_bundle(args.bundle)
-    result = css.brute_distance(code, max_weight=args.max_weight, jobs=args.jobs)
+    result = css.brute_distance(code, max_weight=args.max_weight)
     results = {
         "n": code.n,
         "k": code.k,
@@ -234,9 +233,7 @@ def cmd_verify_diagonal(args) -> tuple[list[str], dict, bool]:
 
 def cmd_nogo_transversal(args) -> tuple[list[str], dict, bool]:
     code = read_bundle(args.bundle)
-    report = diagonal.transversal_nogo_harness(
-        code, args.mod, samples=args.samples, seed=args.seed
-    )
+    report = diagonal.transversal_nogo_harness(code, args.mod, samples=args.samples)
     results = report.to_json()
     return [args.bundle], results, results["clifford_bound_respected"]
 
@@ -295,7 +292,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("distance", help="brute-force code distance")
     p.add_argument("bundle")
     p.add_argument("--max-weight", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1, help="accepted and ignored")
+    p.add_argument("--jobs", type=int, default=1, help="accepted; stops at the CLI (one thread)")
     p.set_defaults(func=cmd_distance)
 
     p = sub.add_parser("correctable", help="cleaning-lemma verdict for a region")
@@ -317,8 +314,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("bundle")
     p.add_argument("--mod", type=int, required=True, help="modulus exponent m")
-    p.add_argument("--samples", type=int, default=100, help="accepted and unused; echoed")
-    p.add_argument("--seed", type=int, default=0, help="accepted and unused")
+    p.add_argument("--samples", type=int, default=100, help="capped at 1000, echoed; none drawn")
+    p.add_argument("--seed", type=int, default=0, help="accepted; stops at the CLI (none drawn)")
     p.set_defaults(func=cmd_nogo_transversal)
 
     p = sub.add_parser(

@@ -24,6 +24,7 @@ from .f2la import BinaryMatrix, RowSpace
 from .product import Hyperplane, ProductComplex
 
 _DISTANCE_BUDGET = 1 << 22
+MAX_CHECK_BITS = 1 << 31
 
 
 # -- Pauli algebra -----------------------------------------------------------
@@ -99,7 +100,6 @@ class LogicalRep:
     sector: int
     fixed_dirs: tuple[int, ...]
     fixed_values: Optional[tuple[int, ...]]
-    kernel_indices: tuple[int, ...]
     factors: tuple[int, ...]
 
     def hyperplane(self, level: int) -> Hyperplane:
@@ -201,12 +201,12 @@ class CssCode:
         if len(x_reps) != self.k or len(z_reps) != self.k:
             raise ValueError(f"expected {self.k} representatives per type")
         wrapped_x, wrapped_z = [], []
-        for i, op in enumerate(x_reps):
+        for op in x_reps:
             _check_logical(self, op.x, "X")
-            wrapped_x.append(LogicalRep(op, "X", -1, (), None, (i,), ()))
-        for i, op in enumerate(z_reps):
+            wrapped_x.append(LogicalRep(op, "X", -1, (), None, ()))
+        for op in z_reps:
             _check_logical(self, op.z, "Z")
-            wrapped_z.append(LogicalRep(op, "Z", -1, (), None, (i,), ()))
+            wrapped_z.append(LogicalRep(op, "Z", -1, (), None, ()))
         pairing = _pairing_matrix(wrapped_x, wrapped_z)
         if pairing != BinaryMatrix.identity(self.k):
             raise ValueError("pairing of supplied basis is not the identity")
@@ -253,9 +253,17 @@ def assemble_css(pc: ProductComplex, level: int) -> CssCode:
 
     Builds boundary(level + 1) and then boundary(level), the two maps the
     code reads; building the second asserts their dd = 0, which is the
-    code's Hx Hz^T = 0."""
+    code's Hx Hz^T = 0.  Refused before either map is built when Hx and Hz
+    together hold more than MAX_CHECK_BITS bits, n (r_x + r_z) counted from
+    the sector dims of levels level - 1, level and level + 1."""
     if not (1 <= level <= pc.t - 1):
         raise ValueError(f"level must be in [1, {pc.t - 1}] for t={pc.t}")
+    bits = pc.dim(level) * (pc.dim(level - 1) + pc.dim(level + 1))
+    if bits > MAX_CHECK_BITS:
+        raise ValueError(
+            f"Hx and Hz of the level-{level} code hold {bits} bits,"
+            f" above the cap of {MAX_CHECK_BITS}"
+        )
     pc.boundary(level + 1)
     return CssCode(
         pc.boundary(level), pc.transposed_boundary(level + 1), complex=pc, level=level
@@ -314,7 +322,6 @@ class DistanceResult:
 def brute_distance(
     code: CssCode,
     max_weight: Optional[int] = None,
-    jobs: int = 1,
     budget: int = _DISTANCE_BUDGET,
 ) -> DistanceResult:
     """Exact minimum logical weights, one `_walk_logical_weight` cluster walk
@@ -330,8 +337,7 @@ def brute_distance(
     at most `_node_bound` for the largest check weight r, are refused
     before any walk when they may exceed `_DISTANCE_BUDGET`.  On a product
     code the walks take the checks' transposes from the complex: Hx^T is
-    `transposed_boundary(level)` and Hz^T is `boundary(level + 1)`.  `jobs`
-    is accepted and ignored.
+    `transposed_boundary(level)` and Hz^T is `boundary(level + 1)`.
     """
     if code.k == 0:
         raise ValueError("no logical operators")
@@ -487,7 +493,6 @@ def canonical_logical_basis(code: CssCode) -> LogicalBasis:
                     mu,
                     tuple(sec.J),
                     tuple(x_fixed),
-                    a,
                     tuple(x_factors),
                 )
             )
@@ -499,7 +504,6 @@ def canonical_logical_basis(code: CssCode) -> LogicalBasis:
                     mu,
                     comp,
                     tuple(z_fixed),
-                    a,
                     tuple(z_factors),
                 )
             )
@@ -590,7 +594,7 @@ def alternative_representative(
         target = f2la.restrict(unit, gamma)
         # X reps deform by rows of A (X-stabilizer translates); Z reps by
         # rows of A^T.  Both are "clean the unit factor off gamma".
-        matrix = fac.a if rep.kind == "X" else f2la.transpose(fac.a)
+        matrix = fac.a if rep.kind == "X" else fac.a_t
         h_elem = classical.clean_with_target(matrix, gamma, target)
         if h_elem is None:
             raise ValueError(

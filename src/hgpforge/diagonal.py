@@ -696,26 +696,24 @@ class CircuitSupportModel:
 
     ``spread_map`` (constant-depth only) sends a qubit set to the union of
     the supports its image may touch; it is supplied by the caller from the
-    declared gate layout, never inferred.  The flags record the declared
-    orientation/dimension behaviour and are not derived facts.
+    declared gate layout, never inferred.  A transversal circuit keeps every
+    support in place, so a transversal model refuses a ``spread_map``, and a
+    constant-depth model without one spreads nothing.
     """
 
     kind: str
-    spread_c: int = 1
-    orientation_preserving: bool = False
-    dimension_preserving: bool = False
     spread_map: Optional[Callable[[frozenset[int]], Iterable[int]]] = None
 
     def __post_init__(self):
         if self.kind not in (TRANSVERSAL, CONSTANT_DEPTH):
             raise ValueError(f"unknown circuit kind {self.kind!r}")
-        if self.kind == TRANSVERSAL and self.spread_c != 1:
+        if self.kind == TRANSVERSAL and self.spread_map is not None:
             raise ValueError("transversal circuits cannot spread supports")
 
     def image(self, qubits: Iterable[int]) -> frozenset[int]:
         """Upper bound on supp(U P U^dagger) given supp(P) = qubits."""
         qubits = frozenset(qubits)
-        if self.kind == TRANSVERSAL or self.spread_map is None:
+        if self.spread_map is None:
             return qubits
         return qubits | frozenset(self.spread_map(qubits))
 
@@ -733,10 +731,7 @@ def commutator_support_bound(
     transversal circuit leaves V in place while a constant-depth circuit
     can spread it once more.
     """
-    v = frozenset(p_image) & frozenset(q_support)
-    if model.kind == TRANSVERSAL:
-        return v
-    return model.image(v)
+    return model.image(frozenset(p_image) & frozenset(q_support))
 
 
 @dataclass(frozen=True)
@@ -979,7 +974,6 @@ def transversal_nogo_harness(
     code: CssCode,
     modulus_log2: int,
     samples: int = 100,
-    seed: int = 0,
 ) -> NogoReport:
     """Survey every codespace-preserving transversal diagonal family.
 
@@ -992,7 +986,7 @@ def transversal_nogo_harness(
     b-row, so every combination preserves the codespace too.  A
     combination's level never exceeds its summands' largest, since v2 of a
     sum is at least the smaller v2, so no combination is drawn: `samples` is
-    only validated and echoed, and `seed` is unused.  The maximum-level
+    only validated and echoed.  The maximum-level
     generator is confirmed through `preserves_codespace`, `logical_action`
     and `hierarchy_level`, and a disagreement raises AssertionError.  For
     hypergraph product codes with distance >= 3 the maximum must come out

@@ -108,9 +108,6 @@ class BinaryMatrix:
     def row(self, r: int) -> int:
         return self.bits[r]
 
-    def row_weight(self, r: int) -> int:
-        return self.bits[r].bit_count()
-
     def is_zero(self) -> bool:
         return all(w == 0 for w in self.bits)
 
@@ -287,17 +284,14 @@ def restrict_columns(m: BinaryMatrix, cols: Sequence[int]) -> BinaryMatrix:
     return BinaryMatrix(m.rows, len(cols), [restrict(word, cols) for word in m.bits])
 
 
-def subset_xors(
-    words: Sequence[int], max_size: Optional[int] = None
-) -> Iterator[tuple[int, int]]:
-    """(size, XOR) of every nonempty subset of words of at most max_size.
+def subset_xors(words: Sequence[int]) -> Iterator[tuple[int, int]]:
+    """(size, XOR) of every nonempty subset of words.
 
     Subsets come by ascending size, and within a size in
     itertools.combinations order, so the first hit of a search is a
     smallest one with lexicographic tie-breaking.
     """
-    top = len(words) if max_size is None else min(max_size, len(words))
-    for size in range(1, top + 1):
+    for size in range(1, len(words) + 1):
         for combo in itertools.combinations(words, size):
             acc = 0
             for w in combo:

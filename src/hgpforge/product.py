@@ -37,8 +37,8 @@ class OneComplex:
     ``code_t`` the kernel of A^T.  Each is built the first time it is read
     (by k, k_t, the distances or a canonical logical basis), so a product
     whose callers never look at the seeds eliminates none of them.  ``a_t``
-    is A^T, built on first use: the transposed boundary blocks and
-    ``code_t`` share it.
+    is A^T, built on first use: the transposed boundary blocks, ``code_t``
+    and the Z-type cleaning in `css.alternative_representative` share it.
     """
 
     def __init__(self, a: BinaryMatrix):

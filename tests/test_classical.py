@@ -60,10 +60,6 @@ class TestDistance:
         code = ClassicalCode(BinaryMatrix.zeros(0, 25))
         assert classical.distance(code) == 1
 
-    def test_distance_at_least(self, hamming):
-        assert classical.distance_at_least(hamming, 3)
-        assert not classical.distance_at_least(hamming, 4)
-
     def test_certificate(self, hamming):
         cert = classical.distance_certificate(hamming)
         assert (cert["n"], cert["k"], cert["d"]) == (7, 4, 3)

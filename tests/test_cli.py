@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from hgpforge import classical, cli, css, diagonal, f2la
+from hgpforge import classical, cli, css, diagonal, f2la, product
 from hgpforge.cli import main
 
 
@@ -542,6 +542,55 @@ class TestContract:
         argv = ["nogo-transversal", toric_bundle, "--mod", "2", "--samples", "0"]
         rc, report = run_json(capsys, argv)
         assert rc == 0 and report["results"]["sample_count"] == 0
+
+    def test_jobs_and_seed_stop_at_the_cli(self, capsys, toric_bundle):
+        outs = []
+        for argv in (
+            ["distance", toric_bundle, "--jobs", "1"],
+            ["distance", toric_bundle, "--jobs", "4"],
+            ["nogo-transversal", toric_bundle, "--mod", "3", "--seed", "0"],
+            ["nogo-transversal", toric_bundle, "--mod", "3", "--seed", "9"],
+        ):
+            assert main(argv) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1] and outs[2] == outs[3]
+
+    def test_benchmark_argv_forms_are_accepted(self, capsys, toric_bundle):
+        # the forms the distance and nogo ops pass: a refused flag fails every op
+        argv = ["distance", toric_bundle, "--max-weight", "3", "--jobs", "1"]
+        rc, report = run_json(capsys, argv)
+        assert rc == 0 and report["results"]["d"] == 3
+        argv = ["nogo-transversal", toric_bundle, "--mod", "2", "--samples", "16", "--seed", "123"]
+        rc, report = run_json(capsys, argv)
+        assert rc == 0 and report["results"]["sample_count"] == 16
+
+    def test_build_over_the_check_bit_cap_is_refused_before_any_map(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # six copies of the 5x5 circulant: n (r_x + r_z) = 93,750 * 250,000 bits
+        rep5 = tmp_path / "rep5.txt"
+        rep5.write_text(f2la.format_matrix_text(classical.cyclic_repetition_check(5)))
+        built = []
+        real = product.ProductComplex._build_boundary
+        monkeypatch.setattr(
+            product.ProductComplex,
+            "_build_boundary",
+            lambda self, *args, **kwargs: built.append(args) or real(self, *args, **kwargs),
+        )
+        out = tmp_path / "rep5x6.json"
+        rc, report = run_json(capsys, ["build", *[str(rep5)] * 6, "--level", "1", "-o", str(out)])
+        assert rc == 2 and report["status"] == "error"
+        assert f"23437500000 bits, above the cap of {css.MAX_CHECK_BITS}" in report["results"]["error"]
+        assert built == [] and not out.exists()
+
+    def test_toric_cnz_over_the_check_bit_cap_is_refused(self, capsys, tmp_path):
+        # t=2, L=153: 46,818 gates are under the gate cap, but Hx and Hz
+        # would hold 46,818^2 bits
+        out = tmp_path / "cz153.txt"
+        assert main(["toric-cnz", "--t", "2", "--L", "153", "-o", str(out)]) == 2
+        report = json.loads(capsys.readouterr().out)
+        assert f"above the cap of {css.MAX_CHECK_BITS}" in report["results"]["error"]
+        assert not out.exists()
 
     def test_non_integer_jobs_is_usage_error(self, capsys, toric_bundle):
         assert main(["distance", toric_bundle, "--jobs", "abc"]) == 2

@@ -61,6 +61,27 @@ class TestAssemble:
     def test_stabilizer_weight(self, toric18):
         assert toric18.stabilizer_weight == 4
 
+    def test_check_bit_cap_is_counted_before_any_map(self, monkeypatch):
+        # toric L=3: n (r_x + r_z) = 18 * (9 + 9) = 324
+        seeds = [classical.cyclic_repetition_check(3)] * 2
+        monkeypatch.setattr(css, "MAX_CHECK_BITS", 323)
+        pc = product.build_product(seeds)
+        with pytest.raises(ValueError, match="hold 324 bits, above the cap of 323"):
+            css.assemble_css(pc, 1)
+        assert pc._boundaries == {} and pc._transposed == {}
+        monkeypatch.setattr(css, "MAX_CHECK_BITS", 324)
+        assert css.assemble_css(product.build_product(seeds), 1).k == 2
+
+    def test_check_bit_cap_admits_the_largest_codes_in_use(self):
+        def check_bits(t, length, level=1):
+            pc = product.build_product([classical.cyclic_repetition_check(length)] * t)
+            return pc.dim(level) * (pc.dim(level - 1) + pc.dim(level + 1))
+
+        assert check_bits(2, 128) == 1 << 30 <= css.MAX_CHECK_BITS
+        assert check_bits(5, 5) == 537_109_375 <= css.MAX_CHECK_BITS
+        # toric-cnz at t=2: L=152 is the largest layer whose code is admitted
+        assert check_bits(2, 152) <= css.MAX_CHECK_BITS < check_bits(2, 153)
+
 
 class TestCssCondition:
     def test_a_non_css_pair_is_rejected(self):
@@ -172,11 +193,6 @@ class TestBruteDistance:
         code = css.assemble_css(pc, 1)
         with pytest.raises(ValueError, match="no logical"):
             css.brute_distance(code)
-
-    def test_jobs_do_not_change_result(self, toric18):
-        a = css.brute_distance(toric18, jobs=1)
-        b = css.brute_distance(toric18, jobs=3)
-        assert a == b
 
     def test_budget_guard(self, toric18):
         with pytest.raises(ValueError, match="budget"):

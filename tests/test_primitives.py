@@ -252,15 +252,14 @@ class TestRestrictLift:
 
 class TestSubsetXors:
     @SETTINGS
-    @given(st.lists(st.integers(0, 255), max_size=6), st.one_of(st.none(), st.integers(0, 7)))
-    def test_order_is_nested_combinations(self, words, max_size):
-        top = len(words) if max_size is None else min(max_size, len(words))
+    @given(st.lists(st.integers(0, 255), max_size=6))
+    def test_order_is_nested_combinations(self, words):
         expected = [
             (size, reduce(xor, combo, 0))
-            for size in range(1, top + 1)
+            for size in range(1, len(words) + 1)
             for combo in itertools.combinations(words, size)
         ]
-        assert list(f2la.subset_xors(words, max_size)) == expected
+        assert list(f2la.subset_xors(words)) == expected
 
 
 class TestLightestWord:
@@ -344,15 +343,6 @@ class TestDistance:
         brute = min(x.bit_count() for x in codewords(h) if x)
         assert witness and f2la.mat_vec(h, witness) == 0
         assert witness.bit_count() == cert["d"] == brute
-
-    @SETTINGS
-    @given(matrices(max_rows=4, min_cols=1), st.integers(1, MAX_N + 1))
-    def test_distance_at_least(self, h, w):
-        code = classical.ClassicalCode(h)
-        if code.k == 0:
-            return
-        brute = min(x.bit_count() for x in codewords(h) if x)
-        assert classical.distance_at_least(code, w) == (brute >= w)
 
 
 class TestLightestLogical:
