@@ -69,10 +69,8 @@ def write_bundle(path: str, code: css.CssCode, sources: list[str]) -> None:
     pc = code.complex
     if pc is None or code.level is None:
         raise CliError("only product-built codes can be bundled")
-    table = pc.tables[code.level]
     payload = {
         "format": BUNDLE_FORMAT,
-        "t": pc.t,
         "level": code.level,
         "factors": [
             {
@@ -83,21 +81,31 @@ def write_bundle(path: str, code: css.CssCode, sources: list[str]) -> None:
             }
             for fac, source in zip(pc.factors, sources)
         ],
-        "sectors": [
-            {"J": list(s.J), "shape": list(s.shape), "offset": s.offset}
-            for s in table.sectors
-        ],
-        "n": code.n,
-        "Hx": _sparse_rows(code.hx),
-        "Hz": _sparse_rows(code.hz),
+        **_derived_fields(code),
     }
     with open(path, "w", encoding="ascii") as fh:
         json.dump(payload, fh, sort_keys=True)
         fh.write("\n")
 
 
+def _derived_fields(code: css.CssCode) -> dict:
+    """The bundle fields that follow from the factors and the level: t, the
+    level's sectors, n and the check rows."""
+    return {
+        "t": code.complex.t,
+        "sectors": [
+            {"J": list(s.J), "shape": list(s.shape), "offset": s.offset}
+            for s in code.complex.tables[code.level].sectors
+        ],
+        "n": code.n,
+        "Hx": _sparse_rows(code.hx),
+        "Hz": _sparse_rows(code.hz),
+    }
+
+
 def read_bundle(path: str) -> css.CssCode:
-    """Rebuild the code from a bundle, verifying the stored checks match."""
+    """Rebuild the code from a bundle, verifying that the stored t, sectors,
+    n and checks match the rebuilt code."""
     try:
         payload = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
@@ -108,10 +116,11 @@ def read_bundle(path: str) -> css.CssCode:
         factors = [_read_factor(entry) for entry in payload["factors"]]
         pc = product.build_product(factors)
         code = css.assemble_css(pc, payload["level"])
-        stored_hx, stored_hz = payload["Hx"], payload["Hz"]
+        derived = _derived_fields(code)
+        stored = {key: payload[key] for key in derived}
     except (KeyError, TypeError, ValueError) as exc:
         raise CliError(f"bad bundle file {path}: {exc}") from exc
-    if _sparse_rows(code.hx) != stored_hx or _sparse_rows(code.hz) != stored_hz:
+    if stored != derived:
         raise CliError(f"bundle {path} is inconsistent with its factors")
     return code
 

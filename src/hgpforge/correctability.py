@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from . import classical, f2la
-from .css import CssCode, PauliOperator, pauli_mul
+from .css import CssCode, PauliOperator, _pauli, pauli_mul
 from .f2la import BinaryMatrix
 
 # Regions up to this size get an exhaustive minimum-weight witness search;
@@ -78,8 +78,7 @@ def is_correctable(code: CssCode, region: Region | Iterable[int]) -> Correctabil
         return CorrectabilityVerdict(True)
     # min keeps the first candidate on a full tie, so X wins over Z.
     best, kind = min(candidates, key=lambda c: (c[0].bit_count(), f2la.indices_of(c[0])))
-    op = PauliOperator(code.n, x=best) if kind == "X" else PauliOperator(code.n, z=best)
-    return CorrectabilityVerdict(False, op, kind)
+    return CorrectabilityVerdict(False, _pauli(code.n, kind, best), kind)
 
 
 def _witness(h_kernel: BinaryMatrix, stab_space: f2la.RowSpace, region: Region) -> Optional[int]:
@@ -121,16 +120,12 @@ def clean_logical(code: CssCode, op: PauliOperator, region: Region | Iterable[in
     mask = region.mask()
     cols = sorted(region.qubits)
     result = op
-    if op.x & mask:
-        stab = classical.clean_with_target(code.hx, cols, f2la.restrict(op.x, cols))
-        if stab is None:
-            raise ValueError("region is not cleanable for the X part")
-        result = pauli_mul(result, PauliOperator(code.n, x=stab))
-    if op.z & mask:
-        stab = classical.clean_with_target(code.hz, cols, f2la.restrict(op.z, cols))
-        if stab is None:
-            raise ValueError("region is not cleanable for the Z part")
-        result = pauli_mul(result, PauliOperator(code.n, z=stab))
+    for kind, part, checks in (("X", op.x, code.hx), ("Z", op.z, code.hz)):
+        if part & mask:
+            stab = classical.clean_with_target(checks, cols, f2la.restrict(part, cols))
+            if stab is None:
+                raise ValueError(f"region is not cleanable for the {kind} part")
+            result = pauli_mul(result, _pauli(code.n, kind, stab))
     if (result.x | result.z) & mask:
         raise AssertionError("cleaned operator still touches the region")
     return result

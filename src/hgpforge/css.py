@@ -186,10 +186,9 @@ class CssCode:
         return f"CssCode[[{self.n},{self.k}]]"
 
     def x_domain_basis(self) -> list[int]:
-        """Reduced basis of ker Hz (the X-type codeword domain)."""
+        """A basis of ker Hz, one vector per free column."""
         if self._x_domain is None:
-            red = f2la.rref(f2la.kernel_basis(self.hz_space))
-            self._x_domain = red.nonzero_rows()
+            self._x_domain = f2la.kernel_basis(self.hz_space).bits
         return self._x_domain
 
     def set_logical_basis(self, x_reps: Sequence[PauliOperator], z_reps: Sequence[PauliOperator]):
@@ -200,13 +199,12 @@ class CssCode:
         """
         if len(x_reps) != self.k or len(z_reps) != self.k:
             raise ValueError(f"expected {self.k} representatives per type")
-        wrapped_x, wrapped_z = [], []
-        for op in x_reps:
-            _check_logical(self, op.x, "X")
-            wrapped_x.append(LogicalRep(op, "X", -1, (), None, ()))
-        for op in z_reps:
-            _check_logical(self, op.z, "Z")
-            wrapped_z.append(LogicalRep(op, "Z", -1, (), None, ()))
+        wrapped_x, wrapped_z = (
+            [LogicalRep(op, kind, -1, (), None, ()) for op in ops]
+            for kind, ops in (("X", x_reps), ("Z", z_reps))
+        )
+        for rep in wrapped_x + wrapped_z:
+            _check_logical(self, rep)
         pairing = _pairing_matrix(wrapped_x, wrapped_z)
         if pairing != BinaryMatrix.identity(self.k):
             raise ValueError("pairing of supplied basis is not the identity")
@@ -228,24 +226,39 @@ def _complex_maps(
     return True
 
 
-def _check_logical(code: CssCode, v: int, kind: str):
-    """Raise unless v is in ker Hz (X) or ker Hx (Z) and outside the
+def _check_logical(code: CssCode, rep: LogicalRep):
+    """Raise unless the representative's own part v (its X part for kind X,
+    its Z part for kind Z) is in ker Hz (X) or ker Hx (Z) and outside the
     stabilizer row space.  On a product code Hz is the transpose of the
     complex's boundary(level + 1), so Hz v is the XOR of that map's rows on
     supp(v): weight(v) XORs instead of a parity per Hz row."""
-    if kind == "X":
-        name, space = "Hz", code.hx_space
+    if rep.kind == "X":
+        v, name, space = rep.pauli.x, "Hz", code.hx_space
         if _complex_maps(code.complex, code.level, code.hx, code.hz):
             syndrome = f2la.row_combination(code.complex.boundary(code.level + 1), v)
         else:
             syndrome = f2la.mat_vec(code.hz, v)
     else:
-        name, space = "Hx", code.hz_space
+        v, name, space = rep.pauli.z, "Hx", code.hz_space
         syndrome = f2la.mat_vec(code.hx, v)
     if syndrome:
-        raise ValueError(f"{kind} representative is not in ker {name}")
+        raise ValueError(f"{rep.kind} representative is not in ker {name}")
     if space.contains(v):
-        raise ValueError(f"{kind} representative lies in the stabilizer row space")
+        raise ValueError(f"{rep.kind} representative lies in the stabilizer row space")
+
+
+def _pauli(n: int, kind: str, bits: int) -> PauliOperator:
+    """The X-type (kind "X") or Z-type Pauli on the support word `bits`."""
+    return PauliOperator(n, x=bits) if kind == "X" else PauliOperator(n, z=bits)
+
+
+def _sector_seeds(pc: ProductComplex, J: Sequence[int]) -> list[classical.ClassicalCode]:
+    """Per direction d of sector J, the seed code whose kernel the sector's
+    logicals range over: ker A_d (`code`) for d in J, ker A_d^T (`code_t`)
+    for d off J.  X representatives put a unit on an information position
+    of the seed on J and a seed codeword off J; Z representatives the
+    reverse, so they spread along J and X along its complement."""
+    return [fac.code if d in J else fac.code_t for d, fac in enumerate(pc.factors)]
 
 
 def assemble_css(pc: ProductComplex, level: int) -> CssCode:
@@ -273,37 +286,23 @@ def assemble_css(pc: ProductComplex, level: int) -> CssCode:
 def kunneth_parameters(pc: ProductComplex, level: int) -> KunnethParameters:
     """Closed-form parameters of the level-l code from the seed data.
 
-    k sums, over sectors J, the product of kernel dimensions (degree-one
-    directions) and transpose-kernel dimensions (degree-zero directions).
-    Distances take minima of seed-distance products over the sectors that
-    contribute at least one logical class: Z representatives spread kernel
-    codewords along J, X representatives spread transpose-kernel codewords
-    along the complement.
+    Each sector J holds the product over its seed codes (`_sector_seeds`) of
+    their dimensions.  Distances take minima over the sectors that hold at
+    least one logical class: Z representatives spread seed codewords along
+    J, so d_z multiplies the seed distances on J, and X representatives
+    spread them along the complement, so d_x multiplies the rest.
     """
     if not (1 <= level <= pc.t - 1):
         raise ValueError(f"level must be in [1, {pc.t - 1}] for t={pc.t}")
-    n = pc.dim(level)
-    k = 0
-    d_x: Optional[int] = None
-    d_z: Optional[int] = None
-    for J in itertools.combinations(range(pc.t), level):
-        inside = set(J)
-        sector_k = 1
-        for i in range(pc.t):
-            sector_k *= pc.factors[i].k if i in inside else pc.factors[i].k_t
-        if sector_k == 0:
-            continue
-        k += sector_k
-        dz_term = 1
-        for j in J:
-            dz_term *= pc.factors[j].d
-        dx_term = 1
-        for i in range(pc.t):
-            if i not in inside:
-                dx_term *= pc.factors[i].d_t
-        d_z = dz_term if d_z is None else min(d_z, dz_term)
-        d_x = dx_term if d_x is None else min(d_x, dx_term)
-    return KunnethParameters(n, k, d_x, d_z)
+    k, d_x, d_z = 0, [], []
+    for sec in pc.tables[level].sectors:
+        seeds = _sector_seeds(pc, sec.J)
+        sector_k = math.prod(seed.k for seed in seeds)
+        if sector_k:
+            k += sector_k
+            d_z.append(math.prod(seeds[d].d for d in sec.J))
+            d_x.append(math.prod(seed.d for d, seed in enumerate(seeds) if d not in sec.J))
+    return KunnethParameters(pc.dim(level), k, min(d_x, default=None), min(d_z, default=None))
 
 
 # -- brute-force distance ----------------------------------------------------
@@ -450,12 +449,12 @@ def _walk_logical_weight(
 def canonical_logical_basis(code: CssCode) -> LogicalBasis:
     """Tensor-product logical basis from the seed standard forms.
 
-    Within each sector, X representatives put a pivot unit vector on every
-    degree-one direction (an information position of the seed kernel) and a
-    transpose-kernel codeword on every degree-zero direction; Z
-    representatives do the opposite.  Enumerating X and Z over the same
-    sector-and-index order makes the symplectic pairing exactly the
-    identity, with no permutation.
+    Within each sector J, each direction's seed code (`_sector_seeds`: ker
+    A_d on J, ker A_d^T off J) offers, per information position p, the unit
+    at p and the reduced codeword with its pivot at p.  X representatives
+    take the unit on J and the codeword off J; Z representatives the
+    reverse.  Each index tuple gives one X and one Z representative, so the
+    symplectic pairing is exactly the identity, with no permutation.
     """
     if code.complex is None or code.level is None:
         raise ValueError("no product structure")
@@ -466,55 +465,28 @@ def canonical_logical_basis(code: CssCode) -> LogicalBasis:
     x_reps: list[LogicalRep] = []
     z_reps: list[LogicalRep] = []
     for mu, sec in enumerate(pc.tables[level].sectors):
-        inside = set(sec.J)
-        ranges = []
-        for d in range(pc.t):
-            fac = pc.factors[d]
-            ranges.append(range(fac.k if d in inside else fac.k_t))
-        for a in itertools.product(*ranges):
-            x_factors, z_factors = [], []
-            x_fixed, z_fixed = [], []
-            for d in range(pc.t):
-                fac = pc.factors[d]
-                if d in inside:
-                    x_factors.append(1 << fac.code.g_pivots[a[d]])
-                    x_fixed.append(fac.code.g_pivots[a[d]])
-                    z_factors.append(fac.code.g.bits[a[d]])
-                else:
-                    x_factors.append(fac.code_t.g.bits[a[d]])
-                    z_factors.append(1 << fac.code_t.g_pivots[a[d]])
-                    z_fixed.append(fac.code_t.g_pivots[a[d]])
-            xbits = _tensor_support(pc, level, mu, x_factors)
-            zbits = _tensor_support(pc, level, mu, z_factors)
-            x_reps.append(
-                LogicalRep(
-                    PauliOperator(code.n, x=xbits),
-                    "X",
-                    mu,
-                    tuple(sec.J),
-                    tuple(x_fixed),
-                    tuple(x_factors),
-                )
-            )
-            comp = tuple(d for d in range(pc.t) if d not in inside)
-            z_reps.append(
-                LogicalRep(
-                    PauliOperator(code.n, z=zbits),
-                    "Z",
-                    mu,
-                    comp,
-                    tuple(z_fixed),
-                    tuple(z_factors),
-                )
-            )
+        off = tuple(d for d in range(pc.t) if d not in sec.J)
+        # per direction, per information position p of its seed code and the
+        # codeword w with its pivot there: (X factor, Z factor, p)
+        options = []
+        for d, seed in enumerate(_sector_seeds(pc, sec.J)):
+            pairs = zip(seed.g_pivots, seed.g.bits)
+            options.append([(1 << p, w, p) if d in sec.J else (w, 1 << p, p) for p, w in pairs])
+        for picks in itertools.product(*options):
+            x_factors, z_factors, pivots = zip(*picks)
+            for kind, dirs, factors, reps in (
+                ("X", sec.J, x_factors, x_reps),
+                ("Z", off, z_factors, z_reps),
+            ):
+                pauli = _pauli(code.n, kind, _tensor_support(pc, level, mu, factors))
+                fixed = tuple(pivots[d] for d in dirs)
+                reps.append(LogicalRep(pauli, kind, mu, dirs, fixed, factors))
     if len(x_reps) != code.k:
         raise AssertionError(
             f"canonical basis size {len(x_reps)} != k={code.k}"
         )
-    for rep in x_reps:
-        _check_logical(code, rep.pauli.x, "X")
-    for rep in z_reps:
-        _check_logical(code, rep.pauli.z, "Z")
+    for rep in x_reps + z_reps:
+        _check_logical(code, rep)
     basis = LogicalBasis(x_reps, z_reps, _pairing_matrix(x_reps, z_reps))
     code.logicals = basis
     return basis
@@ -586,16 +558,14 @@ def alternative_representative(
         for h in avoid
     ):
         return rep
+    seeds = _sector_seeds(pc, pc.tables[code.level][rep.sector].J)
     new_factors = list(rep.factors)
     for pos, d in enumerate(rep.fixed_dirs):
         gamma = sorted({h.fixed_values[pos] for h in avoid})
-        fac = pc.factors[d]
         unit = rep.factors[d]
-        target = f2la.restrict(unit, gamma)
-        # X reps deform by rows of A (X-stabilizer translates); Z reps by
-        # rows of A^T.  Both are "clean the unit factor off gamma".
-        matrix = fac.a if rep.kind == "X" else fac.a_t
-        h_elem = classical.clean_with_target(matrix, gamma, target)
+        # Clean the unit factor off gamma with a row of the seed code's
+        # checks: A_d for X (X-stabilizer translates), A_d^T for Z.
+        h_elem = classical.clean_with_target(seeds[d].h, gamma, f2la.restrict(unit, gamma))
         if h_elem is None:
             raise ValueError(
                 f"cleaning infeasible in direction {d}: no row-space element "
@@ -606,15 +576,11 @@ def alternative_representative(
             raise AssertionError("cleaned factor still meets a forbidden value")
         new_factors[d] = new
     bits = _tensor_support(pc, code.level, rep.sector, new_factors)
-    if rep.kind == "X":
-        pauli = PauliOperator(code.n, x=bits)
-        if not code.hx_space.contains(bits ^ rep.pauli.x):
-            raise AssertionError("deformation left the stabilizer coset")
-    else:
-        pauli = PauliOperator(code.n, z=bits)
-        if not code.hz_space.contains(bits ^ rep.pauli.z):
-            raise AssertionError("deformation left the stabilizer coset")
+    old, space = (rep.pauli.x, code.hx_space) if rep.kind == "X" else (rep.pauli.z, code.hz_space)
+    if not space.contains(bits ^ old):
+        raise AssertionError("deformation left the stabilizer coset")
     for h in avoid:
         if any((bits >> q) & 1 for q in product.hyperplane_support(pc, h)):
             raise AssertionError("deformed representative still meets an avoid hyperplane")
+    pauli = _pauli(code.n, rep.kind, bits)
     return replace(rep, pauli=pauli, fixed_values=None, factors=tuple(new_factors))

@@ -1,15 +1,16 @@
 """Test-local reference constructions.
 
 Each is a slower, more literal way to build something the package builds
-from the Kronecker structure of a product.  The differential tests compare
-the package against them.
+from the Kronecker structure of a product or from its one Künneth sector
+rule.  The differential tests compare the package against them.
 """
 
+import dataclasses
 import itertools
 
 from hypothesis import strategies as st
 
-from hgpforge import classical, diagonal, f2la, product
+from hgpforge import classical, css, diagonal, f2la, product
 from hgpforge.f2la import BinaryMatrix
 
 
@@ -115,3 +116,107 @@ def cnz_layer_gates(t, length, pc=None):
 def renormalized(poly):
     """The terms the public constructor makes of poly's own terms."""
     return diagonal.PhasePolynomial(poly.nvars, poly.modulus_log2, dict(poly._terms))._terms
+
+
+def sector_loop_kunneth(pc, level):
+    """(n, k, d_x, d_z) of the level-l code, one subset J at a time: k from
+    kernel dimensions on J and transpose-kernel dimensions off J, d_z from
+    the kernel distances on J and d_x from the transpose-kernel distances
+    off J, each a minimum over the sectors that hold a logical class."""
+    k, d_x, d_z = 0, None, None
+    for J in itertools.combinations(range(pc.t), level):
+        sector_k = 1
+        for i in range(pc.t):
+            sector_k *= pc.factors[i].k if i in J else pc.factors[i].k_t
+        if sector_k == 0:
+            continue
+        k += sector_k
+        dz_term = 1
+        for j in J:
+            dz_term *= pc.factors[j].d
+        dx_term = 1
+        for i in range(pc.t):
+            if i not in J:
+                dx_term *= pc.factors[i].d_t
+        d_z = dz_term if d_z is None else min(d_z, dz_term)
+        d_x = dx_term if d_x is None else min(d_x, dx_term)
+    return pc.dim(level), k, d_x, d_z
+
+
+def two_list_canonical_reps(code):
+    """The canonical X and Z representatives, X and Z written out apart: on
+    each direction in J, X takes the unit on a pivot of ker A and Z the
+    reduced codeword of ker A with that pivot; off J, X takes the codeword
+    of ker A^T and Z the unit.  Supports come one flat_index per point."""
+    pc, level = code.complex, code.level
+    x_reps, z_reps = [], []
+    for mu, sec in enumerate(pc.tables[level].sectors):
+        inside = set(sec.J)
+        ranges = [
+            range(pc.factors[d].k if d in inside else pc.factors[d].k_t) for d in range(pc.t)
+        ]
+        for a in itertools.product(*ranges):
+            x_factors, z_factors, x_fixed, z_fixed = [], [], [], []
+            for d in range(pc.t):
+                fac = pc.factors[d]
+                if d in inside:
+                    x_factors.append(1 << fac.code.g_pivots[a[d]])
+                    x_fixed.append(fac.code.g_pivots[a[d]])
+                    z_factors.append(fac.code.g.bits[a[d]])
+                else:
+                    x_factors.append(fac.code_t.g.bits[a[d]])
+                    z_factors.append(1 << fac.code_t.g_pivots[a[d]])
+                    z_fixed.append(fac.code_t.g_pivots[a[d]])
+            xbits = flat_index_tensor_support(pc, level, mu, x_factors)
+            zbits = flat_index_tensor_support(pc, level, mu, z_factors)
+            comp = tuple(d for d in range(pc.t) if d not in inside)
+            x_reps.append(
+                css.LogicalRep(
+                    css.PauliOperator(code.n, x=xbits), "X", mu, tuple(sec.J),
+                    tuple(x_fixed), tuple(x_factors),
+                )
+            )
+            z_reps.append(
+                css.LogicalRep(
+                    css.PauliOperator(code.n, z=zbits), "Z", mu, comp,
+                    tuple(z_fixed), tuple(z_factors),
+                )
+            )
+    return x_reps, z_reps
+
+
+def kind_branch_alternative(code, rep, avoid):
+    """`css.alternative_representative` with the cleaning matrix picked by
+    kind (A for X, A^T for Z) and the X and Z tails written out apart."""
+    pc = code.complex
+    if rep.fixed_values is None:
+        raise ValueError("representative must be canonical (single hyperplane)")
+    for h in avoid:
+        if h.sector != rep.sector or h.level != code.level:
+            raise ValueError("avoid hyperplane in a different sector")
+        if tuple(h.fixed_dirs) != rep.fixed_dirs:
+            raise ValueError("avoid hyperplane has a different orientation")
+    rep_support = rep.pauli.x | rep.pauli.z
+    if not any(rep_support >> q & 1 for h in avoid for q in product.hyperplane_support(pc, h)):
+        return rep
+    new_factors = list(rep.factors)
+    for pos, d in enumerate(rep.fixed_dirs):
+        gamma = sorted({h.fixed_values[pos] for h in avoid})
+        fac = pc.factors[d]
+        unit = rep.factors[d]
+        matrix = fac.a if rep.kind == "X" else fac.a_t
+        h_elem = classical.clean_with_target(matrix, gamma, f2la.restrict(unit, gamma))
+        if h_elem is None:
+            raise ValueError(
+                f"cleaning infeasible in direction {d}: no row-space element "
+                f"matches the representative on coordinates {gamma}"
+            )
+        new_factors[d] = unit ^ h_elem
+    bits = flat_index_tensor_support(pc, code.level, rep.sector, new_factors)
+    if rep.kind == "X":
+        pauli = css.PauliOperator(code.n, x=bits)
+        assert code.hx_space.contains(bits ^ rep.pauli.x)
+    else:
+        pauli = css.PauliOperator(code.n, z=bits)
+        assert code.hz_space.contains(bits ^ rep.pauli.z)
+    return dataclasses.replace(rep, pauli=pauli, fixed_values=None, factors=tuple(new_factors))

@@ -110,6 +110,43 @@ class TestBundleRoundTrip:
         with pytest.raises(cli.CliError, match="inconsistent"):
             cli.read_bundle(str(bad))
 
+    @pytest.mark.parametrize(
+        "field, value", [("t", 9), ("t", 3), ("n", 7), ("n", 19), ("sectors", []), ("sectors", None)]
+    )
+    def test_a_corrupted_derived_field_is_inconsistent(
+        self, capsys, tmp_path, toric_bundle, field, value
+    ):
+        payload = json.loads(Path(toric_bundle).read_text())
+        payload[field] = value
+        bad = tmp_path / "corrupted.json"
+        bad.write_text(json.dumps(payload))
+        for command in ("logicals", "distance"):
+            code, report = run_json(capsys, [command, str(bad)])
+            assert code == 2 and report["status"] == "error"
+            assert report["results"]["error"] == f"bundle {bad} is inconsistent with its factors"
+
+    def test_a_shifted_sector_is_inconsistent(self, tmp_path, toric_bundle):
+        payload = json.loads(Path(toric_bundle).read_text())
+        payload["sectors"][1]["offset"] += 1
+        bad = tmp_path / "shifted.json"
+        bad.write_text(json.dumps(payload))
+        with pytest.raises(cli.CliError, match="inconsistent"):
+            cli.read_bundle(str(bad))
+
+    @pytest.mark.parametrize("fields", [("t",), ("n",), ("sectors",), ("t", "n", "sectors")])
+    def test_a_missing_derived_field_is_a_bad_bundle(
+        self, capsys, tmp_path, toric_bundle, fields
+    ):
+        payload = json.loads(Path(toric_bundle).read_text())
+        for field in fields:
+            del payload[field]
+        bad = tmp_path / "missing.json"
+        bad.write_text(json.dumps(payload))
+        for command in ("logicals", "distance"):
+            code, report = run_json(capsys, [command, str(bad)])
+            assert code == 2 and report["status"] == "error"
+            assert report["results"]["error"] == f"bad bundle file {bad}: '{fields[0]}'"
+
     def test_structurally_broken_bundle_is_usage_error(self, tmp_path, toric_bundle):
         payload = json.loads(Path(toric_bundle).read_text())
         del payload["factors"]
@@ -158,11 +195,6 @@ class TestDistance:
 
     def test_jobs_flag(self, capsys, toric_bundle):
         code, report = run_json(capsys, ["distance", toric_bundle, "--jobs", "2"])
-        assert code == 0 and report["results"]["d"] == 3
-
-    def test_jobs_env_fallback(self, capsys, toric_bundle, monkeypatch):
-        monkeypatch.setenv("HGPFORGE_JOBS", "2")
-        code, report = run_json(capsys, ["distance", toric_bundle])
         assert code == 0 and report["results"]["d"] == 3
 
     def test_walks_reuse_the_codes_row_spaces(self, capsys, tmp_path, monkeypatch):

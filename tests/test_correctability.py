@@ -7,6 +7,7 @@ import pytest
 
 from hgpforge import classical, correctability, css, f2la, product
 from hgpforge.correctability import Region
+from hgpforge.css import PauliOperator
 
 
 def toric_code(t, length):
@@ -131,6 +132,42 @@ class TestCleanLogical:
         rep = basis.x_reps[0].pauli
         with pytest.raises(ValueError, match="cleanable"):
             correctability.clean_logical(toric18, rep, Region.of(range(18)))
+
+
+class TestCleanLogicalMessages:
+    """Each part is cleaned on its own, X before Z, and a part no
+    stabilizer can clean off the region names its type."""
+
+    @pytest.mark.parametrize("kind", ["X", "Z"])
+    def test_an_uncleanable_part_names_its_type(self, toric18, kind):
+        basis = css.canonical_logical_basis(toric18)
+        rep = (basis.x_reps if kind == "X" else basis.z_reps)[0].pauli
+        with pytest.raises(ValueError) as info:
+            correctability.clean_logical(toric18, rep, range(18))
+        assert str(info.value) == f"region is not cleanable for the {kind} part"
+
+    def test_the_x_part_is_cleaned_first(self, toric18):
+        basis = css.canonical_logical_basis(toric18)
+        x, z = basis.x_reps[0].pauli.x, basis.z_reps[1].pauli.z
+        both = PauliOperator(18, x=x, z=z)
+        with pytest.raises(ValueError, match="^region is not cleanable for the X part$"):
+            correctability.clean_logical(toric18, both, range(18))
+        # an X stabilizer is cleaned off every qubit, so the Z part fails next
+        stab_and_z = PauliOperator(18, x=toric18.hx.bits[0], z=z)
+        with pytest.raises(ValueError, match="^region is not cleanable for the Z part$"):
+            correctability.clean_logical(toric18, stab_and_z, range(18))
+
+    def test_both_parts_are_cleaned_with_the_x_then_z_sign(self, toric18):
+        basis = css.canonical_logical_basis(toric18)
+        op = PauliOperator(18, x=basis.x_reps[0].pauli.x, z=basis.z_reps[0].pauli.z)
+        region = [min(f2la.indices_of(op.x & op.z))]  # a qubit in both parts
+        out = correctability.clean_logical(toric18, op, region)
+        x_stab, z_stab = out.x ^ op.x, out.z ^ op.z
+        expected = css.pauli_mul(
+            css.pauli_mul(op, PauliOperator(18, x=x_stab)), PauliOperator(18, z=z_stab)
+        )
+        assert out == expected and not out.support & set(region)
+        assert toric18.hx_space.contains(x_stab) and toric18.hz_space.contains(z_stab)
 
 
 class TestUnionLemma:

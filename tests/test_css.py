@@ -11,7 +11,13 @@ from hgpforge.css import PauliOperator
 from hgpforge.f2la import BinaryMatrix
 from hgpforge.product import Hyperplane
 
-from helpers import flat_index_tensor_support, seed_matrices
+from helpers import (
+    flat_index_tensor_support,
+    kind_branch_alternative,
+    seed_matrices,
+    sector_loop_kunneth,
+    two_list_canonical_reps,
+)
 
 
 def random_matrix(rng, rows, cols, density=0.5):
@@ -415,9 +421,10 @@ class TestTensorSupport:
 
 
 def check_outcome(code, v, kind):
-    """None if `_check_logical` accepts v, else its ValueError message."""
+    """None if `_check_logical` accepts v as a kind representative, else its
+    ValueError message."""
     try:
-        css._check_logical(code, v, kind)
+        css._check_logical(code, css.LogicalRep(css._pauli(code.n, kind, v), kind, -1, (), None, ()))
     except ValueError as exc:
         return str(exc)
     return None
@@ -472,6 +479,55 @@ class TestHandBuiltBasis:
             code.set_logical_basis(xs, zs)
 
 
+class TestHandBuiltBasisChecks:
+    """`set_logical_basis` checks each kind on its own part, the counts
+    first, then every X representative, then every Z representative."""
+
+    @staticmethod
+    def bare_toric_basis():
+        code = toric_code(2, 3)
+        basis = css.canonical_logical_basis(code)
+        xs = [rep.pauli for rep in basis.x_reps]
+        zs = [rep.pauli for rep in basis.z_reps]
+        return css.CssCode(code.hx, code.hz), xs, zs
+
+    @pytest.mark.parametrize("kind", ["X", "Z"])
+    def test_a_rep_is_checked_on_its_own_part_only(self, kind):
+        code, xs, zs = self.bare_toric_basis()
+        reps = xs if kind == "X" else zs
+        # a stray single-qubit part of the other type off the support: it has
+        # a syndrome, so a check on x | z would refuse the representative
+        stray = 1 << min(set(range(code.n)) - reps[0].support)
+        x, z = (reps[0].x, stray) if kind == "X" else (stray, reps[0].z)
+        reps[0] = PauliOperator(code.n, x, z)
+        code.set_logical_basis(xs, zs)
+        installed = code.logicals.x_reps if kind == "X" else code.logicals.z_reps
+        assert installed[0].pauli == reps[0]
+        kinds = [rep.kind for rep in code.logicals.x_reps + code.logicals.z_reps]
+        assert kinds == ["X", "X", "Z", "Z"]
+
+    def test_each_rejection_names_its_kind_with_x_first(self):
+        code, xs, zs = self.bare_toric_basis()
+
+        def message(x_reps, z_reps):
+            with pytest.raises(ValueError) as info:
+                code.set_logical_basis(x_reps, z_reps)
+            return str(info.value)
+
+        bad_x = PauliOperator(code.n, x=xs[1].x ^ 1)
+        bad_z = PauliOperator(code.n, z=zs[1].z ^ 1)
+        stab_x = PauliOperator(code.n, x=code.hx.bits[0])
+        stab_z = PauliOperator(code.n, z=code.hz.bits[0])
+        assert message([bad_x], [bad_z]) == "expected 2 representatives per type"
+        assert message([xs[0], bad_x], [zs[0], bad_z]) == "X representative is not in ker Hz"
+        assert message([xs[0], stab_x], [zs[0], bad_z]) == (
+            "X representative lies in the stabilizer row space"
+        )
+        assert message(xs, [zs[0], bad_z]) == "Z representative is not in ker Hx"
+        assert message(xs, [stab_z, zs[1]]) == "Z representative lies in the stabilizer row space"
+        assert code.logicals is None
+
+
 class TestAlternativeRepresentative:
     def test_dodge_own_hyperplane(self, toric18):
         basis = css.canonical_logical_basis(toric18)
@@ -522,6 +578,76 @@ class TestAlternativeRepresentative:
         wrong = Hyperplane(1, rep.sector, (1 - rep.fixed_dirs[0],), (0,))
         with pytest.raises(ValueError, match="orientation"):
             css.alternative_representative(toric18, rep, [wrong])
+
+
+def outcome(fn):
+    """fn's LogicalRep as a tuple of its fields, or its ValueError message."""
+    try:
+        rep = fn()
+    except ValueError as exc:
+        return str(exc)
+    return (rep.pauli, rep.kind, rep.sector, rep.fixed_dirs, rep.fixed_values, rep.factors)
+
+
+class TestSectorRule:
+    """The one sector rule against the subset loops that write X and Z out
+    apart, field by field, on random products with t = 2..4 at every level.
+    Seeds may have zero rows or zero columns, so k = 0 or k_t = 0 occur."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_parameters_basis_and_deformations_match_the_subset_loops(self, data):
+        seeds = data.draw(st.lists(seed_matrices(0, 3), min_size=2, max_size=4))
+        pc = product.build_product(seeds)
+        for level in range(1, pc.t):
+            params = css.kunneth_parameters(pc, level)
+            assert (params.n, params.k, params.d_x, params.d_z) == sector_loop_kunneth(pc, level)
+            code = css.assemble_css(pc, level)
+            basis = css.canonical_logical_basis(code)
+            want_x, want_z = two_list_canonical_reps(code)
+            assert basis.x_reps == want_x and basis.z_reps == want_z
+            assert code.k == params.k == len(want_x)
+            if not code.k:
+                continue
+            rep = data.draw(st.sampled_from(want_x + want_z))
+            shape = pc.tables[level][rep.sector].shape
+            values = st.tuples(*(st.integers(0, shape[d] - 1) for d in rep.fixed_dirs))
+            own = [rep.fixed_values] if data.draw(st.booleans()) else []
+            avoid = [
+                Hyperplane(level, rep.sector, rep.fixed_dirs, v)
+                for v in own + data.draw(st.lists(values, max_size=2))
+            ]
+            got = outcome(lambda: css.alternative_representative(code, rep, avoid))
+            assert got == outcome(lambda: kind_branch_alternative(code, rep, avoid))
+
+    @pytest.mark.parametrize("t, length, level", [(2, 3, 1), (2, 4, 1), (3, 3, 1), (3, 3, 2)])
+    def test_every_rep_dodges_its_own_hyperplane_as_the_kind_branch_does(self, t, length, level):
+        code = css.assemble_css(toric_code(t, length).complex, level)
+        basis = css.canonical_logical_basis(code)
+        for rep in basis.x_reps + basis.z_reps:
+            avoid = [rep.hyperplane(level)]
+            got = outcome(lambda: css.alternative_representative(code, rep, avoid))
+            assert got == outcome(lambda: kind_branch_alternative(code, rep, avoid))
+            assert got[4] is None  # deformed, no longer on one hyperplane
+
+    @pytest.mark.parametrize("level", [1, 2])
+    def test_fields_on_a_mixed_product(self, level):
+        # the transposed open chain has k = 0 and k_t = 1, the cycle k = k_t = 1:
+        # only the sectors with direction 0 off J hold logicals
+        chain, cycle = classical.repetition_code(3).h, classical.cyclic_repetition_check(3)
+        pc = product.build_product([f2la.transpose(chain), cycle, cycle])
+        code = css.assemble_css(pc, level)
+        basis = css.canonical_logical_basis(code)
+        assert (basis.x_reps, basis.z_reps) == two_list_canonical_reps(code)
+        params = css.kunneth_parameters(pc, level)
+        assert (params.n, params.k, params.d_x, params.d_z) == sector_loop_kunneth(pc, level)
+        assert {rep.sector for rep in basis.x_reps} == {
+            mu for mu, sec in enumerate(pc.tables[level].sectors) if 0 not in sec.J
+        }
+        for rep in basis.x_reps:
+            assert len(rep.fixed_dirs) == level and rep.pauli.z == 0
+        for rep in basis.z_reps:
+            assert len(rep.fixed_dirs) == pc.t - level and rep.pauli.x == 0
 
 
 class TestKunnethDistanceAgreement:
