@@ -61,10 +61,11 @@ def distance(code: ClassicalCode, budget: int = _SEARCH_BUDGET) -> int:
     """Exact minimum weight over nonzero codewords.
 
     One `f2la.lightest_word` walk: messages over the reduced generator by
-    ascending weight, stopped once the message weight reaches the lightest
+    ascending weight, stopped once the message weight passes the lightest
     codeword found.  The stop is exact because a codeword is at least as
-    heavy as its message, which it carries on the information set.  Raises
-    when the walk needs more than `budget` messages.
+    heavy as its message, which it carries on the information set.  The
+    witness is the lexicographically smallest minimum-weight codeword.
+    Raises when the walk needs more than `budget` messages.
     """
     if code.k == 0:
         raise ValueError("distance undefined for trivial code")

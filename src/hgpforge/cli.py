@@ -9,11 +9,12 @@ not codespace-preserving, hierarchy bound broken), 2 usage or parse error.
 Each command returns its input paths, results and verdict; `main` alone
 hashes the inputs, writes the envelope and maps the verdict to the status
 and the exit code.
-Output is byte-identical for identical inputs.  `distance --jobs N` and
-`nogo-transversal --seed S` are parsed and stop here: no library call
-takes them, since searches run in one thread and the survey reads the
-solution-module generators alone (no combination of them reaches a higher
-level).  `--samples N` is still capped and echoed as `sample_count`.
+Output is byte-identical for identical inputs.  `distance --jobs N`, and
+`nogo-transversal --seed S` and `--samples N`, are parsed and stop here: no
+library call takes them, since searches run in one thread and the survey
+reads the solution-module generators alone (no combination of them reaches
+a higher level).  `cmd_nogo_transversal` alone caps `--samples` at
+MAX_SAMPLES and echoes it as `sample_count`.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import itertools
 import json
 import sys
 from typing import Optional
@@ -30,6 +32,10 @@ from . import correctability, css, diagonal, f2la, product, toric_cnz
 OK, VIOLATED, USAGE_ERROR = 0, 1, 2
 
 BUNDLE_FORMAT = "hgpforge-bundle-v1"
+
+# `nogo-transversal --samples` drives no work (the survey draws none); it is
+# only capped and echoed as `sample_count`.
+MAX_SAMPLES = 1000
 
 
 class CliError(Exception):
@@ -105,7 +111,9 @@ def _derived_fields(code: css.CssCode) -> dict:
 
 def read_bundle(path: str) -> css.CssCode:
     """Rebuild the code from a bundle, verifying that the stored t, sectors,
-    n and checks match the rebuilt code."""
+    n and checks match the rebuilt code.  Python takes JSON true for 1 and
+    18.0 for 18, so the level, the factor shapes and every number of the
+    stored fields must also be ints."""
     try:
         payload = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
@@ -115,19 +123,37 @@ def read_bundle(path: str) -> css.CssCode:
     try:
         factors = [_read_factor(entry) for entry in payload["factors"]]
         pc = product.build_product(factors)
-        code = css.assemble_css(pc, payload["level"])
+        code = css.assemble_css(pc, _int(payload, "level"))
         derived = _derived_fields(code)
         stored = {key: payload[key] for key in derived}
     except (KeyError, TypeError, ValueError) as exc:
         raise CliError(f"bad bundle file {path}: {exc}") from exc
-    if stored != derived:
+    if stored != derived or not _all_ints(stored):
         raise CliError(f"bundle {path} is inconsistent with its factors")
     return code
 
 
+def _all_ints(fields: dict) -> bool:
+    """True if no number of the derived fields is a bool or a float.  Read
+    once the fields equal the derived ones, so their layout is known."""
+    numbers = [fields["t"], fields["n"]]
+    for sector in fields["sectors"]:
+        numbers += [*sector["J"], *sector["shape"], sector["offset"]]
+    rows = itertools.chain(fields["Hx"], fields["Hz"])
+    return {*map(type, numbers), *map(type, itertools.chain.from_iterable(rows))} <= {int}
+
+
+def _int(entry: dict, key: str) -> int:
+    """entry[key], which must be a JSON integer: not a bool, not a float."""
+    value = entry[key]
+    if type(value) is not int:
+        raise TypeError(f"{key} must be an integer, not {value!r}")
+    return value
+
+
 def _read_factor(entry: dict) -> f2la.BinaryMatrix:
     """A seed matrix from its bundle entry; the stored shape must match."""
-    data, rows, cols = entry["data"], entry["rows"], entry["cols"]
+    data, rows, cols = entry["data"], _int(entry, "rows"), _int(entry, "cols")
     if not isinstance(data, list):
         raise CliError("factor data must be a list of row strings")
     m = f2la.BinaryMatrix.from_rows(data) if data else f2la.BinaryMatrix.zeros(0, cols)
@@ -242,8 +268,10 @@ def cmd_verify_diagonal(args) -> tuple[list[str], dict, bool]:
 
 def cmd_nogo_transversal(args) -> tuple[list[str], dict, bool]:
     code = read_bundle(args.bundle)
-    report = diagonal.transversal_nogo_harness(code, args.mod, samples=args.samples)
-    results = report.to_json()
+    if not 0 <= args.samples <= MAX_SAMPLES:
+        raise CliError(f"samples must be >= 0 and <= {MAX_SAMPLES}")
+    results = diagonal.transversal_nogo_harness(code, args.mod).to_json()
+    results["sample_count"] = args.samples
     return [args.bundle], results, results["clifford_bound_respected"]
 
 

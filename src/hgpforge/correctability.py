@@ -86,27 +86,18 @@ def _witness(h_kernel: BinaryMatrix, stab_space: f2la.RowSpace, region: Region) 
     stabilizer row space, ties broken by lexicographic support.
 
     The candidates are the span of the region's kernel basis, lifted to the
-    qubits.  Each kernel_basis row owns its free column, so a sum of s rows
-    weighs at least s, and the walk by ascending subset size ends exactly
-    once the size passes the best weight.  Above _WITNESS_ENUM_MAX qubits
-    the first offending basis row is returned.
+    qubits; each kernel_basis row owns its free column, so
+    `f2la.lightest_word` walks them exactly.  If no basis row is offending,
+    nothing in their span is; above _WITNESS_ENUM_MAX qubits the first
+    offending basis row is returned.
     """
     cols = sorted(region.qubits)
     inside = f2la.kernel_basis(f2la.restrict_columns(h_kernel, cols))
     lifted = [f2la.lift(v, cols) for v in inside.bits]
-    best = next((v for v in lifted if not stab_space.contains(v)), None)
-    if best is None or len(cols) > _WITNESS_ENUM_MAX:
-        return best
-    for size, v in f2la.subset_xors(lifted):
-        weight, best_weight, diff = v.bit_count(), best.bit_count(), v ^ best
-        if size > best_weight:
-            break
-        # Of two supports of one weight, the lexicographically smaller one
-        # holds the lowest qubit where they differ.
-        tie_won = weight == best_weight and diff & -diff & v
-        if (weight < best_weight or tie_won) and not stab_space.contains(v):
-            best = v
-    return best
+    first = next((v for v in lifted if not stab_space.contains(v)), None)
+    if first is None or len(cols) > _WITNESS_ENUM_MAX:
+        return first
+    return f2la.lightest_word(lifted, keep=lambda v: not stab_space.contains(v))[0]
 
 
 def clean_logical(code: CssCode, op: PauliOperator, region: Region | Iterable[int]) -> PauliOperator:

@@ -57,12 +57,11 @@ from .css import CssCode, LogicalRep, PauliOperator, canonical_logical_basis
 
 Monomial = frozenset
 
-# Input caps: the modulus exponent m of a circuit or survey, echoed samples,
-# the no-go survey's candidate congruence rows, the code copies a circuit
-# spans (toric C^(t-1)Z layers need up to product.MAX_DIMENSION = 6), and the
-# branches the pullback of one monomial holds (a toric layer needs <= 486).
+# Input caps: the modulus exponent m of a circuit or survey, the no-go
+# survey's candidate congruence rows, the code copies a circuit spans (toric
+# C^(t-1)Z layers need up to product.MAX_DIMENSION = 6), and the branches the
+# pullback of one monomial holds (a toric layer needs <= 486).
 MAX_MODULUS_LOG2 = 8
-MAX_SAMPLES = 1000
 MAX_CONGRUENCE_ROWS = 1 << 14
 MAX_COPIES = 8
 MAX_TERM_BRANCHES = 1 << 20
@@ -76,11 +75,12 @@ class PhasePolynomial:
 
     Terms are normalized once, where they enter from outside: this
     constructor, `poly_from_circuit` and `parse_circuit_text` make each
-    monomial a frozenset, check its variables against nvars and reduce its
-    coefficient mod 2^m, dropping zeros.  Code in this package that builds
-    a polynomial from terms that are already in that form (a pullback, a
-    difference, a renumbering by 0, a C^(t-1)Z layer) hands the dict to
-    `_of`, which stores it as it is.
+    monomial a frozenset, check its variables against nvars, sum the
+    coefficients of the keys that name one monomial and reduce them mod 2^m,
+    dropping zeros.  Code in this package that builds a polynomial from
+    terms that are already in that form (a pullback, a difference, a
+    renumbering by 0, a C^(t-1)Z layer) hands the dict to `_of`, which
+    stores it as it is.
     """
 
     __slots__ = ("modulus_log2", "nvars", "_terms")
@@ -96,9 +96,8 @@ class PhasePolynomial:
             mono = frozenset(mono)
             if mono and (min(mono) < 0 or max(mono) >= nvars):
                 raise ValueError("monomial variable out of range")
-            c = coeff % mod
-            if c:
-                clean[mono] = c
+            clean[mono] = (clean.get(mono, 0) + coeff) % mod
+        clean = {mono: c for mono, c in clean.items() if c}
         object.__setattr__(self, "modulus_log2", modulus_log2)
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "_terms", clean)
@@ -468,10 +467,7 @@ def substitute(
                     continue
                 if img and (min(img) < 0 or max(img) >= new_nvars):
                     raise ValueError("image variable out of range")
-                mask = 0
-                for j in img:
-                    mask |= 1 << j
-                masks[v] = mask
+                masks[v] = f2la.vector_from_indices(img)
     _refuse_wide_terms(f, {v: mask.bit_count() for v, mask in masks.items()})
     half = 1 << (m - 1)
     folded = [mono for mono, c in f._terms.items() if c == half and mono]
@@ -846,7 +842,7 @@ def kernel_mod_power_of_two(
                 gens.append((piv >> u_at) * (mod >> a) & mask)
     gens += [col >> u_at for col in cols]
     if modulus_log2 <= 8:  # every residue is its lane's low byte
-        return [tuple(u.to_bytes(ncols * nbytes, "little")[::nbytes]) for u in gens]
+        return [tuple(_low_bytes(u, ncols, nbytes)) for u in gens]
     return [tuple(u >> at & (mod - 1) for at in range(0, ncols * w, w)) for u in gens]
 
 
@@ -954,7 +950,6 @@ def _linear_survey(
 class NogoReport:
     modulus_log2: int
     generator_count: int
-    sample_count: int
     levels: tuple[int, ...]
     max_level: int
     all_preserve: bool
@@ -963,18 +958,13 @@ class NogoReport:
         return {
             "modulus_log2": self.modulus_log2,
             "generator_count": self.generator_count,
-            "sample_count": self.sample_count,
             "max_level": self.max_level,
             "all_preserve": self.all_preserve,
             "clifford_bound_respected": self.max_level <= 2,
         }
 
 
-def transversal_nogo_harness(
-    code: CssCode,
-    modulus_log2: int,
-    samples: int = 100,
-) -> NogoReport:
+def transversal_nogo_harness(code: CssCode, modulus_log2: int) -> NogoReport:
     """Survey every codespace-preserving transversal diagonal family.
 
     Solves the b-row congruences for f(x) = sum c_i x_i over Z_{2^m} and
@@ -985,23 +975,20 @@ def transversal_nogo_harness(
     `all_preserve` is the exact check that every generator satisfies every
     b-row, so every combination preserves the codespace too.  A
     combination's level never exceeds its summands' largest, since v2 of a
-    sum is at least the smaller v2, so no combination is drawn: `samples` is
-    only validated and echoed.  The maximum-level
-    generator is confirmed through `preserves_codespace`, `logical_action`
-    and `hierarchy_level`, and a disagreement raises AssertionError.  For
-    hypergraph product codes with distance >= 3 the maximum must come out
-    <= 2 (Clifford).
+    sum is at least the smaller v2, so no combination is drawn.  The
+    maximum-level generator is confirmed through `preserves_codespace`,
+    `logical_action` and `hierarchy_level`, and a disagreement raises
+    AssertionError.  For hypergraph product codes with distance >= 3 the
+    maximum must come out <= 2 (Clifford).
     """
     if not 1 <= modulus_log2 <= MAX_MODULUS_LOG2:
         raise ValueError(f"modulus_log2 must be >= 1 and <= {MAX_MODULUS_LOG2}")
-    if not 0 <= samples <= MAX_SAMPLES:
-        raise ValueError(f"samples must be >= 0 and <= {MAX_SAMPLES}")
     gens, preserving, monomials, vectors, _ = _linear_survey(code, modulus_log2)
     sizes = [len(t) for t in monomials]
     levels = [_level(zip(sizes, vec), modulus_log2) for vec in vectors]
     if gens:
         w = max(range(len(gens)), key=levels.__getitem__)
-        f = PhasePolynomial(
+        f = PhasePolynomial._of(
             code.n, modulus_log2, {frozenset((i,)): c for i, c in enumerate(gens[w]) if c}
         )
         preserves = bool(preserves_codespace(f, code, copies=1))
@@ -1014,7 +1001,6 @@ def transversal_nogo_harness(
     return NogoReport(
         modulus_log2=modulus_log2,
         generator_count=len(gens),
-        sample_count=samples,
         levels=tuple(levels),
         max_level=max(levels, default=0),
         all_preserve=all(preserving),

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 
 def _full_mask(cols: int) -> int:
@@ -58,44 +58,21 @@ class BinaryMatrix:
         return cls(n, n, [1 << i for i in range(n)])
 
     @classmethod
-    def from_rows(cls, rows: Iterable, cols: Optional[int] = None) -> "BinaryMatrix":
-        """Build from an iterable of rows.
-
-        Each row may be a string of ``0``/``1`` characters (leftmost char is
-        column 0), an iterable of 0/1 ints, or an already-packed int (in
-        which case ``cols`` is required).
-        """
-        words = []
-        width = cols
+    def from_rows(cls, rows: Iterable[str]) -> "BinaryMatrix":
+        """Build from strings of 0/1 characters, leftmost char column 0;
+        whitespace around a row is ignored.  Any other row is refused."""
+        strings = []
         for row in rows:
-            if isinstance(row, str):
-                row = row.strip()
-                word = 0
-                for j, ch in enumerate(row):
-                    if ch == "1":
-                        word |= 1 << j
-                    elif ch != "0":
-                        raise ValueError(f"bad matrix character {ch!r}")
-                n = len(row)
-            elif isinstance(row, int):
-                if width is None:
-                    raise ValueError("cols is required for packed int rows")
-                word, n = row, width
-            else:
-                entries = list(row)
-                word = 0
-                for j, e in enumerate(entries):
-                    if e not in (0, 1):
-                        raise ValueError(f"bad matrix entry {e!r}")
-                    word |= e << j
-                n = len(entries)
-            if width is None:
-                width = n
-            elif width != n:
-                raise ValueError("ragged rows")
-            words.append(word)
-        if width is None:
+            if not isinstance(row, str):
+                raise ValueError(f"matrix rows must be 0/1 strings, not {row!r}")
+            strings.append(row.strip())
+        if not strings:
             raise ValueError("cannot infer column count from empty input")
+        width = len(strings[0])
+        words = _row_words(strings, width)
+        if len(words) < len(strings):
+            bad = strings[len(words)].strip("01")
+            raise ValueError(f"bad matrix character {bad[0]!r}" if bad else "ragged rows")
         return cls(len(words), width, words)
 
     # -- element access ----------------------------------------------------
@@ -300,28 +277,35 @@ def subset_xors(words: Sequence[int]) -> Iterator[tuple[int, int]]:
 
 
 def lightest_word(
-    rows: Sequence[int], budget: Optional[int] = None
+    rows: Sequence[int],
+    keep: Optional[Callable[[int], bool]] = None,
+    budget: Optional[int] = None,
 ) -> tuple[Optional[int], bool]:
-    """Lightest nonzero word of span(rows).
+    """Lightest nonzero word of span(rows) that keep accepts (any word when
+    keep is None), ties broken by lexicographic support.
 
-    Walks subset_xors of the reduced basis of span(rows).  Each reduced
-    row owns a pivot column, so a word of s rows has weight >= s: the walk
-    stops, exactly, once s reaches the lightest weight found, or after
-    `budget` subsets.  Returns (word, exact): the lightest word found (first
-    in walk order on ties, or None for an empty span), and False when the
-    budget cut the walk.
+    Each row must own a column that no other row holds, as the rows of a
+    reduced basis own their pivots and kernel_basis rows their free
+    columns.  A sum of s rows then weighs at least s, so the walk over
+    subset_xors(rows) stops, exactly, once s passes the lightest weight
+    kept, or after `budget` subsets.  keep is asked only about a word that
+    would beat the best so far.  Returns (word, exact): the word, or None
+    if none is kept, and False when the budget cut the walk.
     """
-    cols = max(rows, default=0).bit_length()
-    basis = rref(BinaryMatrix(len(rows), cols, rows)).nonzero_rows()
-    best, best_weight = None, cols + 1
-    for spent, (size, word) in enumerate(subset_xors(basis), 1):
-        if size >= best_weight:
+    best, best_weight = None, 0
+    for spent, (size, word) in enumerate(subset_xors(rows), 1):
+        if best is not None and size > best_weight:
             return best, True
         if budget is not None and spent > budget:
             return best, False
         weight = word.bit_count()
-        if weight < best_weight:
-            best, best_weight = word, weight
+        # Of two supports of one weight, the lexicographically smaller one
+        # holds the lowest column where they differ.
+        if best is None or weight < best_weight or (
+            weight == best_weight and (diff := word ^ best) & -diff & word
+        ):
+            if keep is None or keep(word):
+                best, best_weight = word, weight
     return best, True
 
 
@@ -436,16 +420,22 @@ def parse_matrix_text(text: str) -> BinaryMatrix:
     body = data[1:]
     if len(body) != nrows:
         raise ValueError(f"expected {nrows} matrix rows, found {len(body)}")
-    words = []
-    for ln in body:
-        if len(ln) != ncols or any(ch not in "01" for ch in ln):
-            raise ValueError(f"bad matrix row {ln!r}")
-        word = 0
-        for j, ch in enumerate(ln):
-            if ch == "1":
-                word |= 1 << j
-        words.append(word)
+    words = _row_words(body, ncols)
+    if len(words) < nrows:
+        raise ValueError(f"bad matrix row {body[len(words)]!r}")
     return BinaryMatrix(nrows, ncols, words)
+
+
+def _row_words(rows: Sequence[str], width: int) -> list[int]:
+    """The packed words of the rows, each a string of `width` 0/1 characters
+    with column 0 leftmost, up to the first row that is not: a short result
+    means rows[len(result)] is bad."""
+    words = []
+    for row in rows:
+        if len(row) != width or row.strip("01"):
+            break
+        words.append(int(row[::-1] or "0", 2))
+    return words
 
 
 def format_matrix_text(m: BinaryMatrix, comment: Optional[str] = None) -> str:

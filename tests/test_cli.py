@@ -147,6 +147,43 @@ class TestBundleRoundTrip:
             assert code == 2 and report["status"] == "error"
             assert report["results"]["error"] == f"bad bundle file {bad}: '{fields[0]}'"
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda p: p.update(level=True),
+            lambda p: p.update(level=1.0),
+            lambda p: p.update(n=18.0),
+            lambda p: p.update(t=2.0),
+            lambda p: p["sectors"][0].update(offset=0.0),
+            lambda p: p["sectors"][1]["J"].__setitem__(0, True),
+            lambda p: p["sectors"][1]["shape"].__setitem__(0, 3.0),
+            lambda p: p["factors"][0].update(rows=3.0),
+            lambda p: p["factors"][1].update(cols=3.0),
+            lambda p: p["Hx"][0].__setitem__(0, False),
+            lambda p: p["factors"][0].update(data=[[1, 1, 0], [0, 1, 1], [1, 0, 1]]),
+            lambda p: p["factors"][0].update(data=[3, 6, 5]),
+            lambda p: p["factors"][0].update(data=["110", 6, "101"]),
+            lambda p: p["factors"][0].update(data=["110", "011", None]),
+        ],
+        ids=[
+            "level-true", "level-float", "n-float", "t-float", "offset-float", "J-true",
+            "shape-float", "rows-float", "cols-float", "Hx-false", "data-lists", "data-ints",
+            "data-mixed", "data-null",
+        ],
+    )
+    def test_a_number_of_another_json_type_is_a_bad_bundle(
+        self, capsys, tmp_path, toric_bundle, edit
+    ):
+        # JSON true == 1 and 18.0 == 18 in Python; the bundle format holds
+        # integers and 0/1 strings, and nothing else stands in for them
+        payload = json.loads(Path(toric_bundle).read_text())
+        edit(payload)
+        bad = tmp_path / "retyped.json"
+        bad.write_text(json.dumps(payload))
+        code, report = run_json(capsys, ["logicals", str(bad)])
+        assert code == 2 and report["status"] == "error"
+        assert str(bad) in report["results"]["error"]
+
     def test_structurally_broken_bundle_is_usage_error(self, tmp_path, toric_bundle):
         payload = json.loads(Path(toric_bundle).read_text())
         del payload["factors"]
@@ -481,7 +518,7 @@ class TestContract:
         [
             (["--mod", str(diagonal.MAX_MODULUS_LOG2 + 1)], "modulus_log2 must be >= 1 and <= 8"),
             (
-                ["--mod", "2", "--samples", str(diagonal.MAX_SAMPLES + 1)],
+                ["--mod", "2", "--samples", str(cli.MAX_SAMPLES + 1)],
                 "samples must be >= 0 and <= 1000",
             ),
         ],
@@ -525,7 +562,7 @@ class TestContract:
 
     def test_caps_admit_the_largest_values_in_use(self, capsys, tmp_path, toric_bundle):
         # m <= 4 and samples <= 100 in the tests, golden fixtures, benchmark and README
-        assert diagonal.MAX_MODULUS_LOG2 >= 4 and diagonal.MAX_SAMPLES >= 100
+        assert diagonal.MAX_MODULUS_LOG2 >= 4 and cli.MAX_SAMPLES >= 100
         top = str(diagonal.MAX_MODULUS_LOG2)
         assert main(["nogo-transversal", toric_bundle, "--mod", top, "--samples", "0"]) == 0
         # the most congruence rows in use: up to 515 on the Hamming HGP at m = 4

@@ -171,6 +171,29 @@ class TestPolyFromCircuit:
         assert f == PhasePolynomial(nvars, m, summed)
         assert f._terms == renormalized(f)
 
+    def test_constructor_sums_keys_naming_one_monomial(self):
+        f = PhasePolynomial(2, 2, {(0, 1): 1, (1, 0): 1})
+        assert f.terms() == [((0, 1), 2)]
+        assert PhasePolynomial(2, 1, {(0, 1): 1, (1, 0): 1}).is_zero()
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_constructor_circuit_and_sum_agree_on_permuted_keys(self, data):
+        # keys that name one monomial in different orders are summed by the
+        # constructor, as poly_from_circuit sums gates and __add__ sums terms
+        m = data.draw(st.integers(1, 4))
+        nvars = data.draw(st.integers(1, 6))
+        mono = st.sets(st.integers(0, nvars - 1), max_size=3).map(sorted).flatmap(st.permutations)
+        pairs = data.draw(st.lists(st.tuples(mono.map(tuple), st.integers(-20, 20)), max_size=8))
+        keyed = dict(pairs)  # a repeated key keeps its last coefficient, as a literal does
+        f = PhasePolynomial(nvars, m, keyed)
+        assert f == poly_from_circuit([(c, key) for key, c in keyed.items()], m, nvars=nvars)
+        total = PhasePolynomial(nvars, m)
+        for key, c in keyed.items():
+            total = total + PhasePolynomial(nvars, m, {key: c})
+        assert f == total
+        assert f._terms == renormalized(f)
+
 
 class TestDifference:
     def test_ccz_reduces_to_cz(self):
@@ -1150,34 +1173,32 @@ class TestKernelAgainstSmithForm:
 class TestNogoHarness:
     def test_toric18_respects_clifford_bound(self):
         code = toric_code(2, 3)
-        report = transversal_nogo_harness(code, 3, samples=25)
+        report = transversal_nogo_harness(code, 3)
         assert report.all_preserve
         assert report.max_level <= 2
 
     def test_m1_levels_pauli(self):
         code = toric_code(2, 2)
-        report = transversal_nogo_harness(code, 1, samples=10)
+        report = transversal_nogo_harness(code, 1)
         assert report.max_level <= 1
 
     def test_k_zero_trivial(self):
         pc = product.build_product([BinaryMatrix.identity(2), BinaryMatrix.identity(2)])
         code = css.assemble_css(pc, 1)
         code.set_logical_basis([], [])
-        report = transversal_nogo_harness(code, 2, samples=5)
+        report = transversal_nogo_harness(code, 2)
         assert report.max_level == 0
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
-    def test_samples_change_only_the_echo(self, m):
+    def test_one_level_per_generator(self, m):
         # a combination's level never exceeds its generators' largest, so the
-        # survey reads the generators alone: one level each, and a report
-        # that echoes `samples` but does not depend on it
+        # survey reads the generators alone: one level each, and no sample
+        # count, which the CLI alone echoes
         for code in (toric_code(2, 3), toric_code(3, 2)):
-            reports = [transversal_nogo_harness(code, m, samples=s) for s in (0, 1000)]
-            jsons = [report.to_json() for report in reports]
-            assert [j.pop("sample_count") for j in jsons] == [0, 1000]
-            assert jsons[0] == jsons[1]
-            assert reports[0].levels == reports[1].levels
-            assert len(reports[0].levels) == reports[0].generator_count > 0
+            report = transversal_nogo_harness(code, m)
+            assert "sample_count" not in report.to_json()
+            assert len(report.levels) == report.generator_count > 0
+            assert report.max_level == max(report.levels)
 
     def test_bare_code_survey_matches_its_product_code(self):
         # a bare code takes its Hx completion to ker Hz as L; the solution
@@ -1188,8 +1209,8 @@ class TestNogoHarness:
         for code in (toric_code(2, 3), css.assemble_css(mixed, 1)):
             bare = css.CssCode(code.hx, code.hz)
             for m in (1, 2, 3):
-                report = transversal_nogo_harness(code, m, samples=5)
-                bare_report = transversal_nogo_harness(bare, m, samples=5)
+                report = transversal_nogo_harness(code, m)
+                bare_report = transversal_nogo_harness(bare, m)
                 assert bare_report.all_preserve
                 assert (bare_report.generator_count, bare_report.max_level) == (
                     report.generator_count, report.max_level
@@ -1257,7 +1278,7 @@ class TestNogoHarness:
         assert not preserves_codespace(
             PhasePolynomial(code.n, m, {(0,): 1 << (m - 1)}), code, copies=1
         )
-        assert not transversal_nogo_harness(code, m, samples=5).all_preserve
+        assert not transversal_nogo_harness(code, m).all_preserve
 
     @pytest.mark.parametrize("broken", ["level", "preservation"])
     def test_witness_disagreement_raises(self, monkeypatch, broken):
@@ -1277,7 +1298,7 @@ class TestNogoHarness:
                 diagonal, "preserves_codespace", lambda *args, **kwargs: diagonal.PreservationResult(False)
             )
         with pytest.raises(AssertionError, match="disagree"):
-            transversal_nogo_harness(code, 3, samples=5)
+            transversal_nogo_harness(code, 3)
 
 
 class TestLinearSurveyDifferential:
@@ -1834,6 +1855,17 @@ class TestSingleNormalization:
             f.renumber(0, 2)
         with pytest.raises(ValueError, match="monomial variable out of range"):
             f.renumber(5, 7)
+
+    def test_survey_witness(self, monkeypatch):
+        seen = []
+        real = diagonal.preserves_codespace
+        monkeypatch.setattr(
+            diagonal, "preserves_codespace", lambda f, *args, **kw: seen.append(f) or real(f, *args, **kw)
+        )
+        for m in (1, 2, 3, 4):
+            transversal_nogo_harness(toric_code(2, 3), m)
+        assert len(seen) == 4
+        assert all(f._terms == renormalized(f) and not f.is_zero() for f in seen)
 
     def test_logical_action_and_the_moving_part(self, monkeypatch):
         bundle = toric_cnz.build_bundle(2, 3)

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -223,6 +224,47 @@ class TestTextFormat:
     def test_rejects_malformed(self, bad):
         with pytest.raises(ValueError):
             f2la.parse_matrix_text(bad)
+
+
+class TestRowReaders:
+    """`from_rows` and `parse_matrix_text` read rows through one reader."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 9).flatmap(
+        lambda cols: st.lists(st.text("01", min_size=cols, max_size=cols), min_size=1, max_size=6)
+    ))
+    def test_same_matrix_from_both(self, rows):
+        m = BinaryMatrix.from_rows(rows)
+        assert m == f2la.parse_matrix_text(f"{len(rows)} {len(rows[0])}\n" + "\n".join(rows))
+        assert m.to_strings() == rows
+        assert all(m.get(r, c) == int(ch) for r, row in enumerate(rows) for c, ch in enumerate(row))
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            (["110", "0x1"], "bad matrix character 'x'"),
+            (["1+0"], "bad matrix character '+'"),
+            (["1_0"], "bad matrix character '_'"),
+            (["1 0"], "bad matrix character ' '"),
+            (["110", "01"], "ragged rows"),
+            (["110", "0112"], "bad matrix character '2'"),
+        ],
+    )
+    def test_bad_rows_are_refused(self, rows, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            BinaryMatrix.from_rows(rows)
+        text = f"{len(rows)} {len(rows[0])}\n" + "\n".join(rows)
+        with pytest.raises(ValueError, match=f"^bad matrix row {re.escape(repr(rows[-1]))}$"):
+            f2la.parse_matrix_text(text)
+
+    @pytest.mark.parametrize("row", [[1, 0, 1], 0b101, (1, 0), b"101", None])
+    def test_from_rows_refuses_a_non_string_row(self, row):
+        with pytest.raises(ValueError, match="matrix rows must be 0/1 strings"):
+            BinaryMatrix.from_rows(["101", row])
+
+    def test_from_rows_strips_whitespace(self):
+        assert BinaryMatrix.from_rows([" 10\n", "01 "]) == BinaryMatrix.identity(2)
+        assert BinaryMatrix.from_rows(["", ""]) == BinaryMatrix.zeros(2, 0)
 
 
 class TestEdgeShapes:

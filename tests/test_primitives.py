@@ -6,6 +6,7 @@ or all subsets outright.
 
 import bisect
 import itertools
+import math
 import random
 from functools import reduce
 from operator import xor
@@ -262,31 +263,53 @@ class TestSubsetXors:
         assert list(f2la.subset_xors(words)) == expected
 
 
+@st.composite
+def owned_rows(draw):
+    """Rows that each own a column no other row holds: the reduced basis of
+    a random matrix, or its kernel_basis rows."""
+    m = draw(matrices(max_rows=6, min_cols=1))
+    if draw(st.booleans()):
+        return f2la.rref(m).nonzero_rows()
+    return list(f2la.kernel_basis(m).bits)
+
+
+def lightest_kept(rows, keep):
+    """Brute force: the lightest kept nonzero word of the span, ties broken by
+    lexicographic support, or None."""
+    kept = [v for v in span(rows) if v and keep(v)]
+    return min(kept, key=lambda v: (v.bit_count(), f2la.indices_of(v)), default=None)
+
+
 class TestLightestWord:
     @SETTINGS
-    @given(st.lists(st.integers(0, 511), max_size=7))
-    def test_equals_brute_minimum(self, rows):
-        candidates = [v for v in span(rows) if v]
-        word, exact = f2la.lightest_word(rows)
-        assert exact
-        if not candidates:
-            assert word is None
-            return
-        assert word in candidates
-        assert word.bit_count() == min(v.bit_count() for v in candidates)
+    @given(owned_rows(), st.data())
+    def test_equals_brute_minimum(self, rows, data):
+        words = sorted(span(rows))
+        dropped = data.draw(st.sets(st.sampled_from(words)))
+        keep = data.draw(st.sampled_from([None, lambda v: v not in dropped, lambda v: False]))
+        expected = lightest_kept(rows, keep or (lambda v: True))
+        assert f2la.lightest_word(rows, keep=keep) == (expected, True)
+
+    def test_lexicographic_tie(self):
+        # rows {2, 3} and {1, 3} own columns 2 and 1; all three nonzero words
+        # weigh 2, and their sum {1, 2}, met last, comes first by support
+        rows = [0b1100, 0b1010]
+        assert f2la.lightest_word(rows) == (0b0110, True)
+        assert f2la.lightest_word(rows, keep=lambda v: v != 0b0110) == (0b1010, True)
 
     @SETTINGS
-    @given(st.lists(st.integers(0, 511), max_size=7), st.integers(0, 20))
+    @given(owned_rows(), st.integers(0, 70))
     def test_budget_cut_off(self, rows, budget):
-        candidates = [v for v in span(rows) if v]
-        lightest = min((v.bit_count() for v in candidates), default=None)
-        word, exact = f2la.lightest_word(rows, budget)
-        assert word is None or word in candidates
+        expected = lightest_kept(rows, lambda v: True)
+        word, exact = f2la.lightest_word(rows, budget=budget)
+        # an uncut walk visits every subset of at most the lightest weight
+        top = len(rows) if expected is None else min(expected.bit_count(), len(rows))
+        visits = sum(math.comb(len(rows), s) for s in range(1, top + 1))
+        assert exact == (budget >= visits)
         if exact:
-            assert (word and word.bit_count()) == lightest
+            assert word == expected
         else:
-            # the walk was cut after more than budget of the 2^rank - 1 subsets
-            assert len(candidates) > budget
+            assert word is None or word in span(rows)
 
 
 class TestKron:
