@@ -73,7 +73,7 @@ def write_bundle(path: str, code: css.CssCode, sources: list[str]) -> None:
     """Serialize a product CSS code; factor matrices are embedded so the
     bundle is self-contained."""
     pc = code.complex
-    if pc is None or code.level is None:
+    if pc is None:
         raise CliError("only product-built codes can be bundled")
     payload = {
         "format": BUNDLE_FORMAT,
@@ -155,10 +155,10 @@ def _read_factor(entry: dict) -> f2la.BinaryMatrix:
     """A seed matrix from its bundle entry; the stored shape must match."""
     data, rows, cols = entry["data"], _int(entry, "rows"), _int(entry, "cols")
     if not isinstance(data, list):
-        raise CliError("factor data must be a list of row strings")
+        raise ValueError("factor data must be a list of row strings")
     m = f2la.BinaryMatrix.from_rows(data) if data else f2la.BinaryMatrix.zeros(0, cols)
     if (m.rows, m.cols) != (rows, cols):
-        raise CliError(
+        raise ValueError(
             f"factor data is {m.rows}x{m.cols} but the bundle declares {rows}x{cols}"
         )
     return m
@@ -181,8 +181,6 @@ def _parse_region(text: str) -> list[int]:
 def cmd_build(args) -> tuple[list[str], dict, bool]:
     seeds = [f2la.parse_matrix_text(_read_text(p)) for p in args.seeds]
     pc = product.build_product(seeds)
-    if not (1 <= args.level <= pc.t - 1):
-        raise CliError(f"level {args.level} invalid: need 1..{pc.t - 1} for t={pc.t}")
     code = css.assemble_css(pc, args.level)
     params = css.kunneth_parameters(pc, args.level)
     write_bundle(args.output, code, sources=args.seeds)

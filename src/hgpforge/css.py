@@ -8,8 +8,10 @@ canonical X logical representatives spread along the degree-zero
 directions of a sector (an r = t - l dimensional hyperplane) and the Z
 representatives along the degree-one directions (l-dimensional).
 
-Hand-built CSS codes (explicit Hx, Hz) are also supported; they simply
-lack the product structure needed for canonical bases.
+A code with a complex holds that complex's own maps: `CssCode` refuses
+any other Hx and Hz beside a complex.  Hand-built CSS codes (explicit Hx,
+Hz, no complex) are also supported; they simply lack the product structure
+needed for canonical bases.
 """
 
 from __future__ import annotations
@@ -141,12 +143,13 @@ class CssCode:
     `hx_basis_rows` the indices of the Hx rows that extend the span of the
     rows before them, in row order.
 
-    The CSS condition Hx Hz^T = 0 is checked once per code.  When Hx and Hz
-    are the very matrices `complex.boundary(level)` and
-    `complex.transposed_boundary(level + 1)`, as `assemble_css` passes them,
-    the product is the dd = 0 that `ProductComplex` asserts when the second
-    of boundary(level) and boundary(level + 1) is built, and it is not
-    formed again; any other pair is multiplied here.
+    A code with a complex holds that complex's own maps: `complex` and
+    `level` come together, 1 <= level <= t - 1, and Hx and Hz must equal
+    `complex.boundary(level)` and `complex.transposed_boundary(level + 1)`.
+    Then boundary(level + 1) is built here if it is not yet, and the CSS
+    condition Hx Hz^T = 0 is the dd = 0 that `ProductComplex` asserts when
+    the second of the two maps is built; no product is formed.  A code
+    without a complex has its Hx Hz^T multiplied here.
     """
 
     def __init__(
@@ -158,9 +161,16 @@ class CssCode:
     ):
         if hx.cols != hz.cols:
             raise ValueError("Hx and Hz qubit counts differ")
-        if not _complex_maps(complex, level, hx, hz):
+        if (complex is None) != (level is None):
+            raise ValueError("complex and level must be given together")
+        if complex is None:
             if not f2la.matmul(hx, f2la.transpose(hz)).is_zero():
                 raise ValueError("Hx @ Hz^T != 0: not a CSS pair")
+        else:
+            _check_level(complex, level)
+            if hx != complex.boundary(level) or hz != complex.transposed_boundary(level + 1):
+                raise ValueError(f"Hx and Hz are not the complex's maps at level {level}")
+            complex.boundary(level + 1)
         self.hx = hx
         self.hz = hz
         self.n = hx.cols
@@ -211,19 +221,9 @@ class CssCode:
         self.logicals = LogicalBasis(wrapped_x, wrapped_z, pairing)
 
 
-def _complex_maps(
-    pc: Optional[ProductComplex], level: Optional[int], hx: BinaryMatrix, hz: BinaryMatrix
-) -> bool:
-    """True when hx and hz are pc's own maps out of and into `level`.
-
-    Then boundary(level + 1) is built here if it is not yet, so whichever
-    order the caller built the maps in, their dd = 0 has been asserted."""
-    if pc is None or level not in range(1, pc.t):
-        return False
-    if hx is not pc.boundary(level) or hz is not pc.transposed_boundary(level + 1):
-        return False
-    pc.boundary(level + 1)
-    return True
+def _check_level(pc: ProductComplex, level: int) -> None:
+    if not (1 <= level <= pc.t - 1):
+        raise ValueError(f"level must be in [1, {pc.t - 1}] for t={pc.t}")
 
 
 def _check_logical(code: CssCode, rep: LogicalRep):
@@ -234,10 +234,10 @@ def _check_logical(code: CssCode, rep: LogicalRep):
     supp(v): weight(v) XORs instead of a parity per Hz row."""
     if rep.kind == "X":
         v, name, space = rep.pauli.x, "Hz", code.hx_space
-        if _complex_maps(code.complex, code.level, code.hx, code.hz):
-            syndrome = f2la.row_combination(code.complex.boundary(code.level + 1), v)
-        else:
+        if code.complex is None:
             syndrome = f2la.mat_vec(code.hz, v)
+        else:
+            syndrome = f2la.row_combination(code.complex.boundary(code.level + 1), v)
     else:
         v, name, space = rep.pauli.z, "Hx", code.hz_space
         syndrome = f2la.mat_vec(code.hx, v)
@@ -264,20 +264,18 @@ def _sector_seeds(pc: ProductComplex, J: Sequence[int]) -> list[classical.Classi
 def assemble_css(pc: ProductComplex, level: int) -> CssCode:
     """CSS code on level `level` of the product, 1 <= level <= t-1.
 
-    Builds boundary(level + 1) and then boundary(level), the two maps the
-    code reads; building the second asserts their dd = 0, which is the
-    code's Hx Hz^T = 0.  Refused before either map is built when Hx and Hz
+    Passes boundary(level) and transposed_boundary(level + 1) to `CssCode`,
+    which builds boundary(level + 1) and so asserts their dd = 0, the
+    code's Hx Hz^T = 0.  Refused before any map is built when Hx and Hz
     together hold more than MAX_CHECK_BITS bits, n (r_x + r_z) counted from
     the sector dims of levels level - 1, level and level + 1."""
-    if not (1 <= level <= pc.t - 1):
-        raise ValueError(f"level must be in [1, {pc.t - 1}] for t={pc.t}")
+    _check_level(pc, level)
     bits = pc.dim(level) * (pc.dim(level - 1) + pc.dim(level + 1))
     if bits > MAX_CHECK_BITS:
         raise ValueError(
             f"Hx and Hz of the level-{level} code hold {bits} bits,"
             f" above the cap of {MAX_CHECK_BITS}"
         )
-    pc.boundary(level + 1)
     return CssCode(
         pc.boundary(level), pc.transposed_boundary(level + 1), complex=pc, level=level
     )
@@ -292,8 +290,7 @@ def kunneth_parameters(pc: ProductComplex, level: int) -> KunnethParameters:
     J, so d_z multiplies the seed distances on J, and X representatives
     spread them along the complement, so d_x multiplies the rest.
     """
-    if not (1 <= level <= pc.t - 1):
-        raise ValueError(f"level must be in [1, {pc.t - 1}] for t={pc.t}")
+    _check_level(pc, level)
     k, d_x, d_z = 0, [], []
     for sec in pc.tables[level].sectors:
         seeds = _sector_seeds(pc, sec.J)
@@ -348,7 +345,7 @@ def brute_distance(
                 f" above the cap of {_DISTANCE_BUDGET}"
             )
     hx_t = hz_t = None
-    if _complex_maps(code.complex, code.level, code.hx, code.hz):
+    if code.complex is not None:
         hx_t = code.complex.transposed_boundary(code.level)
         hz_t = code.complex.boundary(code.level + 1)
     d_z, _ = _walk_logical_weight(code.hx, code.hz_space, max_weight, budget, hx_t)
@@ -456,7 +453,7 @@ def canonical_logical_basis(code: CssCode) -> LogicalBasis:
     reverse.  Each index tuple gives one X and one Z representative, so the
     symplectic pairing is exactly the identity, with no permutation.
     """
-    if code.complex is None or code.level is None:
+    if code.complex is None:
         raise ValueError("no product structure")
     if code.logicals is not None:
         return code.logicals
@@ -478,7 +475,7 @@ def canonical_logical_basis(code: CssCode) -> LogicalBasis:
                 ("X", sec.J, x_factors, x_reps),
                 ("Z", off, z_factors, z_reps),
             ):
-                pauli = _pauli(code.n, kind, _tensor_support(pc, level, mu, factors))
+                pauli = _pauli(code.n, kind, product.tensor_word(pc, level, mu, factors))
                 fixed = tuple(pivots[d] for d in dirs)
                 reps.append(LogicalRep(pauli, kind, mu, dirs, fixed, factors))
     if len(x_reps) != code.k:
@@ -490,24 +487,6 @@ def canonical_logical_basis(code: CssCode) -> LogicalBasis:
     basis = LogicalBasis(x_reps, z_reps, _pairing_matrix(x_reps, z_reps))
     code.logicals = basis
     return basis
-
-
-def _tensor_support(pc: ProductComplex, level: int, mu: int, factors: Sequence[int]) -> int:
-    """The word of the tensor product of one factor word per direction in
-    sector mu.  Built from the last direction up: the word so far fills one
-    stride of direction d, so one multiply by factor d's word spread to one
-    bit per stride places a copy at each of its coordinates, with no carry."""
-    sec = pc.tables[level][mu]
-    bits, stride = 1, 1
-    for word, size in zip(reversed(factors), reversed(sec.shape), strict=True):
-        if word >> size:
-            raise ValueError(f"coordinate {word.bit_length() - 1} out of range for size {size}")
-        spread = 0
-        for c in f2la.indices_of(word):
-            spread |= 1 << (c * stride)
-        bits *= spread
-        stride *= size
-    return bits << sec.offset
 
 
 def _pairing_matrix(x_reps: Sequence[LogicalRep], z_reps: Sequence[LogicalRep]) -> BinaryMatrix:
@@ -540,7 +519,7 @@ def alternative_representative(
     solve succeeds whenever the per-direction forbidden sets stay within
     the classical cleaning bound.
     """
-    if code.complex is None or code.level is None:
+    if code.complex is None:
         raise ValueError("no product structure")
     pc = code.complex
     if rep.fixed_values is None:
@@ -550,13 +529,10 @@ def alternative_representative(
             raise ValueError("avoid hyperplane in a different sector")
         if tuple(h.fixed_dirs) != rep.fixed_dirs:
             raise ValueError("avoid hyperplane has a different orientation")
-    if not avoid:
-        return rep
-    rep_support = rep.pauli.x | rep.pauli.z
-    if all(
-        not any((rep_support >> q) & 1 for q in product.hyperplane_support(pc, h))
-        for h in avoid
-    ):
+    avoid_word = 0
+    for h in avoid:
+        avoid_word |= product._hyperplane_word(pc, h)
+    if not (rep.pauli.x | rep.pauli.z) & avoid_word:
         return rep
     seeds = _sector_seeds(pc, pc.tables[code.level][rep.sector].J)
     new_factors = list(rep.factors)
@@ -575,12 +551,11 @@ def alternative_representative(
         if any((new >> c) & 1 for c in gamma):
             raise AssertionError("cleaned factor still meets a forbidden value")
         new_factors[d] = new
-    bits = _tensor_support(pc, code.level, rep.sector, new_factors)
+    bits = product.tensor_word(pc, code.level, rep.sector, new_factors)
     old, space = (rep.pauli.x, code.hx_space) if rep.kind == "X" else (rep.pauli.z, code.hz_space)
     if not space.contains(bits ^ old):
         raise AssertionError("deformation left the stabilizer coset")
-    for h in avoid:
-        if any((bits >> q) & 1 for q in product.hyperplane_support(pc, h)):
-            raise AssertionError("deformed representative still meets an avoid hyperplane")
+    if bits & avoid_word:
+        raise AssertionError("deformed representative still meets an avoid hyperplane")
     pauli = _pauli(code.n, rep.kind, bits)
     return replace(rep, pauli=pauli, fixed_values=None, factors=tuple(new_factors))

@@ -518,7 +518,7 @@ def _coordinates(code: CssCode) -> tuple[list[int], list[int]]:
     completion of the Hx span to ker Hz.  The completion keeps the ker Hz
     words whose coset keys modulo the Hx span (`hx_space.reduce`, linear
     with kernel the span) extend the keys before them."""
-    if code.logicals is None and (code.complex is None or code.level is None):
+    if code.logicals is None and code.complex is None:
         keys = f2la.RowSpace(cols=code.n)
         lead = [v for v in code.x_domain_basis() if keys.extend(code.hx_space.reduce(v))]
         return lead, code.hx_basis_rows
@@ -763,23 +763,19 @@ def bk_cascade(
     """
     if not reps:
         raise ValueError("need at least one representative")
-    supports = [
-        frozenset((r.pauli if isinstance(r, LogicalRep) else r).support) for r in reps
-    ]
-    steps = []
-    current = model.image(supports[0])
-    verdict = is_correctable(code, Region.of(current))
-    steps.append(CascadeStep(1, tuple(sorted(current)), bool(verdict)))
-    concluded = 1 if verdict else None
-    j = 1
-    while concluded is None and j < len(supports):
-        j += 1
-        current = commutator_support_bound(current, supports[j - 1], model)
-        verdict = is_correctable(code, Region.of(current))
-        steps.append(CascadeStep(j, tuple(sorted(current)), bool(verdict)))
-        if verdict:
-            concluded = j
-    return CascadeReport(tuple(steps), concluded)
+    steps: list[CascadeStep] = []
+    current = None
+    for j, rep in enumerate(reps, start=1):
+        support = (rep.pauli if isinstance(rep, LogicalRep) else rep).support
+        if current is None:
+            current = model.image(support)
+        else:
+            current = commutator_support_bound(current, support, model)
+        correctable = bool(is_correctable(code, Region.of(current)))
+        steps.append(CascadeStep(j, tuple(sorted(current)), correctable))
+        if correctable:
+            return CascadeReport(tuple(steps), j)
+    return CascadeReport(tuple(steps), None)
 
 
 # -- transversal diagonal no-go harness ----------------------------------------

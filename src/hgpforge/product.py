@@ -311,8 +311,32 @@ def coords_of(pc: ProductComplex, level: int, index: int) -> tuple[int, tuple[in
     raise AssertionError("unreachable: offsets do not cover the level")
 
 
+def tensor_word(pc: ProductComplex, level: int, mu: int, factors: Sequence[int]) -> int:
+    """The word of the tensor product of one factor word per direction in
+    sector mu.  Built from the last direction up: the word so far fills one
+    stride of direction d, so one multiply by factor d's word spread to one
+    bit per stride places a copy at each of its coordinates, with no carry."""
+    sec = pc.tables[level][mu]
+    bits, stride = 1, 1
+    for word, size in zip(reversed(factors), reversed(sec.shape), strict=True):
+        if word >> size:
+            raise ValueError(f"coordinate {word.bit_length() - 1} out of range for size {size}")
+        spread = 0
+        for c in f2la.indices_of(word):
+            spread |= 1 << (c * stride)
+        bits *= spread
+        stride *= size
+    return bits << sec.offset
+
+
 def hyperplane_support(pc: ProductComplex, h: Hyperplane) -> frozenset[int]:
     """All flat indices whose fixed-direction coordinates match h."""
+    return frozenset(f2la.indices_of(_hyperplane_word(pc, h)))
+
+
+def _hyperplane_word(pc: ProductComplex, h: Hyperplane) -> int:
+    """The word of h: the tensor word of a unit at each fixed value and all
+    ones on each free direction."""
     sec = pc.tables[h.level][h.sector]
     fixed = dict(zip(h.fixed_dirs, h.fixed_values))
     for d, v in fixed.items():
@@ -320,13 +344,10 @@ def hyperplane_support(pc: ProductComplex, h: Hyperplane) -> frozenset[int]:
             raise ValueError(f"direction {d} out of range")
         if not (0 <= v < sec.shape[d]):
             raise ValueError(f"fixed value {v} out of range in direction {d}")
-    ranges = [
-        [fixed[d]] if d in fixed else range(sec.shape[d]) for d in range(pc.t)
+    factors = [
+        1 << fixed[d] if d in fixed else (1 << size) - 1 for d, size in enumerate(sec.shape)
     ]
-    return frozenset(
-        flat_index(pc, h.level, h.sector, coords)
-        for coords in itertools.product(*ranges)
-    )
+    return tensor_word(pc, h.level, h.sector, factors)
 
 
 def intersect_hyperplanes(h1: Hyperplane, h2: Hyperplane) -> Optional[Hyperplane]:

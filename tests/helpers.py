@@ -65,6 +65,16 @@ def flat_index_tensor_support(pc, level, mu, factors):
     return bits
 
 
+def flat_index_hyperplane_support(pc, h):
+    """The flat indices of hyperplane h, one flat_index per point."""
+    fixed = dict(zip(h.fixed_dirs, h.fixed_values))
+    shape = pc.tables[h.level][h.sector].shape
+    ranges = [[fixed[d]] if d in fixed else range(size) for d, size in enumerate(shape)]
+    return frozenset(
+        product.flat_index(pc, h.level, h.sector, coords) for coords in itertools.product(*ranges)
+    )
+
+
 def tuple_images(code, copies):
     """Per-qubit images of x = L a + G b per copy as tuples of variable
     indices, from the column supports of L and of the G rows, with the a
@@ -197,7 +207,7 @@ def kind_branch_alternative(code, rep, avoid):
         if tuple(h.fixed_dirs) != rep.fixed_dirs:
             raise ValueError("avoid hyperplane has a different orientation")
     rep_support = rep.pauli.x | rep.pauli.z
-    if not any(rep_support >> q & 1 for h in avoid for q in product.hyperplane_support(pc, h)):
+    if not any(rep_support >> q & 1 for h in avoid for q in flat_index_hyperplane_support(pc, h)):
         return rep
     new_factors = list(rep.factors)
     for pos, d in enumerate(rep.fixed_dirs):

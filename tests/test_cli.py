@@ -666,7 +666,12 @@ class TestContract:
 
     @pytest.mark.parametrize(
         "field, value, message",
-        [("rows", 5, "declares 5x3"), ("cols", 4, "declares 3x4"), ("data", "111", "list")],
+        [
+            ("rows", 5, "declares 5x3"),
+            ("rows", -1, "declares -1x3"),
+            ("cols", 4, "declares 3x4"),
+            ("data", "111", "list"),
+        ],
     )
     def test_factor_layout_is_checked(self, capsys, tmp_path, toric_bundle, field, value, message):
         payload = json.loads(Path(toric_bundle).read_text())
@@ -676,6 +681,7 @@ class TestContract:
         assert main(["distance", str(bad)]) == 2
         report = json.loads(capsys.readouterr().out)
         assert report["status"] == "error" and message in report["results"]["error"]
+        assert report["results"]["error"].startswith(f"bad bundle file {bad}: ")
 
     def test_a_gate_over_the_branch_cap_is_refused_before_expanding(self, capsys, tmp_path):
         # one CNZ on 20 qubits of the L=5 toric code: each qubit's image holds

@@ -95,17 +95,27 @@ class TestCssCondition:
         with pytest.raises(ValueError, match="not a CSS pair"):
             css.CssCode(hx, BinaryMatrix.from_rows(["100"]))
 
-    def test_foreign_checks_beside_a_complex_are_multiplied(self, toric18, monkeypatch):
+    def test_checks_beside_a_complex_must_be_its_maps(self, toric18, monkeypatch):
         pc, products = toric18.complex, []
         real = f2la.matmul
         monkeypatch.setattr(f2la, "matmul", lambda a, b: products.append(a) or real(a, b))
         hx = BinaryMatrix(toric18.hx.rows, toric18.n, list(toric18.hx.bits))
         hz = BinaryMatrix(toric18.hz.rows, toric18.n, list(toric18.hz.bits))
+        assert hx is not pc.boundary(1) and hz is not pc.transposed_boundary(2)
         code = css.CssCode(hx, hz, complex=pc, level=1)
-        assert products == [hx] and code.k == 2
-        with pytest.raises(ValueError, match="not a CSS pair"):
-            css.CssCode(pc.boundary(1), BinaryMatrix(1, 18, [1]), complex=pc, level=1)
-        assert len(products) == 2
+        assert products == [] and code.k == 2
+        hz_short = BinaryMatrix(hz.rows - 1, hz.cols, hz.bits[1:])
+        for bad_hx, bad_hz in [(hx, hz_short), (hz, hx), (hx, BinaryMatrix(1, 18, [1]))]:
+            with pytest.raises(ValueError, match="not the complex's maps at level 1"):
+                css.CssCode(bad_hx, bad_hz, complex=pc, level=1)
+        with pytest.raises(ValueError, match="complex and level must be given together"):
+            css.CssCode(hx, hz, complex=pc)
+        with pytest.raises(ValueError, match="complex and level must be given together"):
+            css.CssCode(hx, hz, level=1)
+        for level in (0, 2):
+            with pytest.raises(ValueError, match=r"level must be in \[1, 1\] for t=2"):
+                css.CssCode(hx, hz, complex=pc, level=level)
+        assert products == []
 
     def test_assemble_css_forms_dd_once_per_code(self, monkeypatch):
         products = []
@@ -412,12 +422,12 @@ class TestTensorSupport:
         mu = data.draw(st.integers(0, len(pc.tables[level]) - 1))
         factors = [data.draw(st.integers(0, (1 << size) - 1)) for size in pc.tables[level][mu].shape]
         expected = flat_index_tensor_support(pc, level, mu, factors)
-        assert css._tensor_support(pc, level, mu, factors) == expected
+        assert product.tensor_word(pc, level, mu, factors) == expected
 
     @pytest.mark.parametrize("factors", [[0b1, 0b1001], [0b1000, 0b1], [0b1000, 0]])
     def test_a_word_wider_than_its_direction_raises(self, toric18, factors):
         with pytest.raises(ValueError, match="coordinate 3 out of range for size 3"):
-            css._tensor_support(toric18.complex, 1, 0, factors)
+            product.tensor_word(toric18.complex, 1, 0, factors)
 
 
 def check_outcome(code, v, kind):

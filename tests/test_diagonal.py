@@ -861,6 +861,32 @@ class TestSupportCalculus:
         assert report.concluded_level == 2
         assert len(report.steps[1].support) == 1
 
+    def test_cascade_concludes_at_a_correctable_first_step(self):
+        code = toric_code(2, 3)
+        rep = css.canonical_logical_basis(code).x_reps[0]
+        report = bk_cascade(code, [PauliOperator(code.n, x=1), rep], transversal_model())
+        assert report.concluded_level == 1 and report.conclusion == "U in P_1"
+        assert report.steps == (diagonal.CascadeStep(1, (0,), True),)
+
+    def test_cascade_without_a_correctable_step(self):
+        # each bound is the logical's own support, which no region may hold
+        code = toric_code(2, 3)
+        rep = css.canonical_logical_basis(code).x_reps[0]
+        report = bk_cascade(code, [rep, rep, rep], transversal_model())
+        assert report.concluded_level is None
+        assert report.conclusion == "no correctable bound reached"
+        support = tuple(sorted(rep.pauli.support))
+        assert report.steps == tuple(diagonal.CascadeStep(j, support, False) for j in (1, 2, 3))
+
+    def test_cascade_stops_at_the_first_correctable_step(self):
+        code = toric_code(2, 3)
+        rep = css.canonical_logical_basis(code).x_reps[0]
+        alt = css.alternative_representative(code, rep, [rep.hyperplane(code.level)])
+        report = bk_cascade(code, [rep, alt, rep], transversal_model())
+        assert report.concluded_level == 2 and report.conclusion == "U in P_2"
+        assert [(s.j, s.correctable) for s in report.steps] == [(1, False), (2, True)]
+        assert report.steps[1].support == ()
+
     def test_cascade_empty_reps(self):
         code = toric_code(2, 2)
         with pytest.raises(ValueError):

@@ -11,7 +11,12 @@ from hgpforge import classical, css, f2la, product
 from hgpforge.f2la import BinaryMatrix
 from hgpforge.product import Hyperplane, OneComplex
 
-from helpers import compose_blocks, kron_chain_boundary, seed_matrices
+from helpers import (
+    compose_blocks,
+    flat_index_hyperplane_support,
+    kron_chain_boundary,
+    seed_matrices,
+)
 
 
 def random_matrix(rng, rows, cols, density=0.5):
@@ -280,6 +285,54 @@ class TestHyperplanes:
         assert product.hyperplane_support(cube3, merged) == product.hyperplane_support(
             cube3, h1
         ) & product.hyperplane_support(cube3, h2)
+
+
+class TestHyperplaneWord:
+    """hyperplane_support, read off one tensor word, against one flat_index
+    per point.  Every subset of directions is fixed in turn, so each example
+    covers no fixed direction and every direction fixed."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_matches_one_flat_index_per_point(self, data):
+        shapes = data.draw(
+            st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), min_size=1, max_size=3)
+        )
+        pc = product.build_product([BinaryMatrix.zeros(r, c) for r, c in shapes])
+        level = data.draw(st.integers(0, pc.t))
+        mu = data.draw(st.integers(0, len(pc.tables[level]) - 1))
+        shape = pc.tables[level][mu].shape
+        for k in range(pc.t + 1):
+            for dirs in itertools.combinations(range(pc.t), k):
+                values = data.draw(st.tuples(*(st.integers(0, shape[d] - 1) for d in dirs)))
+                h = Hyperplane(level, mu, dirs, values)
+                want = flat_index_hyperplane_support(pc, h)
+                assert product.hyperplane_support(pc, h) == want
+
+    def test_size_one_directions(self):
+        # a 1x2 seed and a 2x1 seed: sector shapes (1, 2) at level 0, (2, 2)
+        # and (1, 1) at level 1, and (2, 1) at level 2
+        pc = product.build_product([BinaryMatrix.zeros(1, 2), BinaryMatrix.zeros(2, 1)])
+        for level, mu in [(0, 0), (1, 0), (1, 1), (2, 0)]:
+            shape = pc.tables[level][mu].shape
+            for dirs in [(), (0,), (1,), (0, 1)]:
+                for values in itertools.product(*(range(shape[d]) for d in dirs)):
+                    h = Hyperplane(level, mu, dirs, values)
+                    want = flat_index_hyperplane_support(pc, h)
+                    assert product.hyperplane_support(pc, h) == want
+
+    @pytest.mark.parametrize(
+        "dirs, values, message",
+        [
+            ((2,), (0,), "direction 2 out of range"),
+            ((-1,), (0,), "direction -1 out of range"),
+            ((1,), (3,), "fixed value 3 out of range in direction 1"),
+            ((0, 1), (0, -1), "fixed value -1 out of range in direction 1"),
+        ],
+    )
+    def test_bad_planes_are_refused(self, toric2, dirs, values, message):
+        with pytest.raises(ValueError, match=message):
+            product.hyperplane_support(toric2, Hyperplane(1, 0, dirs, values))
 
 
 class TestBlockWeight:
