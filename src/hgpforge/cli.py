@@ -6,9 +6,13 @@ Every command prints one canonical JSON report envelope to stdout:
 
 Exit codes: 0 ok / property holds, 1 property violated (not correctable,
 not codespace-preserving, hierarchy bound broken), 2 usage or parse error.
-Each command returns its input paths, results and verdict; `main` alone
-hashes the inputs, writes the envelope and maps the verdict to the status
-and the exit code.
+Each command returns its results and verdict; `main` alone writes the
+envelope and maps the verdict to the status and the exit code.
+Each input file is read once, by `_read_input`: the envelope's sha256 of a
+path is taken from the bytes the command parsed.  Output files (the
+`build` bundle, the `toric-cnz` circuit and `--report`) are written by
+`_write_output`: in place, then cut to the written length, so a longer
+old file leaves no tail.  Like a plain open(path, "w"), this is not atomic.
 Output is byte-identical for identical inputs.  `distance --jobs N`, and
 `nogo-transversal --seed S` and `--samples N`, are parsed and stop here: no
 library call takes them, since searches run in one thread and the survey
@@ -24,6 +28,8 @@ import functools
 import hashlib
 import itertools
 import json
+import os
+import stat
 import sys
 from typing import Optional
 
@@ -42,9 +48,9 @@ class CliError(Exception):
     pass
 
 
-def _digest(path: str) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+# path -> sha256 of the bytes `_read_input` read from it; `main` clears it
+# before each command and reports it as the envelope's inputs.
+_input_digests: dict[str, str] = {}
 
 
 def _emit(command: str, inputs: dict, results: dict, status: str) -> None:
@@ -57,12 +63,30 @@ def _emit(command: str, inputs: dict, results: dict, status: str) -> None:
     sys.stdout.write(json.dumps(report, sort_keys=True) + "\n")
 
 
-def _read_text(path: str) -> str:
+def _read_input(path: str) -> str:
+    """The ASCII text of an input file, with universal newlines as a
+    text-mode open reads it; the sha256 of the bytes read is recorded in
+    `_input_digests`."""
     try:
-        with open(path, "r", encoding="ascii") as fh:
-            return fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
+    _input_digests[path] = hashlib.sha256(data).hexdigest()
+    return data.decode("ascii").replace("\r\n", "\n").replace("\r", "\n")
+
+
+def _write_output(path: str, text: str) -> None:
+    """Write text to path as ASCII, in place, and cut a regular file to the
+    written length.  Opening without O_TRUNC skips emptying an old file
+    first, which can cost far more than the write; `-o /dev/null` and pipes
+    are written but not cut."""
+    # O_BINARY (Windows only) leaves newline translation to the wrapper alone
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    with open(fd, "w", encoding="ascii") as fh:
+        fh.write(text)
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            os.ftruncate(fd, fh.tell())  # tell() flushes first
 
 
 def _sparse_rows(m: f2la.BinaryMatrix) -> list[list[int]]:
@@ -89,9 +113,7 @@ def write_bundle(path: str, code: css.CssCode, sources: list[str]) -> None:
         ],
         **_derived_fields(code),
     }
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(payload, fh, sort_keys=True)
-        fh.write("\n")
+    _write_output(path, json.dumps(payload, sort_keys=True) + "\n")
 
 
 def _derived_fields(code: css.CssCode) -> dict:
@@ -115,7 +137,7 @@ def read_bundle(path: str) -> css.CssCode:
     18.0 for 18, so the level, the factor shapes and every number of the
     stored fields must also be ints."""
     try:
-        payload = json.loads(_read_text(path))
+        payload = json.loads(_read_input(path))
     except json.JSONDecodeError as exc:
         raise CliError(f"bad bundle file {path}: {exc}") from exc
     if not isinstance(payload, dict) or payload.get("format") != BUNDLE_FORMAT:
@@ -178,8 +200,11 @@ def _parse_region(text: str) -> list[int]:
 # -- commands ----------------------------------------------------------------
 
 
-def cmd_build(args) -> tuple[list[str], dict, bool]:
-    seeds = [f2la.parse_matrix_text(_read_text(p)) for p in args.seeds]
+def cmd_build(args) -> tuple[dict, bool]:
+    # a seed file named twice is read and parsed once; a file is parsed
+    # before the next is read, so the first bad seed is the one reported
+    parsed = {p: f2la.parse_matrix_text(_read_input(p)) for p in dict.fromkeys(args.seeds)}
+    seeds = [parsed[p] for p in args.seeds]
     pc = product.build_product(seeds)
     code = css.assemble_css(pc, args.level)
     params = css.kunneth_parameters(pc, args.level)
@@ -193,10 +218,10 @@ def cmd_build(args) -> tuple[list[str], dict, bool]:
         "t": pc.t,
         "bundle": args.output,
     }
-    return args.seeds, results, True
+    return results, True
 
 
-def cmd_logicals(args) -> tuple[list[str], dict, bool]:
+def cmd_logicals(args) -> tuple[dict, bool]:
     code = read_bundle(args.bundle)
     basis = css.canonical_logical_basis(code)
     entries = []
@@ -215,10 +240,10 @@ def cmd_logicals(args) -> tuple[list[str], dict, bool]:
         "pairing_identity": basis.pairing == f2la.BinaryMatrix.identity(basis.k),
         "logicals": entries,
     }
-    return [args.bundle], results, True
+    return results, True
 
 
-def cmd_distance(args) -> tuple[list[str], dict, bool]:
+def cmd_distance(args) -> tuple[dict, bool]:
     code = read_bundle(args.bundle)
     result = css.brute_distance(code, max_weight=args.max_weight)
     results = {
@@ -228,23 +253,23 @@ def cmd_distance(args) -> tuple[list[str], dict, bool]:
         "d_z": result.d_z,
         "d": result.d,
     }
-    return [args.bundle], results, True
+    return results, True
 
 
-def cmd_correctable(args) -> tuple[list[str], dict, bool]:
+def cmd_correctable(args) -> tuple[dict, bool]:
     code = read_bundle(args.bundle)
-    region = _parse_region(_read_text(args.region))
+    region = _parse_region(_read_input(args.region))
     if any(q < 0 or q >= code.n for q in region):
         raise CliError("region index out of range for this code")
     verdict = correctability.is_correctable(code, region)
-    return [args.bundle, args.region], verdict.to_json(), verdict.correctable
+    return verdict.to_json(), verdict.correctable
 
 
-def cmd_verify_diagonal(args) -> tuple[list[str], dict, bool]:
+def cmd_verify_diagonal(args) -> tuple[dict, bool]:
     if not 1 <= args.copies <= diagonal.MAX_COPIES:
         raise CliError(f"copies must be >= 1 and <= {diagonal.MAX_COPIES}")
     code = read_bundle(args.bundle)
-    poly = diagonal.parse_circuit_text(_read_text(args.circuit))
+    poly = diagonal.parse_circuit_text(_read_input(args.circuit))
     expected = args.copies * code.n
     if poly.nvars > expected:
         raise CliError(
@@ -261,27 +286,27 @@ def cmd_verify_diagonal(args) -> tuple[list[str], dict, bool]:
     else:
         results["violating_copy"] = res.violating_copy
         results["violating_row"] = res.violating_row
-    return [args.bundle, args.circuit], results, res.preserves
+    return results, res.preserves
 
 
-def cmd_nogo_transversal(args) -> tuple[list[str], dict, bool]:
+def cmd_nogo_transversal(args) -> tuple[dict, bool]:
     code = read_bundle(args.bundle)
     if not 0 <= args.samples <= MAX_SAMPLES:
         raise CliError(f"samples must be >= 0 and <= {MAX_SAMPLES}")
     results = diagonal.transversal_nogo_harness(code, args.mod).to_json()
     results["sample_count"] = args.samples
-    return [args.bundle], results, results["clifford_bound_respected"]
+    return results, results["clifford_bound_respected"]
 
 
-def cmd_toric_cnz(args) -> tuple[list[str], dict, bool]:
+def cmd_toric_cnz(args) -> tuple[dict, bool]:
     bundle = toric_cnz.build_bundle(args.t, args.length)
-    with open(args.output, "w", encoding="ascii") as fh:
-        fh.write(
-            diagonal.format_circuit_text(
-                bundle.circuit,
-                comment=f"C^{args.t - 1}Z layer, {args.t} copies of n={bundle.code.n}",
-            )
-        )
+    _write_output(
+        args.output,
+        diagonal.format_circuit_text(
+            bundle.circuit,
+            comment=f"C^{args.t - 1}Z layer, {args.t} copies of n={bundle.code.n}",
+        ),
+    )
     inv = toric_cnz.verify_invariance(bundle)
     results: dict = {
         "t": bundle.t,
@@ -300,10 +325,8 @@ def cmd_toric_cnz(args) -> tuple[list[str], dict, bool]:
         results["logical_cnz_verified"] = ver.verified
         results["logical_terms"] = _logical_terms(ver.logical_poly)
     if args.report:
-        with open(args.report, "w", encoding="ascii") as fh:
-            json.dump(results, fh, sort_keys=True)
-            fh.write("\n")
-    return [], results, verified
+        _write_output(args.report, json.dumps(results, sort_keys=True) + "\n")
+    return results, verified
 
 
 @functools.cache
@@ -371,14 +394,14 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else OK
+    _input_digests.clear()
     try:
-        paths, results, ok = args.func(args)
-        inputs = {path: _digest(path) for path in paths}
+        results, ok = args.func(args)
     except (CliError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         _emit(args.command, {}, {"error": str(exc)}, "error")
         return USAGE_ERROR
-    _emit(args.command, inputs, results, "ok" if ok else "violated")
+    _emit(args.command, dict(_input_digests), results, "ok" if ok else "violated")
     return OK if ok else VIOLATED
 
 

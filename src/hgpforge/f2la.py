@@ -312,8 +312,8 @@ def lightest_word(
 class RowSpace:
     """Row space over GF(2), kept as a row-echelon basis.
 
-    Each basis row is stored under its pivot, its lowest set bit as a
-    low-bit mask, and no two rows share a pivot.  `extend` is the forward
+    Each basis row is stored under its pivot column, the index of its
+    lowest set bit, and no two rows share a pivot.  `extend` is the forward
     half of the package's one Gauss-Jordan elimination: it strips a new
     row's lowest bit by pivot lookups and stores what is left, rewriting no
     stored row.  `_reduced_basis` is the back half: it reads the reduced
@@ -327,8 +327,10 @@ class RowSpace:
         if m is None and cols is None:
             raise ValueError("need a matrix or an explicit column count")
         self.cols = cols if m is None else m.cols
-        self._rows: dict[int, int] = {}  # pivot low-bit mask -> echelon row
-        self._pivots = 0  # OR of the pivot masks
+        # pivot column -> echelon row; a small int key hashes in constant
+        # time, where the pivot's low-bit mask is as wide as its position
+        self._rows: dict[int, int] = {}
+        self._pivots = 0  # OR of the pivot bits
         self._reduced: Optional[tuple[tuple[int, ...], tuple[int, ...]]] = None
         if m is not None:
             for word in m.bits:
@@ -345,14 +347,14 @@ class RowSpace:
         while hit:
             # A row touches no bit below its pivot, so the lowest pivot bit
             # of v only moves up.
-            v ^= rows[hit & -hit]
+            v ^= rows[(hit & -hit).bit_length() - 1]
             hit = v & pivots
         return v
 
     def contains(self, v: int) -> bool:
         rows = self._rows
         while v:
-            row = rows.get(v & -v)
+            row = rows.get((v & -v).bit_length() - 1)
             if row is None:
                 return False
             v ^= row
@@ -363,9 +365,10 @@ class RowSpace:
         rows = self._rows
         while v:
             low = v & -v
-            row = rows.get(low)
+            col = low.bit_length() - 1
+            row = rows.get(col)
             if row is None:
-                rows[low] = v
+                rows[col] = v
                 self._pivots |= low
                 self._reduced = None
                 return True
@@ -381,19 +384,16 @@ class RowSpace:
         """
         if self._reduced is None:
             pivots, done = self._pivots, {}
-            for low in sorted(self._rows, reverse=True):
-                row = self._rows[low]
-                hit = (row & pivots) ^ low
+            for col in sorted(self._rows, reverse=True):
+                row = self._rows[col]
+                hit = (row & pivots) ^ (1 << col)
                 while hit:
                     above = hit & -hit
-                    row ^= done[above]
+                    row ^= done[above.bit_length() - 1]
                     hit ^= above
-                done[low] = row
+                done[col] = row
             order = sorted(done)
-            self._reduced = (
-                tuple(low.bit_length() - 1 for low in order),
-                tuple(done[low] for low in order),
-            )
+            self._reduced = (tuple(order), tuple(done[col] for col in order))
         return self._reduced
 
 

@@ -1,6 +1,8 @@
 """End-to-end tests of the command-line interface and its file formats."""
 
+import hashlib
 import json
+import os
 import time
 import tracemalloc
 from pathlib import Path
@@ -86,6 +88,15 @@ class TestBuild:
         bad = tmp_path / "bad.txt"
         bad.write_text("not a matrix\n")
         assert main(["build", str(bad), "--level", "1", "-o", str(tmp_path / "x")]) == 2
+
+    def test_the_first_bad_seed_is_reported(self, capsys, tmp_path):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("1 3\n120\n")
+        missing, out = str(tmp_path / "missing.txt"), str(tmp_path / "b.json")
+        code, report = run_json(capsys, ["build", str(bad), missing, "--level", "1", "-o", out])
+        assert code == 2 and report["results"]["error"] == "bad matrix row '120'"
+        code, report = run_json(capsys, ["build", missing, str(bad), "--level", "1", "-o", out])
+        assert code == 2 and report["results"]["error"].startswith(f"cannot read {missing}: ")
 
     def test_deterministic_output(self, tmp_path, seed3, capsys):
         out1, out2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
@@ -194,21 +205,27 @@ class TestBundleRoundTrip:
         not_json.write_text("{]")
         assert main(["distance", str(not_json)]) == 2
 
-    def test_input_unreadable_while_hashing_is_usage_error(
-        self, capsys, toric_bundle, monkeypatch
+    def test_a_region_unreadable_after_the_bundle_is_a_usage_error(
+        self, capsys, tmp_path, toric_bundle, monkeypatch
     ):
-        def fail(path):
-            raise OSError(f"cannot hash {path}")
+        region = tmp_path / "region.txt"
+        region.write_text("0 5\n")
+        real = cli.read_bundle
 
-        monkeypatch.setattr(cli, "_digest", fail)
-        assert main(["logicals", toric_bundle]) == 2
+        def read_then_remove_region(path):
+            code = real(path)
+            region.unlink()
+            return code
+
+        monkeypatch.setattr(cli, "read_bundle", read_then_remove_region)
+        assert main(["correctable", toric_bundle, str(region)]) == 2
         out = capsys.readouterr().out
         assert out.count("\n") == 1  # one envelope, nothing before it
         report = json.loads(out)
-        assert report["command"] == "logicals"
+        assert report["command"] == "correctable"
         assert report["status"] == "error"
         assert report["inputs"] == {}
-        assert report["results"] == {"error": f"cannot hash {toric_bundle}"}
+        assert report["results"]["error"].startswith(f"cannot read {region}: ")
 
     def test_logicals_round_trip(self, capsys, toric_bundle):
         code1, rep1 = run_json(capsys, ["logicals", toric_bundle])
@@ -714,3 +731,94 @@ class TestContract:
         report = json.loads(capsys.readouterr().out)
         assert report["status"] == "error" and "cap of 1048576 gates" in report["results"]["error"]
         assert not out.exists()
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+class TestInputsAndOutputs:
+    """Each input is read once and hashed from the bytes parsed; each output
+    is written in place and cut to its length."""
+
+    @pytest.fixture()
+    def outputs(self, tmp_path, seed3):
+        """(argv writing to `path`, the output's name) for each output file."""
+        return {
+            "circuit": lambda path: ["toric-cnz", "--t", "2", "--L", "3", "-o", path],
+            "report": lambda path: [
+                "toric-cnz", "--t", "2", "--L", "3", "-o", str(tmp_path / "cz.txt"), "--report", path,
+            ],
+            "build": lambda path: ["build", seed3, seed3, "--level", "1", "-o", path],
+        }
+
+    @pytest.mark.parametrize("output", ["circuit", "report", "build"])
+    def test_a_longer_old_output_is_cut_to_the_new_content(
+        self, capsys, tmp_path, outputs, output
+    ):
+        fresh, old = tmp_path / "fresh.out", tmp_path / "old.out"
+        old.write_text("x" * 100_000 + "\n")
+        for path in (fresh, old):
+            assert main(outputs[output](str(path))) == 0
+        capsys.readouterr()
+        assert 0 < len(fresh.read_bytes()) < 100_000
+        assert old.read_bytes() == fresh.read_bytes()
+
+    @pytest.mark.skipif(not os.path.exists(os.devnull), reason="no null device")
+    @pytest.mark.parametrize("output", ["circuit", "report", "build"])
+    def test_the_null_device_is_an_output(self, capsys, outputs, output):
+        rc, report = run_json(capsys, outputs[output](os.devnull))
+        assert rc == 0 and report["status"] == "ok"
+
+    @pytest.mark.parametrize("output", ["circuit", "report", "build"])
+    def test_a_directory_output_is_a_usage_error(self, capsys, tmp_path, outputs, output):
+        assert main(outputs[output](str(tmp_path))) == 2
+        out = capsys.readouterr().out
+        assert out.count("\n") == 1  # one envelope, nothing before it
+        report = json.loads(out)
+        assert report["status"] == "error" and report["inputs"] == {}
+
+    def test_each_input_is_read_once_and_its_digest_is_of_its_bytes(
+        self, capsys, tmp_path, seed3, toric_bundle, monkeypatch
+    ):
+        region = tmp_path / "region.txt"
+        region.write_text("0 5\n")
+        circ = tmp_path / "cz.txt"
+        assert main(["toric-cnz", "--t", "2", "--L", "3", "-o", str(circ)]) == 0
+        capsys.readouterr()
+        reads = []
+        real = cli._read_input
+        monkeypatch.setattr(cli, "_read_input", lambda path: reads.append(path) or real(path))
+        bundle = str(tmp_path / "b.json")
+        runs = [
+            (["build", seed3, seed3, "--level", "1", "-o", bundle], [seed3]),
+            (["logicals", toric_bundle], [toric_bundle]),
+            (["distance", toric_bundle], [toric_bundle]),
+            (["correctable", toric_bundle, str(region)], [toric_bundle, str(region)]),
+            (["verify-diagonal", toric_bundle, str(circ), "--copies", "2"], [toric_bundle, str(circ)]),
+            (["nogo-transversal", toric_bundle, "--mod", "2"], [toric_bundle]),
+            (["toric-cnz", "--t", "2", "--L", "3", "-o", str(circ)], []),
+        ]
+        for argv, paths in runs:
+            reads.clear()
+            rc, report = run_json(capsys, argv)
+            assert rc == 0, argv
+            assert reads == paths
+            assert report["inputs"] == {path: _sha256(path) for path in paths}
+
+    def test_crlf_inputs_read_as_text_mode_reads_them(self, capsys, tmp_path, toric_bundle):
+        # the digest is of the bytes on disk, the parse of the text with
+        # universal newlines: a broken bundle's error position is the same
+        region = tmp_path / "region.txt"
+        region.write_bytes(b"0\r\n5\r\n")
+        rc, report = run_json(capsys, ["correctable", toric_bundle, str(region)])
+        assert rc == 0 and report["results"] == {"correctable": True}
+        assert report["inputs"][str(region)] == _sha256(region)
+        errors = []
+        for name, text in (("lf.json", b"{\n]"), ("crlf.json", b"{\r\n]")):
+            broken = tmp_path / name
+            broken.write_bytes(text)
+            rc, report = run_json(capsys, ["logicals", str(broken)])
+            assert rc == 2
+            errors.append(report["results"]["error"].replace(str(broken), "BUNDLE"))
+        assert errors[0] == errors[1]
