@@ -5,9 +5,9 @@ Every command prints one canonical JSON report envelope to stdout:
     {"command": ..., "inputs": {path: sha256}, "results": ..., "status": ...}
 
 Exit codes: 0 ok / property holds, 1 property violated (not correctable,
-not codespace-preserving, hierarchy bound broken), 2 usage or parse error.
-Each command returns its results and verdict; `main` alone writes the
-envelope and maps the verdict to the status and the exit code.
+not codespace-preserving, hierarchy bound broken), 2 usage, parse or
+closed-stdout error.  Each command returns its results and verdict; `main`
+alone writes the envelope and maps the verdict to the status and the exit code.
 Each input file is read once, by `_read_input`: the envelope's sha256 of a
 path is taken from the bytes the command parsed.  Output files (the
 `build` bundle, the `toric-cnz` circuit and `--report`) are written by
@@ -53,14 +53,24 @@ class CliError(Exception):
 _input_digests: dict[str, str] = {}
 
 
-def _emit(command: str, inputs: dict, results: dict, status: str) -> None:
+def _emit(command: str, inputs: dict, results: dict, status: str) -> bool:
+    """Write the envelope to stdout; False if stdout is closed.  Stdout then
+    points at os.devnull, so the interpreter's last flush fails no more."""
     report = {
         "command": command,
         "inputs": inputs,
         "results": results,
         "status": status,
     }
-    sys.stdout.write(json.dumps(report, sort_keys=True) + "\n")
+    try:
+        sys.stdout.write(json.dumps(report, sort_keys=True) + "\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return False
+    return True
 
 
 def _read_input(path: str) -> str:
@@ -138,7 +148,7 @@ def read_bundle(path: str) -> css.CssCode:
     stored fields must also be ints."""
     try:
         payload = json.loads(_read_input(path))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
         raise CliError(f"bad bundle file {path}: {exc}") from exc
     if not isinstance(payload, dict) or payload.get("format") != BUNDLE_FORMAT:
         raise CliError(f"{path} is not a {BUNDLE_FORMAT} file")
@@ -401,7 +411,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         sys.stderr.write(f"error: {exc}\n")
         _emit(args.command, {}, {"error": str(exc)}, "error")
         return USAGE_ERROR
-    _emit(args.command, dict(_input_digests), results, "ok" if ok else "violated")
+    if not _emit(args.command, dict(_input_digests), results, "ok" if ok else "violated"):
+        sys.stderr.write("error: stdout is closed\n")
+        return USAGE_ERROR
     return OK if ok else VIOLATED
 
 

@@ -8,14 +8,16 @@ drives both the Clifford-hierarchy level computation and the
 codespace-preservation check.
 
 Everything here is exact symbolic arithmetic mod 2^m; no state vectors are
-ever enumerated.  The codespace check and the logical action share one
-pullback of f to x = L a + G b (L the X logicals, G the independent Hx
-rows), which expands each XOR multilinearly and prunes branches whose
-coefficient 2-adic valuation reaches the modulus, keeping it polynomial-
-sized.  Each qubit's image is one int mask, a shift of the qubit's word
-in the transposes of L and of G per copy, and the pullback reads only the
-masks of f's variables and accumulates monomials as integers.  Terms of
-coefficient 2^(m-1), which every C^(t-1)Z gate has, are pulled back mod 2:
+ever enumerated.  A monomial is the ascending tuple of its variables, and
+one normalizer, `_normalized`, sums and reduces terms.  The codespace
+check and the logical action share one pullback of f to x = L a + G b (L
+the X logicals, G the independent Hx rows), which expands each XOR
+multilinearly and prunes branches whose coefficient 2-adic valuation
+reaches the modulus, keeping it polynomial-sized.  Each qubit's image is
+one int mask, a shift of the qubit's word in the transposes of L and of G
+per copy, and the pullback reads only the masks of f's variables and
+accumulates monomials as int masks.  Terms of coefficient 2^(m-1), which
+every C^(t-1)Z gate has, are pulled back mod 2:
 2^(m-1) * g mod 2^m depends only on g mod 2, and mod 2 each factor is a
 GF(2) linear form.  Such terms that share every variable but the highest
 fold into one linear form, an XOR of image masks, and are expanded once,
@@ -55,7 +57,8 @@ from . import f2la
 from .correctability import Region, is_correctable
 from .css import CssCode, LogicalRep, PauliOperator, canonical_logical_basis
 
-Monomial = frozenset
+# A monomial is the ascending tuple of its variables; () is the constant.
+Monomial = tuple
 
 # Input caps: the modulus exponent m of a circuit or survey, the no-go
 # survey's candidate congruence rows, the code copies a circuit spans (toric
@@ -67,44 +70,50 @@ MAX_COPIES = 8
 MAX_TERM_BRANCHES = 1 << 20
 
 
+def _normalized(nvars: int, modulus_log2: int, terms: Iterable[tuple[Monomial, int]]) -> dict:
+    """The one normalizer: the (ascending tuple, coefficient) pairs summed per
+    monomial, every variable checked against nvars (also in a monomial whose
+    sum cancels), each sum reduced mod 2^m and zeros dropped.  m and nvars
+    are checked before terms is read."""
+    if modulus_log2 < 1:
+        raise ValueError("modulus_log2 must be >= 1")
+    if nvars < 0:
+        raise ValueError("nvars must be >= 0")
+    summed: dict[Monomial, int] = {}
+    for mono, c in terms:
+        summed[mono] = summed.get(mono, 0) + c
+    if any(mono and (mono[0] < 0 or mono[-1] >= nvars) for mono in summed):
+        raise ValueError("monomial variable out of range")
+    mod = 1 << modulus_log2
+    return {mono: r for mono, c in summed.items() if (r := c % mod)}
+
+
 class PhasePolynomial:
     """Multilinear polynomial over binary variables, coefficients mod 2^m.
 
-    Zero-coefficient terms are never stored; the empty monomial is the
-    constant term.  Instances are immutable.
+    A monomial is the ascending tuple of its variables, () the constant
+    term; zero-coefficient terms are never stored.  Instances are immutable.
 
-    Terms are normalized once, where they enter from outside: this
-    constructor, `poly_from_circuit` and `parse_circuit_text` make each
-    monomial a frozenset, check its variables against nvars, sum the
-    coefficients of the keys that name one monomial and reduce them mod 2^m,
-    dropping zeros.  Code in this package that builds a polynomial from
-    terms that are already in that form (a pullback, a difference, a
-    renumbering by 0, a C^(t-1)Z layer) hands the dict to `_of`, which
-    stores it as it is.
+    `_normalized` normalizes the terms of this constructor (which reads any
+    iterable of variables as their set: (2, 0, 2) names x_0 x_2),
+    `poly_from_circuit`, `__add__`, `renumber` and `difference`.  Code in
+    this package that builds a polynomial from terms already in that form
+    (a pullback, a renumbering by 0, a C^(t-1)Z layer) hands the dict to
+    `_of`, which stores it as it is.
     """
 
     __slots__ = ("modulus_log2", "nvars", "_terms")
 
     def __init__(self, nvars: int, modulus_log2: int, terms: Optional[dict] = None):
-        if modulus_log2 < 1:
-            raise ValueError("modulus_log2 must be >= 1")
-        if nvars < 0:
-            raise ValueError("nvars must be >= 0")
-        mod = 1 << modulus_log2
-        clean: dict[Monomial, int] = {}
-        for mono, coeff in (terms or {}).items():
-            mono = frozenset(mono)
-            if mono and (min(mono) < 0 or max(mono) >= nvars):
-                raise ValueError("monomial variable out of range")
-            clean[mono] = (clean.get(mono, 0) + coeff) % mod
-        clean = {mono: c for mono, c in clean.items() if c}
+        keyed = ((tuple(sorted(set(mono))), c) for mono, c in (terms or {}).items())
+        clean = _normalized(nvars, modulus_log2, keyed)
         object.__setattr__(self, "modulus_log2", modulus_log2)
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "_terms", clean)
 
     @classmethod
     def _of(cls, nvars: int, modulus_log2: int, terms: dict[Monomial, int]) -> "PhasePolynomial":
-        """The polynomial holding terms as they are: frozenset monomials over
+        """The polynomial holding terms as they are: ascending tuples over
         variables below nvars, each coefficient reduced mod 2^m and nonzero.
         Nothing is checked, and the dict is shared, not copied."""
         poly = object.__new__(cls)
@@ -120,15 +129,12 @@ class PhasePolynomial:
     def modulus(self) -> int:
         return 1 << self.modulus_log2
 
-    def terms(self) -> list[tuple[tuple[int, ...], int]]:
+    def terms(self) -> list[tuple[Monomial, int]]:
         """Sorted (monomial, coefficient) pairs; canonical presentation."""
-        return sorted(
-            ((tuple(sorted(mono)), c) for mono, c in self._terms.items()),
-            key=lambda item: (len(item[0]), item[0]),
-        )
+        return sorted(self._terms.items(), key=lambda item: (len(item[0]), item[0]))
 
     def coefficient(self, mono: Iterable[int]) -> int:
-        return self._terms.get(frozenset(mono), 0)
+        return self._terms.get(tuple(sorted(set(mono))), 0)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -148,17 +154,15 @@ class PhasePolynomial:
         )
 
     def __hash__(self) -> int:
-        return hash(
-            (self.modulus_log2, self.nvars, frozenset(self._terms.items()))
-        )
+        return hash((self.modulus_log2, self.nvars, tuple(self.terms())))
 
     def __add__(self, other: "PhasePolynomial") -> "PhasePolynomial":
         if (self.nvars, self.modulus_log2) != (other.nvars, other.modulus_log2):
             raise ValueError("mismatched polynomials")
-        merged = dict(self._terms)
-        for mono, c in other._terms.items():
-            merged[mono] = merged.get(mono, 0) + c
-        return PhasePolynomial(self.nvars, self.modulus_log2, merged)
+        terms = itertools.chain(self._terms.items(), other._terms.items())
+        return PhasePolynomial._of(
+            self.nvars, self.modulus_log2, _normalized(self.nvars, self.modulus_log2, terms)
+        )
 
     def evaluate(self, x: int) -> int:
         """Value of f at the packed assignment x, reduced mod 2^m."""
@@ -173,10 +177,9 @@ class PhasePolynomial:
         offset 0 and no fewer variables, the result shares these terms."""
         if offset == 0 and nvars >= self.nvars:
             return PhasePolynomial._of(nvars, self.modulus_log2, self._terms)
-        return PhasePolynomial(
-            nvars,
-            self.modulus_log2,
-            {frozenset(v + offset for v in mono): c for mono, c in self._terms.items()},
+        shifted = ((tuple(v + offset for v in mono), c) for mono, c in self._terms.items())
+        return PhasePolynomial._of(
+            nvars, self.modulus_log2, _normalized(nvars, self.modulus_log2, shifted)
         )
 
     def __repr__(self) -> str:
@@ -200,32 +203,20 @@ def poly_from_circuit(
 
     A C^{j-1}Z on a qubit set contributes 2^(m-1) times the product of its
     variables; a Z rotation by 2pi/2^l on one qubit contributes 2^(m-l)
-    times that variable (see the coefficient helpers below).  Each gate's
-    qubits become one frozenset, and the variable range is checked once,
-    from the lowest and highest qubit of all gates.
+    times that variable (see the coefficient helpers below).  Every gate is
+    read, and a repeated qubit refused, before `_normalized` sums the terms
+    and checks their range; nvars defaults to one past the highest qubit.
     """
-    terms: dict[Monomial, int] = {}
-    lo, hi = 0, -1
+    terms: list[tuple[Monomial, int]] = []
     for coeff, qubits in gates:
-        if not isinstance(qubits, tuple):
-            qubits = tuple(qubits)
-        mono = frozenset(qubits)
+        qubits = tuple(qubits)
+        mono = tuple(sorted(set(qubits)))
         if len(mono) != len(qubits):
             raise ValueError(f"repeated qubit in gate {qubits}")
-        terms[mono] = terms.get(mono, 0) + coeff
-        if mono:
-            lo, hi = min(lo, min(mono)), max(hi, max(mono))
+        terms.append((mono, coeff))
     if nvars is None:
-        nvars = hi + 1
-    if modulus_log2 < 1:
-        raise ValueError("modulus_log2 must be >= 1")
-    if nvars < 0:
-        raise ValueError("nvars must be >= 0")
-    if lo < 0 or hi >= nvars:
-        raise ValueError("monomial variable out of range")
-    mod = 1 << modulus_log2
-    reduced = {mono: r for mono, c in terms.items() if (r := c % mod)}
-    return PhasePolynomial._of(nvars, modulus_log2, reduced)
+        nvars = max([0, *(mono[-1] + 1 for mono, _ in terms if mono)])
+    return PhasePolynomial._of(nvars, modulus_log2, _normalized(nvars, modulus_log2, terms))
 
 
 def controlled_z_coeff(modulus_log2: int) -> int:
@@ -248,27 +239,23 @@ def difference(f: PhasePolynomial, g: int) -> PhasePolynomial:
     """Exact multilinear form of f(x XOR g) - f(x) mod 2^m.
 
     Per monomial c*x_S with S1 = S intersect supp(g): substituting
-    x_i -> 1 - x_i on S1 and expanding gives signed subset terms; the
-    original monomial is subtracted once.
+    x_i -> 1 - x_i on S1 and expanding gives one term per subset D of S1,
+    c*(-1)^(|S1| - |D|) on S minus D; the original monomial is subtracted
+    once, and `_normalized` sums the terms.
     """
     if g < 0 or g >> f.nvars:
         raise ValueError("difference vector does not fit the variable count")
-    out: dict[Monomial, int] = {}
+    terms: list[tuple[Monomial, int]] = []
     for mono, c in f._terms.items():
         s1 = [v for v in mono if (g >> v) & 1]
         if not s1:
             continue
-        s0 = frozenset(v for v in mono if not ((g >> v) & 1))
         for size in range(len(s1) + 1):
-            for t in itertools.combinations(s1, size):
-                key = s0 | frozenset(t)
-                coeff = c if size % 2 == 0 else -c
-                out[key] = out.get(key, 0) + coeff
-        out[mono] = out.get(mono, 0) - c
-    mod = f.modulus
-    return PhasePolynomial._of(
-        f.nvars, f.modulus_log2, {mono: r for mono, c in out.items() if (r := c % mod)}
-    )
+            coeff = c if (len(s1) - size) % 2 == 0 else -c
+            for dropped in itertools.combinations(s1, size):
+                terms.append((tuple(v for v in mono if v not in dropped), coeff))
+        terms.append((mono, -c))
+    return PhasePolynomial._of(f.nvars, f.modulus_log2, _normalized(f.nvars, f.modulus_log2, terms))
 
 
 def hierarchy_level(f: PhasePolynomial) -> int:
@@ -310,7 +297,7 @@ def _refuse_wide_terms(f: PhasePolynomial, widths: dict[int, int]) -> None:
     m = f.modulus_log2
     for mono, c in f._terms.items():
         rooms, peak = {m + 1 - (c & -c).bit_length(): 1}, 1  # open branches per room
-        for v in sorted(mono):
+        for v in mono:
             width, grown = widths[v], {}
             for room, count in rooms.items():
                 for size in range(1, min(room, width) + 1):
@@ -358,7 +345,7 @@ def _expand_subsets(
     for mono, c in terms:
         # (monomial mask, coefficient, m - its valuation) per open branch
         branches = [(0, c, m + 1 - (c & -c).bit_length())]
-        for v in sorted(mono):
+        for v in mono:
             factor = subsets[v]
             # |T| - 1 extra powers of two per factor; deeper subsets vanish.
             branches = [
@@ -379,8 +366,8 @@ def _odd_monomials(monos: list[Monomial], masks: dict[int, int]) -> set[int]:
     """The monomial masks of the GF(2) polynomial
     sum over monos of prod over v in mono of (XOR of v's image), mod 2.
 
-    The monomials are grouped by their prefix, every variable but the
-    highest, and the highest variable's image masks XOR into one linear
+    The monomials are grouped by their prefix mono[:-1], every variable but
+    the highest, and the highest variable's image masks XOR into one linear
     form per prefix.  Each prefix is expanded once, over the singletons of
     its variables' images, and its form XORs into the form of each branch.
     Equal branches of different prefixes share one form, and on a
@@ -389,11 +376,10 @@ def _odd_monomials(monos: list[Monomial], masks: dict[int, int]) -> set[int]:
     """
     forms: dict[tuple[int, ...], int] = {}
     for mono in monos:
-        *prefix, last = sorted(mono)
-        key = tuple(prefix)
-        form = forms.get(key)
+        prefix, last = mono[:-1], mono[-1]
+        form = forms.get(prefix)
         # a prefix's first form is the image mask itself, not a copy of it
-        forms[key] = masks[last] if form is None else form ^ masks[last]
+        forms[prefix] = masks[last] if form is None else form ^ masks[last]
     singletons: dict[int, list[int]] = {}
     at: dict[int, int] = {}  # branch monomial -> its GF(2) linear form
     for prefix, form in forms.items():
@@ -479,7 +465,7 @@ def substitute(
         if total:
             out[acc] = total
     return PhasePolynomial._of(
-        new_nvars, m, {frozenset(f2la.indices_of(acc)): c for acc, c in out.items()}
+        new_nvars, m, {tuple(f2la.indices_of(acc)): c for acc, c in out.items()}
     )
 
 
@@ -585,7 +571,7 @@ def preserves_codespace(
     """
     copies = _infer_copies(f, code, copies)
     full, a_total, g_index = _pullback(f, code, copies)
-    moving = {mono: c for mono, c in full._terms.items() if max(mono, default=-1) >= a_total}
+    moving = {mono: c for mono, c in full._terms.items() if mono and mono[-1] >= a_total}
     moving = PhasePolynomial._of(full.nvars, f.modulus_log2, moving)
     for c in range(copies):
         for j, r in enumerate(g_index):
@@ -606,7 +592,7 @@ def logical_action(
     """
     copies = _infer_copies(f, code, copies)
     full, a_total, _ = _pullback(f, code, copies)
-    if any(max(mono, default=-1) >= a_total for mono in full._terms):
+    if any(mono and mono[-1] >= a_total for mono in full._terms):
         raise AssertionError(
             "stabilizer dependence failed to cancel; circuit does not "
             "preserve the codespace"
@@ -985,7 +971,7 @@ def transversal_nogo_harness(code: CssCode, modulus_log2: int) -> NogoReport:
     if gens:
         w = max(range(len(gens)), key=levels.__getitem__)
         f = PhasePolynomial._of(
-            code.n, modulus_log2, {frozenset((i,)): c for i, c in enumerate(gens[w]) if c}
+            code.n, modulus_log2, {(i,): c for i, c in enumerate(gens[w]) if c}
         )
         preserves = bool(preserves_codespace(f, code, copies=1))
         if preserves != preserving[w] or (

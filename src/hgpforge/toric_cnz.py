@@ -73,7 +73,7 @@ def build_cnz_circuit(t: int, length: int, pc: Optional[ProductComplex] = None) 
         for sigma in itertools.permutations(range(t))
     ]
     pos = [0] * (1 << t)
-    terms: dict[frozenset[int], int] = {}
+    terms: dict[tuple[int, ...], int] = {}
     for cell in itertools.product(range(length), repeat=t):
         # one step along d adds its stride, or wraps back by L - 1 strides
         step = [s if c + 1 < length else s * (1 - length) for c, s in zip(cell, strides)]
@@ -82,12 +82,12 @@ def build_cnz_circuit(t: int, length: int, pc: Optional[ProductComplex] = None) 
             low = mask & -mask
             pos[mask] = pos[mask ^ low] + step[low.bit_length() - 1]
         for order in orders:
-            mono = frozenset([base + pos[mask] for base, mask in order])
+            mono = tuple([base + pos[mask] for base, mask in order])
             # coefficients live mod 2: a repeated monomial cancels
             if terms.pop(mono, 0) == 0:
                 terms[mono] = 1
-    # Copy i's qubit lies in its own block of n variables, so every monomial
-    # has t distinct variables below t * n: the terms are already normalized.
+    # Copy i's qubit lies in block i of n variables, so every monomial is an
+    # ascending tuple of t variables below t * n: the terms are normalized.
     return PhasePolynomial._of(t * n, 1, terms)
 
 
@@ -116,7 +116,7 @@ def verify_invariance(bundle: ToricBundle) -> PreservationResult:
     return preserves_codespace(bundle.circuit, bundle.code, copies=bundle.copies)
 
 
-def expected_logical_monomials(bundle: ToricBundle) -> set[frozenset[int]]:
+def expected_logical_monomials(bundle: ToricBundle) -> set[tuple[int, ...]]:
     """Degree-t logical monomials whose canonical planes meet transversally.
 
     With one logical class per sector and fixed direction, t planes (one
@@ -134,7 +134,7 @@ def expected_logical_monomials(bundle: ToricBundle) -> set[frozenset[int]]:
     out = set()
     for combo in itertools.permutations(range(k), bundle.copies):
         if len({dir_of[c] for c in combo}) == bundle.copies:
-            out.add(frozenset(copy * k + c for copy, c in enumerate(combo)))
+            out.add(tuple(copy * k + c for copy, c in enumerate(combo)))
     return out
 
 
@@ -168,6 +168,6 @@ def verify_logical_cnz(bundle: ToricBundle) -> CnzVerification:
         verified,
         poly,
         level,
-        tuple(sorted(tuple(sorted(m)) for m in expected)),
-        tuple(sorted(tuple(sorted(m)) for m in missing)),
+        tuple(sorted(expected)),
+        tuple(sorted(missing)),
     )

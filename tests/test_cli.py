@@ -3,6 +3,8 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import time
 import tracemalloc
 from pathlib import Path
@@ -204,6 +206,14 @@ class TestBundleRoundTrip:
         not_json = tmp_path / "nope.json"
         not_json.write_text("{]")
         assert main(["distance", str(not_json)]) == 2
+
+    def test_a_deeply_nested_bundle_is_a_bad_bundle(self, capsys, tmp_path):
+        # json.loads recurses once per level and raises RecursionError
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000)
+        code, report = run_json(capsys, ["logicals", str(deep)])
+        assert code == 2 and report["status"] == "error"
+        assert report["results"]["error"].startswith(f"bad bundle file {deep}: ")
 
     def test_a_region_unreadable_after_the_bundle_is_a_usage_error(
         self, capsys, tmp_path, toric_bundle, monkeypatch
@@ -822,3 +832,24 @@ class TestInputsAndOutputs:
             assert rc == 2
             errors.append(report["results"]["error"].replace(str(broken), "BUNDLE"))
         assert errors[0] == errors[1]
+
+    @pytest.mark.parametrize("output", ["file", "/dev/stdout"])
+    def test_a_closed_stdout_is_a_usage_error_without_a_traceback(self, tmp_path, output):
+        if output == "/dev/stdout" and not os.path.exists(output):
+            pytest.skip("no /dev/stdout")
+        target = str(tmp_path / "cz.txt") if output == "file" else output
+        path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # every write to stdout fails with EPIPE
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "hgpforge.cli", "toric-cnz", "--t", "2", "--L", "3", "-o", target],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        err = proc.stderr.decode()
+        assert proc.returncode == 2, err
+        assert err.count("\n") == 1 and err.startswith("error: "), err
+        assert "Traceback" not in err and "Exception ignored" not in err

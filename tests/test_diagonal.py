@@ -1851,9 +1851,34 @@ class TestPullbackMemo:
 
 
 class TestSingleNormalization:
-    """The producers that skip the public constructor's pass leave frozenset
-    monomials in range with reduced nonzero coefficients: normalizing their
-    terms again changes nothing."""
+    """The producers that skip the public constructor's pass leave ascending
+    tuple monomials in range with reduced nonzero coefficients: normalizing
+    their terms again changes nothing."""
+
+    def test_permuted_and_repeated_keys_name_one_monomial(self):
+        f = PhasePolynomial(3, 2, {(2, 0): 1, (0, 0, 2): 1})
+        g = PhasePolynomial(3, 2, {(0, 2): 2})
+        assert f == g and hash(f) == hash(g) and f._terms == {(0, 2): 2}
+        assert f.coefficient((2, 0, 2)) == f.coefficient([0, 2]) == 2
+        assert f.coefficient(frozenset((0, 2))) == 2 and f.coefficient((0,)) == 0
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_coefficient_equality_and_hash_agree_on_any_key_spelling(self, data):
+        m, nvars = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 5))
+        monos = data.draw(st.lists(st.sets(st.integers(0, nvars - 1), max_size=3), max_size=5))
+        coeffs = data.draw(st.lists(st.integers(-9, 9), min_size=len(monos), max_size=len(monos)))
+        canonical, total = {}, PhasePolynomial(nvars, m)
+        for mono, c in zip(monos, coeffs):
+            key = tuple(sorted(mono))
+            canonical[key] = canonical.get(key, 0) + c
+            # the same term under a permuted key that may repeat its variables
+            spelled = data.draw(st.permutations(list(key) * data.draw(st.integers(1, 2))))
+            total = total + PhasePolynomial(nvars, m, {tuple(spelled): c})
+        f = PhasePolynomial(nvars, m, canonical)
+        assert total == f and hash(total) == hash(f)
+        for key, c in canonical.items():
+            assert f.coefficient(data.draw(st.permutations(list(key) * 2))) == c % (1 << m)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
