@@ -90,13 +90,18 @@ def _write_output(path: str, text: str) -> None:
     """Write text to path as ASCII, in place, and cut a regular file to the
     written length.  Opening without O_TRUNC skips emptying an old file
     first, which can cost far more than the write; `-o /dev/null` and pipes
-    are written but not cut."""
-    # O_BINARY (Windows only) leaves newline translation to the wrapper alone
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
-    with open(fd, "w", encoding="ascii") as fh:
-        fh.write(text)
-        if stat.S_ISREG(os.fstat(fd).st_mode):
-            os.ftruncate(fd, fh.tell())  # tell() flushes first
+    are written but not cut.  An OSError from the open, the write, the
+    flush (also the last one, on close) or the cut is reported as
+    `cannot write PATH: ...`."""
+    try:
+        # O_BINARY (Windows only) leaves newline translation to the wrapper alone
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+        with open(fd, "w", encoding="ascii") as fh:
+            fh.write(text)
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                os.ftruncate(fd, fh.tell())  # tell() flushes first
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc}") from exc
 
 
 def _sparse_rows(m: f2la.BinaryMatrix) -> list[list[int]]:

@@ -130,8 +130,9 @@ class PhasePolynomial:
         return 1 << self.modulus_log2
 
     def terms(self) -> list[tuple[Monomial, int]]:
-        """Sorted (monomial, coefficient) pairs; canonical presentation."""
-        return sorted(self._terms.items(), key=lambda item: (len(item[0]), item[0]))
+        """Sorted (monomial, coefficient) pairs; canonical presentation:
+        by degree, then by the monomial's tuple (`_by_degree`)."""
+        return list(itertools.chain.from_iterable(_by_degree(self._terms)))
 
     def coefficient(self, mono: Iterable[int]) -> int:
         return self._terms.get(tuple(sorted(set(mono))), 0)
@@ -192,6 +193,16 @@ class PhasePolynomial:
         return f"PhasePolynomial({' + '.join(bits)} mod 2^{self.modulus_log2})"
 
 
+def _by_degree(terms: dict[Monomial, int]) -> list[list[tuple[Monomial, int]]]:
+    """The (monomial, coefficient) items of terms, one list per degree,
+    lowest degree first, each sorted by its plain tuples (the monomials are
+    distinct keys, so no coefficient is ever compared)."""
+    groups: dict[int, list[tuple[Monomial, int]]] = {}
+    for item in terms.items():
+        groups.setdefault(len(item[0]), []).append(item)
+    return [sorted(groups[degree]) for degree in sorted(groups)]
+
+
 def poly_zero(nvars: int, modulus_log2: int) -> PhasePolynomial:
     return PhasePolynomial(nvars, modulus_log2, {})
 
@@ -245,6 +256,8 @@ def difference(f: PhasePolynomial, g: int) -> PhasePolynomial:
     """
     if g < 0 or g >> f.nvars:
         raise ValueError("difference vector does not fit the variable count")
+    if not f._terms:  # the zero polynomial is its own difference
+        return f
     terms: list[tuple[Monomial, int]] = []
     for mono, c in f._terms.items():
         s1 = [v for v in mono if (g >> v) & 1]
@@ -645,24 +658,29 @@ def parse_circuit_text(text: str) -> PhasePolynomial:
 
 
 def format_circuit_text(f: PhasePolynomial, comment: Optional[str] = None) -> str:
-    """Serialize a polynomial whose multi-variable terms are C^(j-1)Z shaped."""
-    out = []
-    if comment:
-        for ln in comment.splitlines():
-            out.append(f"# {ln}")
+    """Serialize a polynomial whose multi-variable terms are C^(j-1)Z shaped.
+
+    The lines follow `terms()`: each degree's monomials, sorted, go through
+    one "%s" line template, which writes each variable as str() does.  A
+    constant term, or a multi-qubit coefficient other than 2^(m-1), raises
+    at the first such term in that order.
+    """
+    out = [f"# {ln}" for ln in comment.splitlines()] if comment else []
     out.append(f"MOD {f.modulus_log2}")
     cz, names = controlled_z_coeff(f.modulus_log2), {2: "CZ", 3: "CCZ"}
-    for mono, c in f.terms():
-        if len(mono) == 0:
+    for group in _by_degree(f._terms):
+        degree = len(group[0][0])
+        if degree == 0:
             raise ValueError("constant phase terms are not representable")
-        if len(mono) == 1:
-            out.append(f"PHASE {c} {mono[0]}")
-        else:
-            if c != cz:
-                raise ValueError(
-                    f"multi-qubit term {mono} has coefficient {c}, not 2^(m-1)"
-                )
-            out.append(f"{names.get(len(mono), 'CNZ')} {' '.join(map(str, mono))}")
+        if degree == 1:
+            out += [f"PHASE {c} {v}" for (v,), c in group]
+            continue
+        monos = [mono for mono, c in group if c == cz]
+        if len(monos) < len(group):
+            mono, c = next(item for item in group if item[1] != cz)
+            raise ValueError(f"multi-qubit term {mono} has coefficient {c}, not 2^(m-1)")
+        template = " ".join([names.get(degree, "CNZ")] + ["%s"] * degree)
+        out += map(template.__mod__, monos)
     return "\n".join(out) + "\n"
 
 

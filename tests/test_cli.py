@@ -853,3 +853,42 @@ class TestInputsAndOutputs:
         assert proc.returncode == 2, err
         assert err.count("\n") == 1 and err.startswith("error: "), err
         assert "Traceback" not in err and "Exception ignored" not in err
+
+    @pytest.mark.parametrize("output", ["circuit", "report", "build"])
+    def test_a_write_error_names_the_output_path(self, capsys, tmp_path, outputs, output):
+        rc, report = run_json(capsys, outputs[output](str(tmp_path)))
+        assert rc == 2
+        assert report["results"]["error"].startswith(f"cannot write {tmp_path}: ")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("length", ["3", "64"])  # cut on the last flush, or on a write
+    def test_a_full_device_is_a_usage_error_naming_it(self, capsys, length):
+        rc, report = run_json(capsys, ["toric-cnz", "--t", "2", "--L", length, "-o", "/dev/full"])
+        assert rc == 2 and report["status"] == "error"
+        assert report["results"]["error"].startswith("cannot write /dev/full: ")
+
+    def test_a_report_into_a_missing_directory_names_the_report(self, capsys, tmp_path):
+        circuit, report_path = tmp_path / "cz.txt", tmp_path / "missing" / "r.json"
+        argv = ["toric-cnz", "--t", "2", "--L", "3", "-o", str(circuit), "--report", str(report_path)]
+        rc, report = run_json(capsys, argv)
+        assert rc == 2 and report["status"] == "error"
+        assert report["results"]["error"].startswith(f"cannot write {report_path}: ")
+        assert circuit.read_text().startswith("# C^1Z layer")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+    def test_a_circuit_into_a_closed_stdout_names_it_without_a_traceback(self):
+        path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # every write to stdout fails with EPIPE
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "hgpforge.cli", "toric-cnz", "--t", "2", "--L", "3", "-o", "/dev/stdout"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        err = proc.stderr.decode()
+        assert proc.returncode == 2, err
+        assert err.count("\n") == 1 and err.startswith("error: cannot write /dev/stdout: "), err
+        assert "Traceback" not in err and "Exception ignored" not in err

@@ -237,6 +237,21 @@ class TestDifference:
         f = random_poly(random.Random(1), 4, 3)
         assert difference(f, 0).is_zero()
 
+    @pytest.mark.parametrize("nvars, m", [(0, 1), (1, 1), (3, 2), (5, 4), (6, 8)])
+    def test_a_term_free_polynomial_differs_by_zero_along_every_vector(self, nvars, m):
+        f = PhasePolynomial(nvars, m)
+        for g in range(1 << nvars):
+            d = difference(f, g)
+            assert d.is_zero() and (d.nvars, d.modulus_log2) == (nvars, m)
+            assert d == diagonal.poly_zero(nvars, m)
+
+    @pytest.mark.parametrize("nvars", [0, 1, 4])
+    def test_a_term_free_polynomial_still_refuses_a_vector_that_does_not_fit(self, nvars):
+        f = PhasePolynomial(nvars, 2)
+        for g in (-1, 1 << nvars, (1 << (nvars + 3)) - 1):
+            with pytest.raises(ValueError, match="difference vector does not fit the variable count"):
+                difference(f, g)
+
     def test_linear_gives_constant(self):
         f = PhasePolynomial(3, 3, {frozenset((0,)): 3, frozenset((2,)): 5})
         d = difference(f, 0b101)
@@ -809,6 +824,62 @@ class TestCircuitText:
         f = PhasePolynomial(3, 3, {frozenset((0, 1)): 3})
         with pytest.raises(ValueError, match="coefficient"):
             diagonal.format_circuit_text(f)
+
+
+def _read_circuit_line(line, modulus_log2):
+    """The (monomial, coefficient) term a circuit line adds, its gate name
+    checked against its degree."""
+    op, *args = line.split()
+    values = tuple(map(int, args))
+    if op == "PHASE":
+        return (values[1],), values[0]
+    assert op == {2: "CZ", 3: "CCZ"}.get(len(values), "CNZ"), line
+    return values, diagonal.controlled_z_coeff(modulus_log2)
+
+
+class TestCircuitWriter:
+    def test_a_constant_is_reported_before_a_bad_multi_qubit_coefficient(self):
+        f = PhasePolynomial(4, 2, {(0, 1): 1, (2,): 3, (): 1})
+        with pytest.raises(ValueError) as err:
+            diagonal.format_circuit_text(f)
+        assert str(err.value) == "constant phase terms are not representable"
+
+    def test_the_first_bad_term_in_degree_then_tuple_order_is_named(self):
+        # inserted last, (1, 2) still comes first: lower degree than (0, 5, 6)
+        # and a lower tuple than (3, 4); (0, 1) is a good CZ
+        f = PhasePolynomial(
+            8, 2, {(0, 5, 6): 1, (3, 4): 3, (0, 1): 2, (7,): 1, (1, 2): 1}
+        )
+        with pytest.raises(ValueError) as err:
+            diagonal.format_circuit_text(f)
+        assert str(err.value) == "multi-qubit term (1, 2) has coefficient 1, not 2^(m-1)"
+
+    def test_the_lines_of_a_pure_layer(self):
+        f = PhasePolynomial(12, 1, {(9, 10, 11): 1, (0, 4, 8): 1, (0, 3, 11): 1})
+        text = diagonal.format_circuit_text(f, comment="two\nlines")
+        assert text == "# two\n# lines\nMOD 1\nCCZ 0 3 11\nCCZ 0 4 8\nCCZ 9 10 11\n"
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_lines_follow_terms_and_parse_back(self, data):
+        m = data.draw(st.integers(1, 4))
+        nvars = data.draw(st.integers(2, 12))
+        variables = st.integers(0, nvars - 1)
+        phases = data.draw(
+            st.dictionaries(st.tuples(variables), st.integers(1, (1 << m) - 1), max_size=6)
+        )
+        gates = data.draw(
+            st.lists(st.frozensets(variables, min_size=2, max_size=6), max_size=10)
+        )
+        terms = {**phases, **dict.fromkeys(gates, diagonal.controlled_z_coeff(m))}
+        f = PhasePolynomial(nvars, m, terms)
+        text = diagonal.format_circuit_text(f)
+        head, *lines = text.splitlines()
+        assert head == f"MOD {m}" and text.endswith("\n")
+        # terms() is by degree, then by tuple, as a key sort gives it
+        assert f.terms() == sorted(f._terms.items(), key=lambda item: (len(item[0]), item[0]))
+        assert [_read_circuit_line(line, m) for line in lines] == f.terms()
+        assert diagonal.parse_circuit_text(text).renumber(0, nvars) == f
 
 
 class TestSupportCalculus:

@@ -1,5 +1,6 @@
 """Tests for the toric C^(t-1)Z constructions and their verification."""
 
+import hashlib
 import itertools
 import random
 
@@ -92,6 +93,21 @@ class TestCircuit:
         gates = cnz_layer_gates(t, length)
         assert layer == diagonal.poly_from_circuit(gates, 1, nvars=layer.nvars)
         assert layer._terms == renormalized(layer)
+
+    @pytest.mark.parametrize(
+        "t, length, digest",
+        [
+            (2, 64, "382ded1d2bdd1bbe577a631d20fd76494893321956b0a5692b511261fb5fbe19"),
+            (3, 8, "74b56e9347fe28383f7b7122923e90805fb11d3393fe75d41c84388fa8baf740"),
+            (4, 3, "58ee147be3880734db8c04f3810adca363dc956ee3dae1e0d2c583a0ce8577b8"),
+            (6, 2, "ad687db99586e52aa84345ac473f849cbe91b972b14a03ddc8c42050271ca048"),
+        ],
+    )
+    def test_the_circuit_text_is_pinned_byte_for_byte(self, t, length, digest):
+        # sha256 of the uncommented circuit text, as `toric-cnz -o` writes
+        # it below its comment line
+        text = diagonal.format_circuit_text(toric_cnz.build_cnz_circuit(t, length))
+        assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest
 
     def test_physical_level_is_t(self):
         for t, length in [(2, 2), (2, 3), (3, 2)]:
