@@ -44,18 +44,6 @@ class BinaryMatrix:
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "bits", bits)
 
-    @classmethod
-    def _of(cls, rows: int, cols: int, bits: Sequence[int]) -> "BinaryMatrix":
-        """The matrix of the given row words, which fit in cols columns by
-        construction, as the package's own producers build them (identity,
-        kron, transpose, kernel_basis, product boundaries).  Nothing is
-        checked."""
-        m = object.__new__(cls)
-        object.__setattr__(m, "rows", rows)
-        object.__setattr__(m, "cols", cols)
-        object.__setattr__(m, "bits", tuple(bits))
-        return m
-
     def __setattr__(self, name, value):  # pragma: no cover - guard rail
         raise AttributeError("BinaryMatrix is immutable")
 
@@ -67,9 +55,7 @@ class BinaryMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "BinaryMatrix":
-        if n < 0:
-            raise ValueError("matrix dimensions must be non-negative")
-        return cls._of(n, n, [1 << i for i in range(n)])
+        return cls(n, n, [1 << i for i in range(n)])
 
     @classmethod
     def from_rows(cls, rows: Iterable[str]) -> "BinaryMatrix":
@@ -164,7 +150,7 @@ def transpose(m: BinaryMatrix) -> BinaryMatrix:
         bit = 1 << r
         for c in indices_of(word):
             out[c] |= bit
-    return BinaryMatrix._of(m.cols, m.rows, out)
+    return BinaryMatrix(m.cols, m.rows, out)
 
 
 def matmul(a: BinaryMatrix, b: BinaryMatrix) -> BinaryMatrix:
@@ -195,7 +181,7 @@ def kron(a: BinaryMatrix, b: BinaryMatrix) -> BinaryMatrix:
         for ja in indices_of(arow):
             spread |= 1 << (ja * b.cols)
         out += [brow * spread for brow in b.bits]
-    return BinaryMatrix._of(a.rows * b.rows, a.cols * b.cols, out)
+    return BinaryMatrix(a.rows * b.rows, a.cols * b.cols, out)
 
 
 def mat_vec(m: BinaryMatrix, v: int) -> int:
@@ -228,7 +214,7 @@ def kernel_basis(m: BinaryMatrix | RowSpace) -> BinaryMatrix:
         bit = 1 << p
         for f in indices_of(word ^ bit):
             free[f] |= bit
-    return BinaryMatrix._of(len(free), space.cols, free.values())
+    return BinaryMatrix(len(free), space.cols, list(free.values()))
 
 
 def solve(m: BinaryMatrix, b: int) -> Optional[int]:

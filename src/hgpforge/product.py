@@ -259,7 +259,7 @@ class ProductComplex:
                 placed = [word << shift for shift in shifts for word in block.bits]
                 rows[r] = placed if rows[r] is None else list(map(operator.xor, rows[r], placed))
         out = [word for sector_rows in rows for word in sector_rows]
-        return BinaryMatrix._of(len(out), (dst if transposed else src).dim, out)
+        return BinaryMatrix(len(out), (dst if transposed else src).dim, out)
 
     def __repr__(self) -> str:
         dims = ", ".join(str(self.dim(level)) for level in range(self.t + 1))

@@ -747,6 +747,23 @@ def _sha256(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
+def _circuit_into_a_closed_stdout(target: str) -> tuple[int, str]:
+    """Run `toric-cnz --t 2 --L 3 -o target` in a subprocess whose stdout is
+    a pipe with no reader; return its exit code and its stderr."""
+    path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to stdout fails with EPIPE
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "hgpforge.cli", "toric-cnz", "--t", "2", "--L", "3", "-o", target],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    return proc.returncode, proc.stderr.decode()
+
+
 class TestInputsAndOutputs:
     """Each input is read once and hashed from the bytes parsed; each output
     is written in place and cut to its length."""
@@ -838,19 +855,8 @@ class TestInputsAndOutputs:
         if output == "/dev/stdout" and not os.path.exists(output):
             pytest.skip("no /dev/stdout")
         target = str(tmp_path / "cz.txt") if output == "file" else output
-        path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-        read_end, write_end = os.pipe()
-        os.close(read_end)  # every write to stdout fails with EPIPE
-        try:
-            proc = subprocess.run(
-                [sys.executable, "-m", "hgpforge.cli", "toric-cnz", "--t", "2", "--L", "3", "-o", target],
-                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
-            )
-        finally:
-            os.close(write_end)
-        err = proc.stderr.decode()
-        assert proc.returncode == 2, err
+        returncode, err = _circuit_into_a_closed_stdout(target)
+        assert returncode == 2, err
         assert err.count("\n") == 1 and err.startswith("error: "), err
         assert "Traceback" not in err and "Exception ignored" not in err
 
@@ -877,18 +883,7 @@ class TestInputsAndOutputs:
 
     @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
     def test_a_circuit_into_a_closed_stdout_names_it_without_a_traceback(self):
-        path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-        read_end, write_end = os.pipe()
-        os.close(read_end)  # every write to stdout fails with EPIPE
-        try:
-            proc = subprocess.run(
-                [sys.executable, "-m", "hgpforge.cli", "toric-cnz", "--t", "2", "--L", "3", "-o", "/dev/stdout"],
-                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
-            )
-        finally:
-            os.close(write_end)
-        err = proc.stderr.decode()
-        assert proc.returncode == 2, err
+        returncode, err = _circuit_into_a_closed_stdout("/dev/stdout")
+        assert returncode == 2, err
         assert err.count("\n") == 1 and err.startswith("error: cannot write /dev/stdout: "), err
         assert "Traceback" not in err and "Exception ignored" not in err

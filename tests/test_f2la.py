@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hgpforge import f2la, product
+from hgpforge import f2la
 from hgpforge.f2la import BinaryMatrix
 
-from helpers import compose_blocks, seed_matrices
+from helpers import compose_blocks
 
 
 def random_matrix(rng, rows, cols, density=0.5):
@@ -292,25 +292,6 @@ class TestEdgeShapes:
         a = BinaryMatrix.identity(2)
         m = compose_blocks(2, 4, [(0, 0, a), (0, 2, a)])
         assert m == BinaryMatrix.from_rows(["1010", "0101"])
-
-    def test_identity_refuses_a_negative_size(self):
-        with pytest.raises(ValueError, match="^matrix dimensions must be non-negative$"):
-            BinaryMatrix.identity(-1)
-
-    @settings(max_examples=60, deadline=None)
-    @given(seed_matrices(max_size=5), seed_matrices(max_size=4))
-    def test_unchecked_producers_build_matrices_the_constructor_accepts(self, a, b):
-        # these producers skip the row check, since their rows fit by
-        # construction; the checked constructor must agree
-        pc = product.build_product([a, b])
-        built = [
-            BinaryMatrix.identity(a.cols), f2la.kron(a, b), f2la.transpose(a), f2la.kernel_basis(a),
-            *(pc.boundary(level) for level in (1, 2)),
-            *(pc.transposed_boundary(level) for level in (1, 2)),
-        ]
-        for m in built:
-            assert type(m.bits) is tuple
-            assert BinaryMatrix(m.rows, m.cols, m.bits) == m
 
 
 def low_bit_indices(v):
