@@ -8,20 +8,22 @@ representatives in product codes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from . import f2la
+from ._record import SlotRecord
 from .f2la import BinaryMatrix
 
 _SEARCH_BUDGET = 1 << 22
 
 
-@dataclass(frozen=True)
-class InformationSet:
+class InformationSet(SlotRecord):
     """k coordinates on which the generator matrix has full rank."""
 
-    indices: tuple[int, ...]
+    __slots__ = ("indices",)
+
+    def __init__(self, indices: tuple[int, ...]):
+        object.__setattr__(self, "indices", indices)
 
     def __len__(self) -> int:
         return len(self.indices)

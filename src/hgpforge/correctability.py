@@ -9,10 +9,10 @@ branch always comes with an explicit witness logical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from . import classical, f2la
+from ._record import SlotRecord
 from .css import CssCode, PauliOperator, _pauli, pauli_mul
 from .f2la import BinaryMatrix
 
@@ -21,9 +21,11 @@ from .f2la import BinaryMatrix
 _WITNESS_ENUM_MAX = 20
 
 
-@dataclass(frozen=True)
-class Region:
-    qubits: frozenset[int]
+class Region(SlotRecord):
+    __slots__ = ("qubits",)
+
+    def __init__(self, qubits: frozenset[int]):
+        object.__setattr__(self, "qubits", qubits)
 
     @classmethod
     def of(cls, qubits: Iterable[int]) -> "Region":
@@ -36,8 +38,7 @@ class Region:
         return f2la.vector_from_indices(self.qubits)
 
 
-@dataclass(frozen=True)
-class CorrectabilityVerdict:
+class CorrectabilityVerdict(NamedTuple):
     correctable: bool
     witness: Optional[PauliOperator] = None
     witness_type: Optional[str] = None

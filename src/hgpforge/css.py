@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import classical, f2la, product
+from ._record import SlotRecord
 from .f2la import BinaryMatrix, RowSpace
 from .product import Hyperplane, ProductComplex
 
@@ -32,8 +32,7 @@ MAX_CHECK_BITS = 1 << 31
 # -- Pauli algebra -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PauliOperator:
+class PauliOperator(SlotRecord):
     """Symplectic (x, z, sign) representation of an n-qubit Pauli.
 
     ``x`` and ``z`` are packed support words.  Only signs +-1 are tracked;
@@ -41,17 +40,17 @@ class PauliOperator:
     arise.
     """
 
-    n: int
-    x: int = 0
-    z: int = 0
-    sign: int = 1
+    __slots__ = ("n", "x", "z", "sign")
 
-    def __post_init__(self):
-        mask = (1 << self.n) - 1
-        if self.x & ~mask or self.z & ~mask or self.x < 0 or self.z < 0:
+    def __init__(self, n: int, x: int = 0, z: int = 0, sign: int = 1):
+        if x < 0 or z < 0 or (x | z) >> n:
             raise ValueError("Pauli support exceeds qubit count")
-        if self.sign not in (1, -1):
+        if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "z", z)
+        object.__setattr__(self, "sign", sign)
 
     @property
     def support(self) -> frozenset[int]:
@@ -87,8 +86,7 @@ def group_commutator_pauli(p: PauliOperator, q: PauliOperator) -> int:
 # -- logical representatives -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LogicalRep:
+class LogicalRep(NamedTuple):
     """A logical representative with its construction provenance.
 
     ``factors`` holds one packed vector per direction whose tensor product
@@ -110,8 +108,7 @@ class LogicalRep:
         return Hyperplane(level, self.sector, self.fixed_dirs, self.fixed_values)
 
 
-@dataclass
-class LogicalBasis:
+class LogicalBasis(NamedTuple):
     x_reps: list[LogicalRep]
     z_reps: list[LogicalRep]
     pairing: BinaryMatrix
@@ -121,8 +118,7 @@ class LogicalBasis:
         return len(self.x_reps)
 
 
-@dataclass(frozen=True)
-class KunnethParameters:
+class KunnethParameters(NamedTuple):
     n: int
     k: int
     d_x: Optional[int]
@@ -305,8 +301,7 @@ def kunneth_parameters(pc: ProductComplex, level: int) -> KunnethParameters:
 # -- brute-force distance ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DistanceResult:
+class DistanceResult(NamedTuple):
     d_x: int
     d_z: int
 
@@ -558,4 +553,4 @@ def alternative_representative(
     if bits & avoid_word:
         raise AssertionError("deformed representative still meets an avoid hyperplane")
     pauli = _pauli(code.n, rep.kind, bits)
-    return replace(rep, pauli=pauli, fixed_values=None, factors=tuple(new_factors))
+    return rep._replace(pauli=pauli, fixed_values=None, factors=tuple(new_factors))

@@ -50,10 +50,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from . import f2la
+from ._record import SlotRecord
 from .correctability import Region, is_correctable
 from .css import CssCode, LogicalRep, PauliOperator, canonical_logical_basis
 
@@ -88,6 +88,18 @@ def _normalized(nvars: int, modulus_log2: int, terms: Iterable[tuple[Monomial, i
     return {mono: r for mono, c in summed.items() if (r := c % mod)}
 
 
+def _variables(variables: Iterable[int]) -> tuple[int, ...]:
+    """The variables of one term as a tuple, each of them an int: a float,
+    bool or str variable is refused, since the circuit text could not name
+    it.  The public constructor and `poly_from_circuit` read terms through
+    this; `_normalized` trusts it."""
+    variables = tuple(variables)
+    for v in variables:
+        if type(v) is not int:
+            raise ValueError(f"monomial variable {v!r} is not an int")
+    return variables
+
+
 class PhasePolynomial:
     """Multilinear polynomial over binary variables, coefficients mod 2^m.
 
@@ -95,7 +107,7 @@ class PhasePolynomial:
     term; zero-coefficient terms are never stored.  Instances are immutable.
 
     `_normalized` normalizes the terms of this constructor (which reads any
-    iterable of variables as their set: (2, 0, 2) names x_0 x_2),
+    iterable of int variables as their set: (2, 0, 2) names x_0 x_2),
     `poly_from_circuit`, `__add__`, `renumber` and `difference`.  Code in
     this package that builds a polynomial from terms already in that form
     (a pullback, a renumbering by 0, a C^(t-1)Z layer) hands the dict to
@@ -105,7 +117,7 @@ class PhasePolynomial:
     __slots__ = ("modulus_log2", "nvars", "_terms")
 
     def __init__(self, nvars: int, modulus_log2: int, terms: Optional[dict] = None):
-        keyed = ((tuple(sorted(set(mono))), c) for mono, c in (terms or {}).items())
+        keyed = ((tuple(sorted(set(_variables(mono)))), c) for mono, c in (terms or {}).items())
         clean = _normalized(nvars, modulus_log2, keyed)
         object.__setattr__(self, "modulus_log2", modulus_log2)
         object.__setattr__(self, "nvars", nvars)
@@ -215,12 +227,13 @@ def poly_from_circuit(
     A C^{j-1}Z on a qubit set contributes 2^(m-1) times the product of its
     variables; a Z rotation by 2pi/2^l on one qubit contributes 2^(m-l)
     times that variable (see the coefficient helpers below).  Every gate is
-    read, and a repeated qubit refused, before `_normalized` sums the terms
-    and checks their range; nvars defaults to one past the highest qubit.
+    read, and a qubit that is not an int or repeats in its gate refused,
+    before `_normalized` sums the terms and checks their range; nvars
+    defaults to one past the highest qubit.
     """
     terms: list[tuple[Monomial, int]] = []
     for coeff, qubits in gates:
-        qubits = tuple(qubits)
+        qubits = _variables(qubits)
         mono = tuple(sorted(set(qubits)))
         if len(mono) != len(qubits):
             raise ValueError(f"repeated qubit in gate {qubits}")
@@ -485,8 +498,7 @@ def substitute(
 # -- codespace preservation ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PreservationResult:
+class PreservationResult(NamedTuple):
     preserves: bool
     violating_copy: Optional[int] = None
     violating_row: Optional[int] = None
@@ -690,8 +702,7 @@ TRANSVERSAL = "transversal"
 CONSTANT_DEPTH = "constant_depth"
 
 
-@dataclass(frozen=True)
-class CircuitSupportModel:
+class CircuitSupportModel(SlotRecord):
     """Declared support behaviour of a circuit under conjugation.
 
     ``spread_map`` (constant-depth only) sends a qubit set to the union of
@@ -701,14 +712,17 @@ class CircuitSupportModel:
     constant-depth model without one spreads nothing.
     """
 
-    kind: str
-    spread_map: Optional[Callable[[frozenset[int]], Iterable[int]]] = None
+    __slots__ = ("kind", "spread_map")
 
-    def __post_init__(self):
-        if self.kind not in (TRANSVERSAL, CONSTANT_DEPTH):
-            raise ValueError(f"unknown circuit kind {self.kind!r}")
-        if self.kind == TRANSVERSAL and self.spread_map is not None:
+    def __init__(
+        self, kind: str, spread_map: Optional[Callable[[frozenset[int]], Iterable[int]]] = None
+    ):
+        if kind not in (TRANSVERSAL, CONSTANT_DEPTH):
+            raise ValueError(f"unknown circuit kind {kind!r}")
+        if kind == TRANSVERSAL and spread_map is not None:
             raise ValueError("transversal circuits cannot spread supports")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "spread_map", spread_map)
 
     def image(self, qubits: Iterable[int]) -> frozenset[int]:
         """Upper bound on supp(U P U^dagger) given supp(P) = qubits."""
@@ -734,15 +748,13 @@ def commutator_support_bound(
     return model.image(frozenset(p_image) & frozenset(q_support))
 
 
-@dataclass(frozen=True)
-class CascadeStep:
+class CascadeStep(NamedTuple):
     j: int
     support: tuple[int, ...]
     correctable: bool
 
 
-@dataclass(frozen=True)
-class CascadeReport:
+class CascadeReport(NamedTuple):
     steps: tuple[CascadeStep, ...]
     concluded_level: Optional[int]
 
@@ -946,8 +958,7 @@ def _linear_survey(
     return gens, preserving, [t for t, _ in a_rows], vectors, a_total
 
 
-@dataclass(frozen=True)
-class NogoReport:
+class NogoReport(NamedTuple):
     modulus_log2: int
     generator_count: int
     levels: tuple[int, ...]

@@ -11,8 +11,7 @@ Matrices are immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 
 def _full_mask(cols: int) -> int:
@@ -111,8 +110,7 @@ class BinaryMatrix:
         return f"BinaryMatrix({self.rows}x{self.cols})"
 
 
-@dataclass(frozen=True)
-class RrefResult:
+class RrefResult(NamedTuple):
     """Reduced row-echelon form with its pivot bookkeeping.
 
     ``pivot_columns`` is strictly increasing and has length ``rank``.
@@ -361,7 +359,10 @@ class RowSpace:
         return True
 
     def extend(self, v: int) -> bool:
-        """Add v to the span; returns True if it was independent."""
+        """Add v to the span; returns True if it was independent.  A word
+        with a bit at or beyond `cols`, or a negative one, is refused."""
+        if v >> self.cols:
+            raise ValueError(f"word has bits outside {self.cols} columns")
         rows = self._rows
         while v:
             low = v & -v

@@ -19,11 +19,11 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from . import classical, f2la
+from ._record import SlotRecord
 from .classical import ClassicalCode
 from .f2la import BinaryMatrix
 
@@ -89,13 +89,15 @@ class OneComplex:
         return f"OneComplex({self.m}x{self.n}, k={self.k}, k_t={self.k_t})"
 
 
-@dataclass(frozen=True)
-class Sector:
+class Sector(SlotRecord):
     """One direct summand of a level: index subset J, its shape and offset."""
 
-    J: tuple[int, ...]
-    shape: tuple[int, ...]
-    offset: int
+    __slots__ = ("J", "shape", "offset")
+
+    def __init__(self, J: tuple[int, ...], shape: tuple[int, ...], offset: int):
+        object.__setattr__(self, "J", J)
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "offset", offset)
 
     @property
     def size(self) -> int:
@@ -137,25 +139,26 @@ class SectorTable:
         return sum(s.size for s in self.sectors)
 
 
-@dataclass(frozen=True)
-class Hyperplane:
+class Hyperplane(SlotRecord):
     """Affine sub-grid of a sector: coordinates on fixed_dirs pinned to
     fixed_values, free on the remaining directions."""
 
-    level: int
-    sector: int
-    fixed_dirs: tuple[int, ...]
-    fixed_values: tuple[int, ...]
+    __slots__ = ("level", "sector", "fixed_dirs", "fixed_values")
 
-    def __post_init__(self):
-        if len(self.fixed_dirs) != len(self.fixed_values):
+    def __init__(
+        self, level: int, sector: int, fixed_dirs: tuple[int, ...], fixed_values: tuple[int, ...]
+    ):
+        if len(fixed_dirs) != len(fixed_values):
             raise ValueError("fixed_dirs and fixed_values lengths differ")
-        if list(self.fixed_dirs) != sorted(set(self.fixed_dirs)):
+        if list(fixed_dirs) != sorted(set(fixed_dirs)):
             raise ValueError("fixed_dirs must be strictly increasing")
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "sector", sector)
+        object.__setattr__(self, "fixed_dirs", fixed_dirs)
+        object.__setattr__(self, "fixed_values", fixed_values)
 
 
-@dataclass(frozen=True)
-class Hypertube:
+class Hypertube(NamedTuple):
     """Per-direction thick/thin classification of a vector in one sector.
 
     A direction is thick when the vector's block support there reaches the

@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import classical, css, diagonal, product
 from .css import CssCode, canonical_logical_basis
@@ -91,8 +90,7 @@ def build_cnz_circuit(t: int, length: int, pc: Optional[ProductComplex] = None) 
     return PhasePolynomial._of(t * n, 1, terms)
 
 
-@dataclass(frozen=True)
-class ToricBundle:
+class ToricBundle(NamedTuple):
     t: int
     length: int
     copies: int
@@ -138,8 +136,7 @@ def expected_logical_monomials(bundle: ToricBundle) -> set[tuple[int, ...]]:
     return out
 
 
-@dataclass(frozen=True)
-class CnzVerification:
+class CnzVerification(NamedTuple):
     verified: bool
     logical_poly: PhasePolynomial
     level: int

@@ -5,7 +5,6 @@ from the Kronecker structure of a product or from its one Künneth sector
 rule.  The differential tests compare the package against them.
 """
 
-import dataclasses
 import itertools
 
 from hypothesis import strategies as st
@@ -229,4 +228,4 @@ def kind_branch_alternative(code, rep, avoid):
     else:
         pauli = css.PauliOperator(code.n, z=bits)
         assert code.hz_space.contains(bits ^ rep.pauli.z)
-    return dataclasses.replace(rep, pauli=pauli, fixed_values=None, factors=tuple(new_factors))
+    return rep._replace(pauli=pauli, fixed_values=None, factors=tuple(new_factors))

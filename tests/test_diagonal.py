@@ -171,6 +171,24 @@ class TestPolyFromCircuit:
         assert f == PhasePolynomial(nvars, m, summed)
         assert f._terms == renormalized(f)
 
+    @pytest.mark.parametrize("variable", [0.5, 1.0, True, "1", None])
+    def test_a_variable_that_is_not_an_int_is_refused(self, variable):
+        message = f"monomial variable {variable!r} is not an int"
+        with pytest.raises(ValueError) as err:
+            PhasePolynomial(3, 1, {(variable, 2): 1})
+        assert str(err.value) == message
+        with pytest.raises(ValueError) as err:
+            poly_from_circuit([(1, (0, 1)), (1, (2, variable))], 1, nvars=3)
+        assert str(err.value) == message
+        with pytest.raises(ValueError) as err:
+            poly_from_circuit([(1, (variable,))], 1)
+        assert str(err.value) == message
+
+    def test_every_stored_variable_is_written_back_as_read(self):
+        # the parser refused `CZ 0.5 1`, which a stored 0.5 used to write
+        f = PhasePolynomial(3, 1, {(2, 1): 1, (0,): 1})
+        assert diagonal.parse_circuit_text(diagonal.format_circuit_text(f)) == f
+
     def test_constructor_sums_keys_naming_one_monomial(self):
         f = PhasePolynomial(2, 2, {(0, 1): 1, (1, 0): 1})
         assert f.terms() == [((0, 1), 2)]

@@ -204,6 +204,26 @@ class TestRowSpace:
         assert rs.rank == 2
         assert rs.contains(0b101)
 
+    @pytest.mark.parametrize("word", [0b100, 0b101, 1 << 70, -1, -4])
+    def test_extend_refuses_a_word_outside_the_columns(self, word):
+        rs = f2la.RowSpace(cols=2)
+        rs.extend(0b01)
+        with pytest.raises(ValueError, match="word has bits outside 2 columns"):
+            rs.extend(word)
+        assert rs.rank == 1
+        kernel = f2la.kernel_basis(rs)
+        assert (kernel.rows, kernel.cols) == (rs.cols - rs.rank, 2)
+        assert kernel.bits == (0b10,)
+
+    def test_extend_takes_every_word_inside_the_columns(self):
+        rs = f2la.RowSpace(cols=3)
+        assert [rs.extend(v) for v in range(1 << 3)] == [False, True, True, False, True] + [False] * 3
+        assert f2la.kernel_basis(rs).rows == 0
+        empty = f2la.RowSpace(cols=0)
+        assert not empty.extend(0)
+        with pytest.raises(ValueError):
+            empty.extend(1)
+
 
 class TestTextFormat:
     def test_round_trip(self):
