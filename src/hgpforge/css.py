@@ -27,6 +27,7 @@ from .product import Hyperplane, ProductComplex
 
 _DISTANCE_BUDGET = 1 << 22
 MAX_CHECK_BITS = 1 << 31
+_WORD_BITS = 64
 
 
 # -- Pauli algebra -----------------------------------------------------------
@@ -222,6 +223,24 @@ def _check_level(pc: ProductComplex, level: int) -> None:
         raise ValueError(f"level must be in [1, {pc.t - 1}] for t={pc.t}")
 
 
+def _check_bits(pc: ProductComplex, level: int) -> None:
+    """Raise ValueError if the level-l code and its seed codes would hold
+    more than MAX_CHECK_BITS bits, counted from the sector dims and the seed
+    shapes alone.  Hx and Hz hold n (r_x + r_z) bits, each row charged at
+    least one word of _WORD_BITS, so a code without qubits still pays for
+    its empty rows.  Seed i's kernel and cokernel bases hold at most n_i^2
+    and m_i^2 bits."""
+    _check_level(pc, level)
+    rows = pc.dim(level - 1) + pc.dim(level + 1)
+    seeds = sum(fac.n * fac.n + fac.m * fac.m for fac in pc.factors)
+    bits = max(pc.dim(level), _WORD_BITS) * rows + seeds
+    if bits > MAX_CHECK_BITS:
+        raise ValueError(
+            f"Hx, Hz and the seed codes of the level-{level} code hold {bits} bits,"
+            f" above the cap of {MAX_CHECK_BITS}"
+        )
+
+
 def _check_logical(code: CssCode, rep: LogicalRep):
     """Raise unless the representative's own part v (its X part for kind X,
     its Z part for kind Z) is in ker Hz (X) or ker Hx (Z) and outside the
@@ -262,16 +281,8 @@ def assemble_css(pc: ProductComplex, level: int) -> CssCode:
 
     Passes boundary(level) and transposed_boundary(level + 1) to `CssCode`,
     which builds boundary(level + 1) and so asserts their dd = 0, the
-    code's Hx Hz^T = 0.  Refused before any map is built when Hx and Hz
-    together hold more than MAX_CHECK_BITS bits, n (r_x + r_z) counted from
-    the sector dims of levels level - 1, level and level + 1."""
-    _check_level(pc, level)
-    bits = pc.dim(level) * (pc.dim(level - 1) + pc.dim(level + 1))
-    if bits > MAX_CHECK_BITS:
-        raise ValueError(
-            f"Hx and Hz of the level-{level} code hold {bits} bits,"
-            f" above the cap of {MAX_CHECK_BITS}"
-        )
+    code's Hx Hz^T = 0.  Refused by `_check_bits` before any map is built."""
+    _check_bits(pc, level)
     return CssCode(
         pc.boundary(level), pc.transposed_boundary(level + 1), complex=pc, level=level
     )
@@ -284,9 +295,10 @@ def kunneth_parameters(pc: ProductComplex, level: int) -> KunnethParameters:
     their dimensions.  Distances take minima over the sectors that hold at
     least one logical class: Z representatives spread seed codewords along
     J, so d_z multiplies the seed distances on J, and X representatives
-    spread them along the complement, so d_x multiplies the rest.
+    spread them along the complement, so d_x multiplies the rest.  Refused
+    by `_check_bits` before any seed code is built.
     """
-    _check_level(pc, level)
+    _check_bits(pc, level)
     k, d_x, d_z = 0, [], []
     for sec in pc.tables[level].sectors:
         seeds = _sector_seeds(pc, sec.J)

@@ -19,14 +19,15 @@ per copy, and the pullback reads only the masks of f's variables and
 accumulates monomials as int masks.  Terms of coefficient 2^(m-1), which
 every C^(t-1)Z gate has, are pulled back mod 2:
 2^(m-1) * g mod 2^m depends only on g mod 2, and mod 2 each factor is a
-GF(2) linear form.  Such terms that share every variable but the highest
-fold into one linear form, an XOR of image masks, and are expanded once,
-over singletons only.  The result is exactly the subset expansion's; other
-terms keep that expansion.  The last pullback is kept on the code, so a
-claim checked for codespace preservation and then for its logical action
-is pulled back once.  The image masks are built once per code and copy
-count and kept on the code while its logical basis object stays the
-same.
+GF(2) linear form.  Such terms that share every variable but the last two
+(their head) form one group: each entry of the second-to-last variable's
+image keys a linear form, the XOR of the last variables' image masks, and
+the head is expanded once, over singletons only, and crossed with those
+forms.  The result is exactly the subset expansion's; other terms keep
+that expansion.  The last pullback is kept on the code, so a claim checked
+for codespace preservation and then for its logical action is pulled back
+once.  The image masks are built once per code and copy count and kept on
+the code while its logical basis object stays the same.
 
 The transversal no-go survey is linear: f = sum c_i x_i pulls back to the
 coefficient (-2)^(|T|-1) * (sum of c_i over the qubits whose image holds T)
@@ -92,7 +93,8 @@ def _variables(variables: Iterable[int]) -> tuple[int, ...]:
     """The variables of one term as a tuple, each of them an int: a float,
     bool or str variable is refused, since the circuit text could not name
     it.  The public constructor and `poly_from_circuit` read terms through
-    this; `_normalized` trusts it."""
+    this; `_normalized` trusts it, and so does `parse_circuit_text`, whose
+    qubits int() made."""
     variables = tuple(variables)
     for v in variables:
         if type(v) is not int:
@@ -231,9 +233,16 @@ def poly_from_circuit(
     before `_normalized` sums the terms and checks their range; nvars
     defaults to one past the highest qubit.
     """
+    return _gate_poly(((coeff, _variables(qubits)) for coeff, qubits in gates), modulus_log2, nvars)
+
+
+def _gate_poly(
+    gates: Iterable[tuple[int, tuple[int, ...]]], modulus_log2: int, nvars: Optional[int] = None
+) -> PhasePolynomial:
+    """`poly_from_circuit` on gates whose qubits are tuples of ints already,
+    as `parse_circuit_text` makes them with int()."""
     terms: list[tuple[Monomial, int]] = []
     for coeff, qubits in gates:
-        qubits = _variables(qubits)
         mono = tuple(sorted(set(qubits)))
         if len(mono) != len(qubits):
             raise ValueError(f"repeated qubit in gate {qubits}")
@@ -392,36 +401,55 @@ def _odd_monomials(monos: list[Monomial], masks: dict[int, int]) -> set[int]:
     """The monomial masks of the GF(2) polynomial
     sum over monos of prod over v in mono of (XOR of v's image), mod 2.
 
-    The monomials are grouped by their prefix mono[:-1], every variable but
-    the highest, and the highest variable's image masks XOR into one linear
-    form per prefix.  Each prefix is expanded once, over the singletons of
-    its variables' images, and its form XORs into the form of each branch.
-    Equal branches of different prefixes share one form, and on a
-    codespace-preserving layer almost all of these cancel.  Each bit left
-    in a branch's form then toggles the monomial branch | bit.
+    The monomials are grouped by their head mono[:-2], every variable but
+    the last two.  In a group, each entry of the second-to-last variable's
+    image keys the XOR of the last variables' image masks, one linear form
+    per entry, and an entry whose form cancels leaves the group's map; a
+    degree-1 monomial joins the empty head under the empty key 0.  Each
+    head is expanded once, over the singletons of its variables' images,
+    and each branch | key XORs in the form of key.  Equal branches of
+    different heads share one form, and on a codespace-preserving layer
+    almost all of these cancel.  Each bit left in a branch's form then
+    toggles the monomial branch | bit.  A group's map has at most as many
+    entries as its monomials' second-to-last images, so crossing it takes
+    no more steps than expanding each monomial on its own.
     """
-    forms: dict[tuple[int, ...], int] = {}
-    for mono in monos:
-        prefix, last = mono[:-1], mono[-1]
-        form = forms.get(prefix)
-        # a prefix's first form is the image mask itself, not a copy of it
-        forms[prefix] = masks[last] if form is None else form ^ masks[last]
     singletons: dict[int, list[int]] = {}
+    groups: dict[tuple[int, ...], dict[int, int]] = {}  # head -> {key: form}
+    for mono in monos:
+        form = masks[mono[-1]]
+        if len(mono) == 1:
+            head, keys = (), (0,)
+        else:
+            head, keys = mono[:-2], singletons.get(mono[-2])
+            if keys is None:
+                keys = singletons[mono[-2]] = _singletons(masks[mono[-2]])
+        keyed = groups.get(head)
+        if keyed is None:
+            keyed = groups[head] = {}
+        for key in keys:
+            # an entry whose form cancels leaves the map
+            left = keyed.pop(key, 0) ^ form
+            if left:
+                keyed[key] = left
     at: dict[int, int] = {}  # branch monomial -> its GF(2) linear form
-    for prefix, form in forms.items():
-        if not form:
+    while groups:
+        head, keyed = groups.popitem()  # each map is freed once crossed
+        if not keyed:
             continue
         accs = [0]
-        for v in prefix:
+        for v in head:
             bits = singletons.get(v)
             if bits is None:
                 bits = singletons[v] = _singletons(masks[v])
             accs = [acc | bit for acc in accs for bit in bits]
-        for acc in accs:
-            # a branch whose form cancels leaves the map
-            left = at.pop(acc, 0) ^ form
-            if left:
-                at[acc] = left
+        for key, form in keyed.items():
+            for acc in accs:
+                # a branch whose form cancels leaves the map
+                branch = acc | key
+                left = at.pop(branch, 0) ^ form
+                if left:
+                    at[branch] = left
     odd: set[int] = set()
     for acc, form in at.items():
         for bit in _singletons(form):
@@ -446,15 +474,16 @@ def substitute(
     are pruned, which caps the expansion sharply for small m.
 
     A nonconstant term of coefficient 2^(m-1) (every C^(t-1)Z gate, and
-    every term at m = 1) is pulled back mod 2 instead (`_odd_monomials`).
-    2^(m-1) * g mod 2^m depends only on g mod 2, and mod 2 each factor is the
-    GF(2) linear form of its image, so these terms sum to 2^(m-1) times the
-    product of those forms, expanded with 0/1 coefficients.  A multilinear
-    polynomial mod 2^m is fixed by its values, so the result is the one the
-    subset expansion gives; for these terms that expansion keeps only
-    singletons, since any larger subset reaches the modulus.  Terms of any
-    other valuation, and constants, keep the subset expansion
-    (`_expand_subsets`), and the two parts add up mod 2^m.
+    every term at m = 1) is pulled back mod 2 instead (`_odd_monomials`,
+    which groups them by every variable but the last two and expands each
+    group's head once).  2^(m-1) * g mod 2^m depends only on g mod 2, and
+    mod 2 each factor is the GF(2) linear form of its image, so these terms
+    sum to 2^(m-1) times the product of those forms, expanded with 0/1
+    coefficients.  A multilinear polynomial mod 2^m is fixed by its values,
+    so the result is the one the subset expansion gives; for these terms
+    that expansion keeps only singletons, since any larger subset reaches
+    the modulus.  Terms of any other valuation, and constants, keep the
+    subset expansion (`_expand_subsets`), and the two parts add up mod 2^m.
 
     Only the images of f's variables are read: each sequence is built once
     as a bitmask, which drops repeated entries, and a mask is taken as it
@@ -666,7 +695,7 @@ def parse_circuit_text(text: str) -> PhasePolynomial:
             gates.append((cz, qubits))
         else:
             raise ValueError(f"unknown circuit line {ln!r}")
-    return poly_from_circuit(gates, m)
+    return _gate_poly(gates, m)
 
 
 def format_circuit_text(f: PhasePolynomial, comment: Optional[str] = None) -> str:

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -676,8 +677,29 @@ class TestContract:
         out = tmp_path / "rep5x6.json"
         rc, report = run_json(capsys, ["build", *[str(rep5)] * 6, "--level", "1", "-o", str(out)])
         assert rc == 2 and report["status"] == "error"
-        assert f"23437500000 bits, above the cap of {css.MAX_CHECK_BITS}" in report["results"]["error"]
+        # plus six seeds of 5^2 + 5^2 kernel and cokernel bits
+        assert f"23437500300 bits, above the cap of {css.MAX_CHECK_BITS}" in report["results"]["error"]
         assert built == [] and not out.exists()
+
+    @pytest.mark.parametrize("widths", [(3_000_000, 2), (46_000, 46_000)])
+    def test_seeds_without_rows_are_refused_at_once(self, tmp_path, widths):
+        # n = 0, but each seed's kernel basis is the N x N identity and Hz
+        # holds N_0 N_1 empty rows; run under an address-space limit so that
+        # a build the cap misses fails instead of taking the host's memory
+        paths = []
+        for i, width in enumerate(widths):
+            paths.append(tmp_path / f"wide{i}.txt")
+            paths[-1].write_text(f"0 {width}\n")
+        out, timing = tmp_path / "wide.json", tmp_path / "seconds.txt"
+        rc, stdout, stderr = _cli_in_a_memory_limit(
+            ["build", *map(str, paths), "--level", "1", "-o", str(out)], timing
+        )
+        assert rc == 2 and not out.exists()
+        assert stderr.startswith("error: ") and stderr.count("\n") == 1, stderr
+        report = json.loads(stdout)
+        assert report["status"] == "error"
+        assert f"above the cap of {css.MAX_CHECK_BITS}" in report["results"]["error"]
+        assert float(timing.read_text()) < 0.5
 
     def test_toric_cnz_over_the_check_bit_cap_is_refused(self, capsys, tmp_path):
         # t=2, L=153: 46,818 gates are under the gate cap, but Hx and Hz
@@ -745,6 +767,29 @@ class TestContract:
 
 def _sha256(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def _cli_in_a_memory_limit(argv: list[str], timing: Path) -> tuple[int, str, str]:
+    """Run `main(argv)` in a subprocess limited to 2 GiB of address space;
+    return its exit code, stdout and stderr.  The call's own seconds, without
+    the interpreter's start, are written to timing."""
+    limit = 1 << 31
+    probe = (
+        "import sys, time\n"
+        "from hgpforge.cli import main\n"
+        "start = time.monotonic()\n"
+        "code = main(sys.argv[2:])\n"
+        "open(sys.argv[1], 'w').write(repr(time.monotonic() - start))\n"
+        "sys.exit(code)\n"
+    )
+    path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.run(
+        [sys.executable, "-c", probe, str(timing), *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 def _circuit_into_a_closed_stdout(target: str) -> tuple[int, str]:

@@ -68,25 +68,60 @@ class TestAssemble:
         assert toric18.stabilizer_weight == 4
 
     def test_check_bit_cap_is_counted_before_any_map(self, monkeypatch):
-        # toric L=3: n (r_x + r_z) = 18 * (9 + 9) = 324
+        # toric L=3: 18 qubits, so each of the 9 + 9 rows is charged one
+        # 64-bit word, and two 3x3 seeds add 9 + 9 bits each: 1152 + 36
         seeds = [classical.cyclic_repetition_check(3)] * 2
-        monkeypatch.setattr(css, "MAX_CHECK_BITS", 323)
+        monkeypatch.setattr(css, "MAX_CHECK_BITS", 1187)
         pc = product.build_product(seeds)
-        with pytest.raises(ValueError, match="hold 324 bits, above the cap of 323"):
+        with pytest.raises(ValueError, match="hold 1188 bits, above the cap of 1187"):
             css.assemble_css(pc, 1)
         assert pc._boundaries == {} and pc._transposed == {}
-        monkeypatch.setattr(css, "MAX_CHECK_BITS", 324)
+        monkeypatch.setattr(css, "MAX_CHECK_BITS", 1188)
         assert css.assemble_css(product.build_product(seeds), 1).k == 2
 
-    def test_check_bit_cap_admits_the_largest_codes_in_use(self):
-        def check_bits(t, length, level=1):
-            pc = product.build_product([classical.cyclic_repetition_check(length)] * t)
-            return pc.dim(level) * (pc.dim(level - 1) + pc.dim(level + 1))
+    @staticmethod
+    def check_bits(seeds, level=1):
+        """The bits the cap counts: n (r_x + r_z) with every row at least
+        64 bits, plus n_i^2 + m_i^2 per seed."""
+        pc = product.build_product(seeds)
+        rows = pc.dim(level - 1) + pc.dim(level + 1)
+        return max(pc.dim(level), 64) * rows + sum(a.rows**2 + a.cols**2 for a in seeds)
 
-        assert check_bits(2, 128) == 1 << 30 <= css.MAX_CHECK_BITS
-        assert check_bits(5, 5) == 537_109_375 <= css.MAX_CHECK_BITS
+    def test_check_bit_cap_admits_the_largest_codes_in_use(self):
+        def toric_bits(t, length):
+            return self.check_bits([classical.cyclic_repetition_check(length)] * t)
+
+        assert toric_bits(2, 128) == (1 << 30) + 4 * 128**2 <= css.MAX_CHECK_BITS
+        assert toric_bits(5, 5) == 537_109_375 + 250 <= css.MAX_CHECK_BITS
         # toric-cnz at t=2: L=152 is the largest layer whose code is admitted
-        assert check_bits(2, 152) <= css.MAX_CHECK_BITS < check_bits(2, 153)
+        assert toric_bits(2, 152) <= css.MAX_CHECK_BITS < toric_bits(2, 153)
+
+    @pytest.mark.parametrize(
+        "shapes, bits",
+        [
+            # n = 0 and 600 empty Hz rows, a word each; ker A_0 is 300^2 bits
+            ([(0, 300), (0, 2)], 64 * 600 + 300**2 + 2**2),
+            ([(0, 46), (0, 46)], 64 * 46**2 + 2 * 46**2),
+            # 47 qubits and no check rows; ker A_0^T is 47^2 bits
+            ([(47, 0), (0, 1)], 47**2 + 1),
+        ],
+        ids=["wide-row-free", "two-row-free", "tall-column-free"],
+    )
+    def test_seeds_without_rows_or_columns_are_counted(self, monkeypatch, shapes, bits):
+        # a code without qubits or checks holds no check bits, but each
+        # seed's kernel and cokernel bases grow as its widths squared, and
+        # each empty check row still takes a word
+        seeds = [BinaryMatrix(rows, cols, [0] * rows) for rows, cols in shapes]
+        assert self.check_bits(seeds) == bits
+        monkeypatch.setattr(css, "MAX_CHECK_BITS", bits - 1)
+        pc = product.build_product(seeds)
+        for build in (css.assemble_css, css.kunneth_parameters):
+            with pytest.raises(ValueError, match=f"hold {bits} bits, above the cap of {bits - 1}"):
+                build(pc, 1)
+        assert pc._boundaries == {} and pc._transposed == {}
+        assert all("code" not in vars(fac) and "code_t" not in vars(fac) for fac in pc.factors)
+        monkeypatch.setattr(css, "MAX_CHECK_BITS", bits)
+        assert css.assemble_css(pc, 1).k == css.kunneth_parameters(pc, 1).k
 
 
 class TestCssCondition:

@@ -541,38 +541,84 @@ class TestSubstituteAgainstSubsetExpansion:
             substitute_by_subsets, f, images, new_nvars
         )
 
-    @pytest.mark.parametrize("m", [2, 3, 4, 5])
-    @pytest.mark.parametrize(
-        "terms",
-        [
-            # x0 leads the folded term and sits in an odd term, which lists
-            # its subsets of every size; the fold multiplies in singletons only
-            lambda half: {(0, 1): half, (0,): 1},
-            # the folded term's last variable sits in the odd term
-            lambda half: {(0, 1): half, (1,): 1},
-            # a prefix shared by a folded term and a term of valuation m - 2
-            lambda half: {(0, 1, 2): half, (0, 1): half // 2, (0, 2): 3},
-        ],
-        ids=["odd-term-holds-the-prefix", "odd-term-holds-the-last", "shared-prefix"],
-    )
-    def test_a_folded_term_sharing_variables_with_an_expanded_one(self, m, terms):
+    # Folded terms are grouped by their head, every variable but the last
+    # two; each entry of the second-to-last image keys the XOR of the last
+    # images.  A case is (terms as a function of 2^(m-1), images).
+    SHARED = [(0, 1, 2, 1), (1, 3, 4), (0, 4, 2)]
+    FOLDED_BESIDE_EXPANDED = {
+        # x0 leads the folded term and sits in an odd term, which lists its
+        # subsets of every size; the fold multiplies in singletons only
+        "odd-term-holds-the-prefix": (lambda half: {(0, 1): half, (0,): 1}, SHARED),
+        # the folded term's last variable sits in the odd term
+        "odd-term-holds-the-last": (lambda half: {(0, 1): half, (1,): 1}, SHARED),
+        # a head shared by a folded term and a term of valuation m - 2
+        "shared-prefix": (lambda half: {(0, 1, 2): half, (0, 1): half // 2, (0, 2): 3}, SHARED),
+        # three folded terms of head (0,) merge into one group; (1, 2, 3)
+        # has head (1,)
+        "shared-head": (
+            lambda half: {(0, 1, 2): half, (0, 1, 3): half, (0, 2, 3): half, (1, 2, 3): half,
+                          (0, 1): 1},
+            [(0, 1), (1, 3), (3, 4), (0, 4, 2)],
+        ),
+        # x1 and x2 have one image, so (0, 1, 3) and (0, 2, 3) key the same
+        # entries with the same form and cancel; (0, 1, 2) is left
+        "keys-cancel-across-variables": (
+            lambda half: {(0, 1, 3): half, (0, 2, 3): half, (0, 1, 2): half, (0, 1): 1},
+            [(0, 2), (1, 3), (3, 1), (2, 4, 0)],
+        ),
+        # degree 1 joins the empty head under key 0 beside the degree-2
+        # keys; degrees 3 and 4 have heads (0,) and (0, 1)
+        "degrees-one-to-four": (
+            lambda half: {(0,): half, (2,): half, (1, 2): half, (0, 3): half, (0, 1, 2): half,
+                          (0, 1, 2, 3): half, (0, 1): 1},
+            [(0, 1, 2), (2, 3), (1, 4), (0, 4)],
+        ),
+        # the head's images share entries with both folded variables', so a
+        # branch | key or | bit repeats a bit
+        "overlapping-images": (
+            lambda half: {(0, 1, 2): half, (0, 1, 3): half, (1, 2, 3): half, (0, 2): half,
+                          (0, 1): 1},
+            [(0, 1, 2), (1, 2, 3), (0, 2, 4), (0, 1, 4)],
+        ),
+        # an empty second-to-last image leaves its group's map empty, and an
+        # empty last image keys a zero form
+        "empty-images": (
+            lambda half: {(0, 1, 2): half, (0, 2, 3): half, (1, 3): half, (1, 2): half,
+                          (0, 1): 1},
+            [(0, 1), (), (2, 3), (1, 4)],
+        ),
+    }
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("case", list(FOLDED_BESIDE_EXPANDED))
+    def test_a_folded_term_sharing_variables_with_an_expanded_one(self, m, case):
+        terms, images = self.FOLDED_BESIDE_EXPANDED[case]
         half = 1 << (m - 1)
-        f = PhasePolynomial(3, m, {frozenset(mono): c for mono, c in terms(half).items()})
-        images = [(0, 1, 2, 1), (1, 3, 4), (0, 4, 2)]
+        f = PhasePolynomial(len(images), m, {frozenset(mono): c for mono, c in terms(half).items()})
         sub = substitute(f, images, 5)
         assert sub == substitute_by_subsets(f, images, 5)
         for y in range(1 << 5):
             x = sum((sum((y >> j) & 1 for j in set(img)) & 1) << i for i, img in enumerate(images))
             assert sub.evaluate(y) == f.evaluate(x)
 
-    def test_folded_terms_that_cancel_leave_nothing(self):
-        # two CZ gates whose last qubits have the same image: their linear
-        # forms XOR to zero, so the prefix is never expanded
-        f = poly_from_circuit([(2, (0, 1)), (2, (0, 2))], 2)
-        assert substitute(f, [(0, 1), (2, 3), (3, 2, 3)], 4).is_zero()
-        assert substitute_by_subsets(f, [(0, 1), (2, 3), (3, 2, 3)], 4).is_zero()
+    @pytest.mark.parametrize(
+        "gates, images",
+        [
+            # two CZ gates whose last qubits have the same image: their
+            # linear forms XOR to zero, so the empty head is never expanded
+            ([(0, 1), (0, 2)], [(0, 1), (2, 3), (3, 2, 3)]),
+            # x2 and x3 have one image, so (0, 1, 2) and (0, 1, 3) key the
+            # same forms and cancel, and so do (2, 4) and (3, 4)
+            ([(0, 1, 2), (0, 1, 3), (2, 4), (3, 4)], [(0, 1), (1, 2), (2, 3), (3, 2), (0, 3)]),
+        ],
+        ids=["two-cz", "two-groups"],
+    )
+    def test_folded_terms_that_cancel_leave_nothing(self, gates, images):
+        f = poly_from_circuit([(2, qubits) for qubits in gates], 2, nvars=len(images))
+        assert substitute(f, images, 4).is_zero()
+        assert substitute_by_subsets(f, images, 4).is_zero()
 
-    @pytest.mark.parametrize("t, length", [(2, 3), (3, 2)])
+    @pytest.mark.parametrize("t, length", [(2, 3), (2, 4), (3, 2), (3, 3), (4, 2)])
     def test_toric_layers_at_every_modulus(self, t, length):
         bundle = toric_cnz.build_bundle(t, length)
         masks, _, nvars, _ = diagonal._images(bundle.code, t)
