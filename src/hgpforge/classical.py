@@ -92,33 +92,38 @@ def distance_certificate(code: ClassicalCode) -> dict:
     }
 
 
+def _index_mask(code: ClassicalCode, indices: Iterable[int]) -> int:
+    """The mask of an index set; an index outside the code is refused."""
+    indices = set(indices)
+    if any(i < 0 or i >= code.n for i in indices):
+        raise ValueError("index set out of range")
+    return f2la.vector_from_indices(indices)
+
+
 def find_information_set(code: ClassicalCode, t: Optional[Iterable[int]] = None) -> InformationSet:
     """Lexicographically smallest information set contained in t.
 
-    Greedy leftmost pivoting of g restricted to the allowed columns.  Also
-    checks that h restricted to the complement has full column rank n - k,
-    so the returned set doubles as a k-puncture of h.
+    The pivots of g masked to t, leftmost first.  Also checks that h on
+    the complement has full column rank n - k, so the returned set doubles
+    as a k-puncture of h.
     """
-    allowed = sorted(set(range(code.n) if t is None else t))
-    if any(i < 0 or i >= code.n for i in allowed):
-        raise ValueError("index set out of range")
-    red = f2la.rref(f2la.restrict_columns(code.g, allowed))
-    chosen = [allowed[p] for p in red.pivot_columns]
+    allowed = f2la._full_mask(code.n) if t is None else _index_mask(code, t)
+    chosen = f2la.rref(f2la.mask_columns(code.g, allowed)).pivot_columns
     if len(chosen) < code.k:
         raise ValueError(
             f"no information set inside the given columns: rank {len(chosen)} < k={code.k}"
         )
     if not is_puncture(code, chosen):
         raise AssertionError("information set complement is not full rank in h")
-    return InformationSet(tuple(chosen))
+    return InformationSet(chosen)
 
 
 def disjoint_information_set(code: ClassicalCode, r: Iterable[int]) -> InformationSet:
     """Information set avoiding the region r; requires |r| < d."""
-    region = set(r)
-    if len(region) >= distance(code):
+    region = _index_mask(code, r)
+    if region.bit_count() >= distance(code):
         raise ValueError("region too large to avoid")
-    return find_information_set(code, set(range(code.n)) - region)
+    return find_information_set(code, f2la.indices_of(region ^ f2la._full_mask(code.n)))
 
 
 def classical_clean(code: ClassicalCode, gamma: Iterable[int]) -> int:
@@ -127,32 +132,33 @@ def classical_clean(code: ClassicalCode, gamma: Iterable[int]) -> int:
     Solves for row coefficients directly; existence is guaranteed for
     |gamma| <= (d-1)/2 but the solve is attempted for any gamma.
     """
-    cols = sorted(set(gamma))
-    if any(i < 0 or i >= code.n for i in cols):
-        raise ValueError("index set out of range")
-    if not cols:
+    mask = _index_mask(code, gamma)
+    if not mask:
         return 0
-    h = clean_with_target(code.h, cols, f2la._full_mask(len(cols)))
+    h = clean_with_target(code.h, mask, mask)
     if h is None:
+        cols = f2la.indices_of(mask)
         raise ValueError(f"not cleanable: no row-space element is all-ones on {cols}")
     return h
 
 
-def clean_with_target(h: BinaryMatrix, cols: list[int], target: int) -> Optional[int]:
-    """Row-space element of h matching `target` on the listed columns."""
-    y = f2la.solve(f2la.transpose(f2la.restrict_columns(h, cols)), target)
+def clean_with_target(h: BinaryMatrix, mask: int, target: int) -> Optional[int]:
+    """Row-space element of h matching `target` on the columns in `mask`.
+
+    Masked-out columns become zero equations, which leave the reduced
+    system, and so `solve`'s y, as on the columns alone.
+    """
+    y = f2la.solve(f2la.transpose(f2la.mask_columns(h, mask)), target & mask)
     return None if y is None else f2la.row_combination(h, y)
 
 
 def is_puncture(code: ClassicalCode, gamma: Iterable[int]) -> bool:
     """True iff no nonzero row-space element of h fits inside gamma.
 
-    Equivalent rank test: restricting h to the complement of gamma must not
-    lose rank.
+    Equivalent rank test: clearing the columns in gamma must not lose rank.
     """
-    gamma_set = set(gamma)
-    comp = [i for i in range(code.n) if i not in gamma_set]
-    return f2la.rank(f2la.restrict_columns(code.h, comp)) == f2la.rank(code.h)
+    comp = _index_mask(code, gamma) ^ f2la._full_mask(code.n)
+    return f2la.rank(f2la.mask_columns(code.h, comp)) == f2la.rank(code.h)
 
 
 # -- common seed constructions ----------------------------------------------

@@ -3,8 +3,9 @@
 A region is correctable exactly when it supports no nontrivial logical
 operator; in that case every logical can be deformed by stabilizers to act
 trivially on the region.  Both branches are decided by GF(2) rank
-computations on the region-restricted check matrices, and the negative
-branch always comes with an explicit witness logical.
+computations on the check matrices masked to the region, every qubit at
+its own index, and the negative branch always comes with an explicit
+witness logical.  `_region_mask` refuses a qubit outside the code.
 """
 
 from __future__ import annotations
@@ -62,16 +63,14 @@ def is_correctable(code: CssCode, region: Region | Iterable[int]) -> Correctabil
     returned witness is the lowest-weight one found, ties broken by
     lexicographic support, then X before Z.
     """
-    region = region if isinstance(region, Region) else Region.of(region)
-    if any(q < 0 or q >= code.n for q in region.qubits):
-        raise ValueError("region index out of range")
-    if not region.qubits:
+    mask = _region_mask(code, region)
+    if not mask:
         return CorrectabilityVerdict(True)
     candidates = [
         (v, kind)
         for v, kind in (
-            (_witness(code.hz, code.hx_space, region), "X"),
-            (_witness(code.hx, code.hz_space, region), "Z"),
+            (_witness(code.hz, code.hx_space, mask), "X"),
+            (_witness(code.hx, code.hz_space, mask), "Z"),
         )
         if v is not None
     ]
@@ -82,23 +81,31 @@ def is_correctable(code: CssCode, region: Region | Iterable[int]) -> Correctabil
     return CorrectabilityVerdict(False, _pauli(code.n, kind, best), kind)
 
 
-def _witness(h_kernel: BinaryMatrix, stab_space: f2la.RowSpace, region: Region) -> Optional[int]:
-    """Minimum-weight v inside region with h_kernel v = 0, v not in the
+def _region_mask(code: CssCode, region: Region | Iterable[int]) -> int:
+    """The region's qubit mask; a qubit outside the code is refused."""
+    region = region if isinstance(region, Region) else Region.of(region)
+    if any(q < 0 or q >= code.n for q in region.qubits):
+        raise ValueError("region index out of range")
+    return region.mask()
+
+
+def _witness(h_kernel: BinaryMatrix, stab_space: f2la.RowSpace, mask: int) -> Optional[int]:
+    """Minimum-weight v inside the mask with h_kernel v = 0, v not in the
     stabilizer row space, ties broken by lexicographic support.
 
-    The candidates are the span of the region's kernel basis, lifted to the
-    qubits; each kernel_basis row owns its free column, so
-    `f2la.lightest_word` walks them exactly.  If no basis row is offending,
-    nothing in their span is; above _WITNESS_ENUM_MAX qubits the first
-    offending basis row is returned.
+    The candidates are the span of the kernel basis rows of the masked
+    h_kernel that meet the mask: a masked-out column is free with a unit
+    basis row.  Each row owns its free column, so `f2la.lightest_word`
+    walks them exactly.  If no basis row is offending, nothing in their
+    span is; above _WITNESS_ENUM_MAX qubits the first offending one is
+    returned.
     """
-    cols = sorted(region.qubits)
-    inside = f2la.kernel_basis(f2la.restrict_columns(h_kernel, cols))
-    lifted = [f2la.lift(v, cols) for v in inside.bits]
-    first = next((v for v in lifted if not stab_space.contains(v)), None)
-    if first is None or len(cols) > _WITNESS_ENUM_MAX:
+    kernel = f2la.kernel_basis(f2la.mask_columns(h_kernel, mask))
+    inside = [v for v in kernel.bits if v & mask]
+    first = next((v for v in inside if not stab_space.contains(v)), None)
+    if first is None or mask.bit_count() > _WITNESS_ENUM_MAX:
         return first
-    return f2la.lightest_word(lifted, keep=lambda v: not stab_space.contains(v))[0]
+    return f2la.lightest_word(inside, keep=lambda v: not stab_space.contains(v))[0]
 
 
 def clean_logical(code: CssCode, op: PauliOperator, region: Region | Iterable[int]) -> PauliOperator:
@@ -108,13 +115,11 @@ def clean_logical(code: CssCode, op: PauliOperator, region: Region | Iterable[in
     on the region and a Z-stabilizer combination matching the Z part;
     both solves succeed whenever the region is correctable.
     """
-    region = region if isinstance(region, Region) else Region.of(region)
-    mask = region.mask()
-    cols = sorted(region.qubits)
+    mask = _region_mask(code, region)
     result = op
     for kind, part, checks in (("X", op.x, code.hx), ("Z", op.z, code.hz)):
         if part & mask:
-            stab = classical.clean_with_target(checks, cols, f2la.restrict(part, cols))
+            stab = classical.clean_with_target(checks, mask, part)
             if stab is None:
                 raise ValueError(f"region is not cleanable for the {kind} part")
             result = pauli_mul(result, _pauli(code.n, kind, stab))
@@ -129,11 +134,9 @@ def union_lemma_check(code: CssCode, r1: Region | Iterable[int], r2: Region | It
     Checked against the given generator rows only; searching over
     regenerated stabilizer bases is out of scope.
     """
-    r1 = r1 if isinstance(r1, Region) else Region.of(r1)
-    r2 = r2 if isinstance(r2, Region) else Region.of(r2)
-    if r1.qubits & r2.qubits:
+    m1, m2 = _region_mask(code, r1), _region_mask(code, r2)
+    if m1 & m2:
         raise ValueError("regions overlap")
-    m1, m2 = r1.mask(), r2.mask()
     for mat in (code.hx, code.hz):
         for word in mat.bits:
             if word & m1 and word & m2:

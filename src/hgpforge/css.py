@@ -544,18 +544,18 @@ def alternative_representative(
     seeds = _sector_seeds(pc, pc.tables[code.level][rep.sector].J)
     new_factors = list(rep.factors)
     for pos, d in enumerate(rep.fixed_dirs):
-        gamma = sorted({h.fixed_values[pos] for h in avoid})
+        gamma = f2la.vector_from_indices({h.fixed_values[pos] for h in avoid})
         unit = rep.factors[d]
         # Clean the unit factor off gamma with a row of the seed code's
         # checks: A_d for X (X-stabilizer translates), A_d^T for Z.
-        h_elem = classical.clean_with_target(seeds[d].h, gamma, f2la.restrict(unit, gamma))
+        h_elem = classical.clean_with_target(seeds[d].h, gamma, unit)
         if h_elem is None:
             raise ValueError(
                 f"cleaning infeasible in direction {d}: no row-space element "
-                f"matches the representative on coordinates {gamma}"
+                f"matches the representative on coordinates {f2la.indices_of(gamma)}"
             )
         new = unit ^ h_elem
-        if any((new >> c) & 1 for c in gamma):
+        if new & gamma:
             raise AssertionError("cleaned factor still meets a forbidden value")
         new_factors[d] = new
     bits = product.tensor_word(pc, code.level, rep.sector, new_factors)

@@ -236,27 +236,10 @@ def solve(m: BinaryMatrix, b: int) -> Optional[int]:
     return x
 
 
-def restrict(v: int, cols: Sequence[int]) -> int:
-    """Packed vector whose bit j is bit cols[j] of v."""
-    out = 0
-    for j, c in enumerate(cols):
-        if (v >> c) & 1:
-            out |= 1 << j
-    return out
-
-
-def lift(v: int, cols: Sequence[int]) -> int:
-    """Inverse of restrict: bit j of v moves to bit cols[j]."""
-    out = 0
-    for j, c in enumerate(cols):
-        if (v >> j) & 1:
-            out |= 1 << c
-    return out
-
-
-def restrict_columns(m: BinaryMatrix, cols: Sequence[int]) -> BinaryMatrix:
-    """The submatrix on the listed columns, in the listed order."""
-    return BinaryMatrix(m.rows, len(cols), [restrict(word, cols) for word in m.bits])
+def mask_columns(m: BinaryMatrix, mask: int) -> BinaryMatrix:
+    """m with every column outside mask cleared.  Columns keep their index,
+    so a result read off the masked matrix needs no mapping back."""
+    return BinaryMatrix(m.rows, m.cols, [word & mask for word in m.bits])
 
 
 def subset_xors(words: Sequence[int]) -> Iterator[tuple[int, int]]:

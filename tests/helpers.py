@@ -9,7 +9,7 @@ import itertools
 
 from hypothesis import strategies as st
 
-from hgpforge import classical, css, diagonal, f2la, product
+from hgpforge import classical, correctability, css, diagonal, f2la, product
 from hgpforge.f2la import BinaryMatrix
 
 
@@ -37,6 +37,80 @@ def compose_blocks(rows, cols, placements):
         for r in range(block.rows):
             out[ro + r] ^= block.bits[r] << co
     return BinaryMatrix(rows, cols, out)
+
+
+def restrict(v, cols):
+    """Packed vector whose bit j is bit cols[j] of v, read bit by bit."""
+    out = 0
+    for j, c in enumerate(cols):
+        if (v >> c) & 1:
+            out |= 1 << j
+    return out
+
+
+def lift(v, cols):
+    """Inverse of restrict: bit j of v moves to bit cols[j]."""
+    out = 0
+    for j, c in enumerate(cols):
+        if (v >> j) & 1:
+            out |= 1 << c
+    return out
+
+
+def restrict_columns(m, cols):
+    """The submatrix on the listed columns, in the listed order."""
+    return BinaryMatrix(m.rows, len(cols), [restrict(word, cols) for word in m.bits])
+
+
+def restricted_clean(h, cols, target):
+    """Row-space element of h equal to target on the listed columns, or
+    None: a solve on the columns copied out of h, target given on them."""
+    y = f2la.solve(f2la.transpose(restrict_columns(h, cols)), restrict(target, cols))
+    return None if y is None else f2la.row_combination(h, y)
+
+
+def column_subset_witness(h_kernel, stab_space, cols):
+    """Reference walk: the first v over column subsets of cols, by ascending
+    weight and then lexicographic support, with h_kernel v = 0 outside the
+    stabilizer row space."""
+    n = h_kernel.cols
+    syndromes = f2la.transpose(h_kernel).bits
+    # The bits above n carry the syndrome of the low n bits.
+    words = [(syndromes[c] << n) | (1 << c) for c in cols]
+    for _, v in f2la.subset_xors(words):
+        if v >> n == 0 and not stab_space.contains(v):
+            return v
+    return None
+
+
+def reference_witness(h_kernel, stab_space, qubits):
+    """The kernel scan decides whether a witness exists; up to
+    _WITNESS_ENUM_MAX qubits the column-subset walk finds the lightest one,
+    above it the first offending kernel basis row is the answer."""
+    cols = sorted(qubits)
+    inside = f2la.kernel_basis(restrict_columns(h_kernel, cols))
+    lifted = (lift(v, cols) for v in inside.bits)
+    offending = next((v for v in lifted if not stab_space.contains(v)), None)
+    if offending is None or len(cols) > correctability._WITNESS_ENUM_MAX:
+        return offending
+    found = column_subset_witness(h_kernel, stab_space, cols)
+    assert found is not None
+    return found
+
+
+def reference_verdict(code, qubits):
+    found = [
+        (v, kind)
+        for v, kind in (
+            (reference_witness(code.hz, code.hx_space, qubits), "X"),
+            (reference_witness(code.hx, code.hz_space, qubits), "Z"),
+        )
+        if v is not None
+    ]
+    if not found:
+        return True, None, None
+    v, kind = min(found, key=lambda c: (c[0].bit_count(), f2la.indices_of(c[0])))
+    return False, f2la.indices_of(v), kind
 
 
 def kron_chain_boundary(pc, level):
@@ -214,7 +288,7 @@ def kind_branch_alternative(code, rep, avoid):
         fac = pc.factors[d]
         unit = rep.factors[d]
         matrix = fac.a if rep.kind == "X" else fac.a_t
-        h_elem = classical.clean_with_target(matrix, gamma, f2la.restrict(unit, gamma))
+        h_elem = restricted_clean(matrix, gamma, unit)
         if h_elem is None:
             raise ValueError(
                 f"cleaning infeasible in direction {d}: no row-space element "

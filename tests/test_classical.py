@@ -174,6 +174,26 @@ class TestCleaning:
             classical.classical_clean(hamming, gamma)
 
 
+class TestIndicesOutsideTheCode:
+    """Every entry point refuses an index outside the code, with one message."""
+
+    ENTRY_POINTS = {
+        "find_information_set": lambda code, i: classical.find_information_set(code, [0, i]),
+        "disjoint_information_set": lambda code, i: classical.disjoint_information_set(
+            code, [0, i]
+        ),
+        "classical_clean": lambda code, i: classical.classical_clean(code, [0, i]),
+        "is_puncture": lambda code, i: classical.is_puncture(code, [0, i]),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize("index", [5, 9, -1])
+    def test_refused(self, entry, index):
+        code = classical.repetition_code(5)
+        with pytest.raises(ValueError, match="index set out of range"):
+            self.ENTRY_POINTS[entry](code, index)
+
+
 class TestPuncture:
     def test_standard_form_example(self):
         # H = (J | I) in standard form: the first k coordinates puncture H.

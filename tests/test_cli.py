@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -14,6 +15,8 @@ import pytest
 
 from hgpforge import classical, cli, css, diagonal, f2la, product
 from hgpforge.cli import main
+
+from helpers import reference_verdict
 
 
 @pytest.fixture()
@@ -326,6 +329,28 @@ class TestCorrectable:
         region = tmp_path / "r.txt"
         region.write_text("99\n")
         assert main(["correctable", toric_bundle, str(region)]) == 2
+
+    def test_regions_above_the_enumeration_bound(self, capsys, tmp_path):
+        # Toric L=8 (n=128) with 32-qubit regions: the witness is the first
+        # offending kernel basis row, not the exhaustive search's.
+        seed = classical.cyclic_repetition_check(8)
+        bundle = hgp_bundle(tmp_path, capsys, "toric8", seed)
+        code = cli.read_bundle(bundle)
+        rng = random.Random(8)
+        line = sorted(css.canonical_logical_basis(code).z_reps[0].pauli.support)
+        rest = [q for q in range(code.n) if q not in line]
+        regions = [sorted(rng.sample(range(code.n), 32)), sorted(line + rng.sample(rest, 24))]
+        verdicts = []
+        for qubits in regions:
+            path = tmp_path / "r.txt"
+            path.write_text(" ".join(map(str, qubits)) + "\n")
+            rc, report = run_json(capsys, ["correctable", bundle, str(path)])
+            results = report["results"]
+            expected = reference_verdict(code, qubits)
+            got = (results["correctable"], results.get("witness"), results.get("witness_type"))
+            assert got == expected and rc == (0 if expected[0] else 1)
+            verdicts.append(got[0])
+        assert verdicts == [True, False]
 
 
 class TestVerifyDiagonal:

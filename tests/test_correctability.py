@@ -9,6 +9,8 @@ from hgpforge import classical, correctability, css, f2la, product
 from hgpforge.correctability import Region
 from hgpforge.css import PauliOperator
 
+from helpers import column_subset_witness, reference_verdict
+
 
 def toric_code(t, length):
     seeds = [classical.cyclic_repetition_check(length)] * t
@@ -202,6 +204,29 @@ class TestUnionLemma:
             assert correctability.union_lemma_check(toric18, r1, r2) == expected
 
 
+class TestIndicesOutsideTheCode:
+    """Every entry point refuses a qubit outside the code, with one message."""
+
+    ENTRY_POINTS = {
+        "is_correctable": lambda code, q: correctability.is_correctable(code, [0, q]),
+        "clean_logical": lambda code, q: correctability.clean_logical(
+            code, css.canonical_logical_basis(code).x_reps[0].pauli, [0, 1, 2, q]
+        ),
+        "union_lemma_check first": lambda code, q: correctability.union_lemma_check(
+            code, [0, q], [1]
+        ),
+        "union_lemma_check second": lambda code, q: correctability.union_lemma_check(
+            code, [1], [0, q]
+        ),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize("qubit", [18, 100, -1])  # the code has 18 qubits
+    def test_refused(self, toric18, entry, qubit):
+        with pytest.raises(ValueError, match="region index out of range"):
+            self.ENTRY_POINTS[entry](toric18, qubit)
+
+
 class TestVerdictSerialization:
     def test_json_round_trip(self, toric18):
         verdict = correctability.is_correctable(toric18, [0])
@@ -212,50 +237,6 @@ class TestVerdictSerialization:
         assert out["correctable"] is False
         assert out["witness_type"] == "X"
         assert out["witness"] == sorted(verdict.witness.support)
-
-
-def column_subset_witness(h_kernel, stab_space, cols):
-    """Reference walk: the first v over column subsets of cols, by ascending
-    weight and then lexicographic support, with h_kernel v = 0 outside the
-    stabilizer row space."""
-    n = h_kernel.cols
-    syndromes = f2la.transpose(h_kernel).bits
-    # The bits above n carry the syndrome of the low n bits.
-    words = [(syndromes[c] << n) | (1 << c) for c in cols]
-    for _, v in f2la.subset_xors(words):
-        if v >> n == 0 and not stab_space.contains(v):
-            return v
-    return None
-
-
-def reference_witness(h_kernel, stab_space, qubits):
-    """The kernel scan decides whether a witness exists; up to
-    _WITNESS_ENUM_MAX qubits the column-subset walk finds the lightest one,
-    above it the first offending kernel basis row is the answer."""
-    cols = sorted(qubits)
-    inside = f2la.kernel_basis(f2la.restrict_columns(h_kernel, cols))
-    lifted = (f2la.lift(v, cols) for v in inside.bits)
-    offending = next((v for v in lifted if not stab_space.contains(v)), None)
-    if offending is None or len(cols) > correctability._WITNESS_ENUM_MAX:
-        return offending
-    found = column_subset_witness(h_kernel, stab_space, cols)
-    assert found is not None
-    return found
-
-
-def reference_verdict(code, qubits):
-    found = [
-        (v, kind)
-        for v, kind in (
-            (reference_witness(code.hz, code.hx_space, qubits), "X"),
-            (reference_witness(code.hx, code.hz_space, qubits), "Z"),
-        )
-        if v is not None
-    ]
-    if not found:
-        return True, None, None
-    v, kind = min(found, key=lambda c: (c[0].bit_count(), f2la.indices_of(c[0])))
-    return False, f2la.indices_of(v), kind
 
 
 class TestWitnessDifferential:
@@ -326,4 +307,4 @@ class TestWitnessDifferential:
         none = f2la.RowSpace(cols=6)
         expected = f2la.vector_from_indices([2, 5])
         assert column_subset_witness(h, none, range(6)) == expected
-        assert correctability._witness(h, none, Region.of(range(6))) == expected
+        assert correctability._witness(h, none, 0b111111) == expected

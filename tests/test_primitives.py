@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from hgpforge import classical, correctability, f2la, product
 from hgpforge.f2la import BinaryMatrix
 
-from helpers import column_supports
+from helpers import column_supports, lift, restrict_columns, restricted_clean
 
 MAX_N = 7
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -230,25 +230,51 @@ class TestSolve:
             assert x & ~pivots == 0
 
 
-class TestRestrictLift:
-    @SETTINGS
-    @given(st.integers(0, MAX_N).flatmap(lambda n: st.tuples(column_lists(n), st.integers(0, (1 << n) - 1))))
-    def test_lift_inverts_restrict_on_the_columns(self, case):
-        cols, v = case
-        mask = f2la.vector_from_indices(cols)
-        assert f2la.lift(f2la.restrict(v, cols), cols) == v & mask
-        for j, c in enumerate(cols):
-            assert (f2la.restrict(v, cols) >> j) & 1 == (v >> c) & 1
+class TestMaskedColumns:
+    """Each masked form against the same computation on the columns copied
+    out one bit at a time, on random matrices and masks."""
 
     @SETTINGS
     @given(matrices(min_cols=1), st.data())
-    def test_restrict_columns_picks_entries(self, m, data):
-        cols = data.draw(column_lists(m.cols))
-        sub = f2la.restrict_columns(m, cols)
-        assert (sub.rows, sub.cols) == (m.rows, len(cols))
-        for r in range(m.rows):
-            for j, c in enumerate(cols):
-                assert sub.get(r, j) == m.get(r, c)
+    def test_kernel_rows_inside_the_mask(self, m, data):
+        mask = data.draw(st.integers(0, (1 << m.cols) - 1))
+        cols = f2la.indices_of(mask)
+        inside = [v for v in f2la.kernel_basis(f2la.mask_columns(m, mask)).bits if v & mask]
+        expected = [lift(v, cols) for v in f2la.kernel_basis(restrict_columns(m, cols)).bits]
+        assert inside == expected
+
+    @SETTINGS
+    @given(matrices(min_cols=1), st.data())
+    def test_clean_with_target(self, m, data):
+        mask = data.draw(st.integers(0, (1 << m.cols) - 1))
+        target = data.draw(st.integers(0, (1 << m.cols) - 1))
+        got = classical.clean_with_target(m, mask, target)
+        assert got == restricted_clean(m, f2la.indices_of(mask), target)
+        if got is not None:
+            assert (got ^ target) & mask == 0
+
+    @SETTINGS
+    @given(matrices(max_rows=4, min_cols=1), st.data())
+    def test_find_information_set(self, h, data):
+        code = classical.ClassicalCode(h)
+        allowed = f2la.indices_of(data.draw(st.integers(0, (1 << h.cols) - 1)))
+        pivots = f2la.rref(restrict_columns(code.g, allowed)).pivot_columns
+        expected = tuple(allowed[p] for p in pivots)
+        try:
+            info = classical.find_information_set(code, allowed)
+        except ValueError:
+            assert len(expected) < code.k
+            return
+        assert info.indices == expected
+
+    @SETTINGS
+    @given(matrices(min_cols=1), st.data())
+    def test_is_puncture(self, h, data):
+        code = classical.ClassicalCode(h)
+        gamma = set(data.draw(column_lists(h.cols)))
+        comp = [i for i in range(h.cols) if i not in gamma]
+        expected = f2la.rank(restrict_columns(h, comp)) == f2la.rank(h)
+        assert classical.is_puncture(code, gamma) == expected
 
 
 class TestSubsetXors:
@@ -344,7 +370,7 @@ class TestInformationSet:
         candidates = [
             combo
             for combo in itertools.combinations(t, code.k)
-            if f2la.rank(f2la.restrict_columns(code.g, combo)) == code.k
+            if f2la.rank(restrict_columns(code.g, combo)) == code.k
         ]
         try:
             info = classical.find_information_set(code, t)
@@ -385,5 +411,5 @@ class TestLightestLogical:
             ),
             None,
         )
-        region = correctability.Region.of(cols)
-        assert correctability._witness(h, space, region) == expected
+        mask = f2la.vector_from_indices(cols)
+        assert correctability._witness(h, space, mask) == expected
