@@ -94,14 +94,13 @@ def _witness(h_kernel: BinaryMatrix, stab_space: f2la.RowSpace, mask: int) -> Op
     stabilizer row space, ties broken by lexicographic support.
 
     The candidates are the span of the kernel basis rows of the masked
-    h_kernel that meet the mask: a masked-out column is free with a unit
-    basis row.  Each row owns its free column, so `f2la.lightest_word`
-    walks them exactly.  If no basis row is offending, nothing in their
-    span is; above _WITNESS_ENUM_MAX qubits the first offending one is
-    returned.
+    h_kernel for the free columns inside the mask; a masked-out column is
+    free with a unit basis row outside the region, which is never built.
+    Each row owns its free column, so `f2la.lightest_word` walks them
+    exactly.  If no basis row is offending, nothing in their span is; above
+    _WITNESS_ENUM_MAX qubits the first offending one is returned.
     """
-    kernel = f2la.kernel_basis(f2la.mask_columns(h_kernel, mask))
-    inside = [v for v in kernel.bits if v & mask]
+    inside = f2la.kernel_basis(f2la.mask_columns(h_kernel, mask), within=mask).bits
     first = next((v for v in inside if not stab_space.contains(v)), None)
     if first is None or mask.bit_count() > _WITNESS_ENUM_MAX:
         return first

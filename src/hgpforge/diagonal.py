@@ -38,17 +38,21 @@ each a sparse {qubit: 2^(|T|-1)} row) and for T made of a-variables only
 space and no solution is pulled back.  The b-rows are solved by a column
 echelon form over Z_{2^m} that keeps each working column in one integer,
 one byte-aligned lane of at least 2m bits per entry, so a column rewrite
-is one multiply-add.  The generators are checked and their actions read the
+is one multiply-add.  The generators are checked and their levels read the
 same way: each qubit's entries over the generators are one integer, so a
 row's sums over every generator are one sum of integers, and a mask tests
-them all.  Each level is read off the action's coefficient vector by the
-rule `hierarchy_level` applies to terms; no combination of generators
-reaches a higher level, so only the generator that reaches the maximum is
-confirmed through the public pullback pair.
+them all.  An a-row's term sits at level m - v2 of its masked sum,
+whatever its degree, so one OR of the masked sums of every a-row, read
+through a 256-entry byte table, gives every generator's level at once, by
+the rule `hierarchy_level` applies to terms; no action is built per
+generator.  No combination of generators reaches a higher level, so only
+the generator that reaches the maximum is confirmed through the public
+pullback pair.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
@@ -947,10 +951,10 @@ def _low_bytes(packed: int, count: int, nbytes: int) -> bytes:
 
 def _linear_survey(
     code: CssCode, modulus_log2: int
-) -> tuple[list[tuple[int, ...]], list[bool], list[tuple[int, ...]], list[tuple[int, ...]], int]:
+) -> tuple[list[tuple[int, ...]], list[bool], bytes]:
     """The solution-module generators, whether each satisfies every b-row,
-    the a-row monomials T, the logical action of each generator as its
-    coefficient vector over those T, and the a count.
+    and the hierarchy level of each generator's logical action, one byte
+    per generator.
 
     Qubit i's entries over the generators are packed into one int, one lane
     per generator, lowest first, of m + bit_length(widest row support) bits
@@ -959,11 +963,17 @@ def _linear_survey(
     generator are then one sum of its qubits' ints, and no lane carries.  A
     b-row of weight 2^k holds on a generator exactly when the low m - k bits
     of its lane are zero, a mask test (multiplying the sum by the weight
-    would carry across lanes).  An a-row's coefficients, (-2)^(|T|-1) times
-    its lanes mod 2^m, come from the same ints.  Every value is below
-    2^m <= 2^8, so the low byte of a lane holds its residue.
+    would carry across lanes).  An a-row T's term in the action has the
+    coefficient (-2)^k * S mod 2^m, k = |T| - 1, S its lane, and so the
+    level |T| + m - 1 - v2((-2)^k * S) = m - v2(S mod 2^(m-k)) whenever
+    S mod 2^(m-k) is nonzero: the same mask as a b-row of weight 2^k, and a
+    level that does not depend on |T|.  v2 of an OR of lanes is their least
+    v2, and the OR is zero only when every lane is, so the masked sums of
+    every a-row ORed into one int give each generator's level through one
+    256-entry table (`_level_table`).  Every lane left is below 2^m <= 2^8,
+    so its low byte holds it.
     """
-    b_rows, a_rows, a_total = _preservation_congruences(code, modulus_log2)
+    b_rows, a_rows, _ = _preservation_congruences(code, modulus_log2)
     gens = kernel_mod_power_of_two(b_rows, code.n, modulus_log2)
     mod, count = 1 << modulus_log2, len(gens)
     widest = max(map(len, itertools.chain(b_rows, (qubits for _, qubits in a_rows))), default=0)
@@ -976,15 +986,19 @@ def _linear_survey(
     for row in b_rows:
         failed |= sum(map(packed.__getitem__, row)) & low_bits[next(iter(row.values()))]
     preserving = [not x for x in _low_bytes(failed, count, nbytes)]
-    a_cols = []  # each a-row's coefficient in every generator's action
+    acted = 0  # the OR of every a-row's masked sums
     for t, qubits in a_rows:
-        k = len(t) - 1
-        coeffs = (sum(map(packed.__getitem__, qubits)) & low_bits[1 << k]) << k
-        if k & 1:  # the sign of (-2)^k: mod - c in every lane, then mod 2^m
-            coeffs = (ones * mod - coeffs) & low_bits[1]
-        a_cols.append(_low_bytes(coeffs, count, nbytes))
-    vectors = list(zip(*a_cols)) or [()] * count
-    return gens, preserving, [t for t, _ in a_rows], vectors, a_total
+        acted |= sum(map(packed.__getitem__, qubits)) & low_bits[1 << (len(t) - 1)]
+    levels = _low_bytes(acted, count, nbytes).translate(_level_table(modulus_log2))
+    return gens, preserving, levels
+
+
+@functools.cache
+def _level_table(modulus_log2: int) -> bytes:
+    """The `bytes.translate` table taking a lane value c < 2^m to the level
+    m - v2(c), and 0 to 0."""
+    levels = [modulus_log2 + 1 - (c & -c).bit_length() for c in range(1, 1 << modulus_log2)]
+    return bytes([0, *levels]).ljust(256, b"\0")
 
 
 class NogoReport(NamedTuple):
@@ -1008,10 +1022,10 @@ def transversal_nogo_harness(code: CssCode, modulus_log2: int) -> NogoReport:
     """Survey every codespace-preserving transversal diagonal family.
 
     Solves the b-row congruences for f(x) = sum c_i x_i over Z_{2^m} and
-    reads the logical action of each solution-module generator off the
-    a-rows (`_linear_survey`); each level is read off that action's
-    coefficient vector by `_level`, the rule `hierarchy_level` applies to a
-    polynomial's terms, so no polynomial is built per solution.
+    reads the level of each solution-module generator's logical action off
+    the a-rows in bulk (`_linear_survey`): every generator's level comes
+    from one OR of the a-rows' packed sums, by the rule `hierarchy_level`
+    applies to a polynomial's terms, so no action is built per generator.
     `all_preserve` is the exact check that every generator satisfies every
     b-row, so every combination preserves the codespace too.  A
     combination's level never exceeds its summands' largest, since v2 of a
@@ -1023,9 +1037,7 @@ def transversal_nogo_harness(code: CssCode, modulus_log2: int) -> NogoReport:
     """
     if not 1 <= modulus_log2 <= MAX_MODULUS_LOG2:
         raise ValueError(f"modulus_log2 must be >= 1 and <= {MAX_MODULUS_LOG2}")
-    gens, preserving, monomials, vectors, _ = _linear_survey(code, modulus_log2)
-    sizes = [len(t) for t in monomials]
-    levels = [_level(zip(sizes, vec), modulus_log2) for vec in vectors]
+    gens, preserving, levels = _linear_survey(code, modulus_log2)
     if gens:
         w = max(range(len(gens)), key=levels.__getitem__)
         f = PhasePolynomial._of(

@@ -193,7 +193,7 @@ def mat_vec(m: BinaryMatrix, v: int) -> int:
     return out
 
 
-def kernel_basis(m: BinaryMatrix | RowSpace) -> BinaryMatrix:
+def kernel_basis(m: BinaryMatrix | RowSpace, within: Optional[int] = None) -> BinaryMatrix:
     """Basis for {v : m @ v = 0}, one packed vector per row.
 
     The basis has cols(m) - rank(m) rows.  Basis vector for free column f
@@ -203,11 +203,17 @@ def kernel_basis(m: BinaryMatrix | RowSpace) -> BinaryMatrix:
     built, whose reduced basis is read instead of eliminating again.  One
     pass over the reduced rows sets pivot p in the vector of every free
     column that p's row holds.
+
+    With a column mask `within` outside which every column of m is zero (as
+    `mask_columns` leaves it), only the vectors of the free columns inside
+    it are built, in the same order: the others are unit vectors outside
+    the mask, which no row holds.
     """
     space = m if isinstance(m, RowSpace) else RowSpace(m)
     pivots, basis = space._reduced_basis()
     pivot_set = set(pivots)
-    free = {f: 1 << f for f in range(space.cols) if f not in pivot_set}
+    columns = range(space.cols) if within is None else indices_of(within)
+    free = {f: 1 << f for f in columns if f not in pivot_set}
     for p, word in zip(pivots, basis):
         bit = 1 << p
         for f in indices_of(word ^ bit):

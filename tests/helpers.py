@@ -98,6 +98,19 @@ def reference_witness(h_kernel, stab_space, qubits):
     return found
 
 
+def filtered_witness(h_kernel, stab_space, mask):
+    """The witness read off the whole kernel basis of the masked checks,
+    filtered to the rows that meet the mask (a free column outside it has a
+    unit row outside the region): the first offending row above
+    _WITNESS_ENUM_MAX qubits, else the lightest offending word of their span."""
+    kernel = f2la.kernel_basis(f2la.mask_columns(h_kernel, mask))
+    inside = [v for v in kernel.bits if v & mask]
+    first = next((v for v in inside if not stab_space.contains(v)), None)
+    if first is None or mask.bit_count() > correctability._WITNESS_ENUM_MAX:
+        return first
+    return f2la.lightest_word(inside, keep=lambda v: not stab_space.contains(v))[0]
+
+
 def reference_verdict(code, qubits):
     found = [
         (v, kind)

@@ -330,6 +330,21 @@ class TestCorrectable:
         region.write_text("99\n")
         assert main(["correctable", toric_bundle, str(region)]) == 2
 
+    @pytest.mark.parametrize("qubit", ["18", "-1"])  # n, and below 0
+    def test_a_region_off_the_code_is_one_error_line(self, tmp_path, toric_bundle, qubit):
+        # the library's range rule is the only one: one error line, no traceback
+        region = tmp_path / "r.txt"
+        region.write_text(f"0 {qubit}\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "hgpforge.cli", "correctable", toric_bundle, str(region)],
+            capture_output=True, env=_subprocess_env(), timeout=60, text=True,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr == "error: region index out of range\n", proc.stderr
+        report = json.loads(proc.stdout)
+        assert report["status"] == "error"
+        assert report["results"] == {"error": "region index out of range"}
+
     def test_regions_above_the_enumeration_bound(self, capsys, tmp_path):
         # Toric L=8 (n=128) with 32-qubit regions: the witness is the first
         # offending kernel basis row, not the exhaustive search's.
@@ -794,6 +809,12 @@ def _sha256(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
+def _subprocess_env() -> dict:
+    """The environment for a subprocess to import this package."""
+    path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+
+
 def _cli_in_a_memory_limit(argv: list[str], timing: Path) -> tuple[int, str, str]:
     """Run `main(argv)` in a subprocess limited to 2 GiB of address space;
     return its exit code, stdout and stderr.  The call's own seconds, without
@@ -807,11 +828,9 @@ def _cli_in_a_memory_limit(argv: list[str], timing: Path) -> tuple[int, str, str
         "open(sys.argv[1], 'w').write(repr(time.monotonic() - start))\n"
         "sys.exit(code)\n"
     )
-    path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     proc = subprocess.run(
         [sys.executable, "-c", probe, str(timing), *argv],
-        capture_output=True, text=True, env=env, timeout=60,
+        capture_output=True, text=True, env=_subprocess_env(), timeout=60,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
     )
     return proc.returncode, proc.stdout, proc.stderr
@@ -820,14 +839,12 @@ def _cli_in_a_memory_limit(argv: list[str], timing: Path) -> tuple[int, str, str
 def _circuit_into_a_closed_stdout(target: str) -> tuple[int, str]:
     """Run `toric-cnz --t 2 --L 3 -o target` in a subprocess whose stdout is
     a pipe with no reader; return its exit code and its stderr."""
-    path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     read_end, write_end = os.pipe()
     os.close(read_end)  # every write to stdout fails with EPIPE
     try:
         proc = subprocess.run(
             [sys.executable, "-m", "hgpforge.cli", "toric-cnz", "--t", "2", "--L", "3", "-o", target],
-            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+            stdout=write_end, stderr=subprocess.PIPE, env=_subprocess_env(), timeout=60,
         )
     finally:
         os.close(write_end)

@@ -9,7 +9,7 @@ from hgpforge import classical, correctability, css, f2la, product
 from hgpforge.correctability import Region
 from hgpforge.css import PauliOperator
 
-from helpers import column_subset_witness, reference_verdict
+from helpers import column_subset_witness, filtered_witness, reference_verdict
 
 
 def toric_code(t, length):
@@ -308,3 +308,30 @@ class TestWitnessDifferential:
         expected = f2la.vector_from_indices([2, 5])
         assert column_subset_witness(h, none, range(6)) == expected
         assert correctability._witness(h, none, 0b111111) == expected
+
+
+class TestWitnessReadsOnlyTheRegion:
+    """`_witness` builds the kernel rows of the free columns inside the
+    region alone; verdicts and witnesses equal those read off the whole
+    kernel basis of the masked checks, filtered to the region."""
+
+    def test_same_witnesses_as_the_filtered_kernel(self):
+        rng = random.Random(34)
+        codes = TestWitnessDifferential.codes() + [toric_code(2, 12), toric_code(3, 4)]
+        compared, offending, sizes = 0, 0, set()
+        for code in codes:
+            for _ in range(40):
+                size = rng.choice([1, rng.randrange(1, 21), 21, max(1, code.n // 4)])
+                mask = f2la.vector_from_indices(rng.sample(range(code.n), min(size, code.n)))
+                for h, space in ((code.hz, code.hx_space), (code.hx, code.hz_space)):
+                    masked = f2la.mask_columns(h, mask)
+                    whole = f2la.kernel_basis(masked).bits
+                    inside = f2la.kernel_basis(masked, within=mask).bits
+                    assert list(inside) == [v for v in whole if v & mask], (code.n, f2la.indices_of(mask))
+                    got = correctability._witness(h, space, mask)
+                    assert got == filtered_witness(h, space, mask), (code.n, f2la.indices_of(mask))
+                    compared += 1
+                    offending += got is not None
+                    sizes.add(mask.bit_count())
+        assert compared >= 800 and offending >= 150, (compared, offending)
+        assert {1, 20, 21, 72} <= sizes, sorted(sizes)

@@ -2,9 +2,10 @@
 
 import itertools
 import random
+import types
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hgpforge import classical, css, diagonal, f2la, product, toric_cnz
@@ -1493,19 +1494,23 @@ class TestLinearSurveyDifferential:
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_every_action_equals_the_pullback(self, m):
+        # the [[58,16,3]] Hamming HGP is among the codes
         compared = several = 0
+        hamming = False
         for code in self.codes():
-            gens, preserving, monomials, vectors, a_total = diagonal._linear_survey(code, m)
-            assert all(preserving) and len(vectors) == len(gens)
-            keys = [frozenset(t) for t in monomials]
-            for sol, vec in zip(gens, vectors):
-                action = PhasePolynomial(a_total, m, dict(zip(keys, vec)))
+            gens, preserving, levels = diagonal._linear_survey(code, m)
+            assert all(preserving) and len(levels) == len(gens)
+            _, a_rows, a_total = diagonal._preservation_congruences(code, m)
+            hamming |= (code.n, code.k) == (58, 16)
+            for sol, level in zip(gens, levels):
+                action = reference_action(a_rows, a_total, sol, m)
                 f = PhasePolynomial(code.n, m, {(i,): c for i, c in enumerate(sol) if c})
                 assert preserves_codespace(f, code, copies=1)
                 assert action == logical_action(f, code, copies=1), (code.n, m)
+                assert level == hierarchy_level(action), (code.n, m)
                 compared += 1
                 several += any(len(mono) > 1 for mono, _ in action.terms())
-        assert compared >= 11
+        assert hamming and compared >= 11
         assert several or m == 1
 
     @settings(max_examples=150, deadline=None)
@@ -1523,6 +1528,59 @@ class TestLinearSurveyDifferential:
         f = PhasePolynomial(4, m, dict(terms))
         level = diagonal._level(((len(t), c) for t, c in terms), m)
         assert level == hierarchy_level(f) == level_by_truth_tables(f)
+
+
+class TestBulkLevels:
+    """Every generator's level read at once, from the OR of the a-rows'
+    masked packed sums through the byte table, against `_level` of its
+    (|T|, (-2)^(|T|-1) * S) pairs, on a-rows and generators the survey is
+    patched to read."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, diagonal.MAX_MODULUS_LOG2), st.sampled_from([1, 2]), st.data())
+    def test_the_or_of_masked_sums_equals_level(self, m, nbytes, data):
+        # a lane holds m + bit_length(widest row) bits in whole bytes, so
+        # one-byte lanes need rows narrower than 2^(8-m)
+        narrow = (1 << (8 - m)) - 1
+        if nbytes == 1:
+            assume(narrow >= 1)
+            widest = data.draw(st.integers(1, narrow))
+        else:
+            widest = data.draw(st.integers(narrow + 1, max(narrow + 1, 160)))
+        n = widest + data.draw(st.integers(0, 3))
+        rng = data.draw(st.randoms(use_true_random=False))
+        # a generator's entries are multiples of 2^v, so its lanes reach
+        # every valuation and its level varies; v = m gives the zero lane
+        valuations = data.draw(st.lists(st.integers(0, m), min_size=1, max_size=5))
+        gens = [tuple(rng.randrange(1 << m) >> v << v for _ in range(n)) for v in valuations]
+        sizes = data.draw(st.lists(st.integers(1, m), min_size=1, max_size=6))
+        a_rows = []
+        for i, size in enumerate(sizes):
+            count = widest if i == 0 else rng.randint(1, widest)
+            qubits = tuple(sorted(rng.sample(range(n), count)))
+            a_rows.append((tuple(range(i * m, i * m + size)), qubits))
+        assert (m + widest.bit_length() + 7) // 8 == nbytes
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(diagonal, "_preservation_congruences", lambda *args: ([], a_rows, 0))
+            patch.setattr(diagonal, "kernel_mod_power_of_two", lambda *args: gens)
+            got, _, levels = diagonal._linear_survey(types.SimpleNamespace(n=n), m)
+        assert got == gens
+        expected = [
+            diagonal._level(
+                ((len(t), (-2) ** (len(t) - 1) * sum(sol[q] for q in qubits)) for t, qubits in a_rows),
+                m,
+            )
+            for sol in gens
+        ]
+        assert list(levels) == expected
+
+
+def reference_action(a_rows, a_total, sol, modulus_log2):
+    """Reference: a solution's logical action rebuilt from the a-rows, the
+    coefficient (-2)^(|T|-1) * (sum of its entries over T's qubits) on each
+    monomial T."""
+    terms = {t: (-2) ** (len(t) - 1) * sum(sol[q] for q in qubits) for t, qubits in a_rows}
+    return PhasePolynomial(a_total, modulus_log2, terms)
 
 
 def reference_preserving(rows, gens, modulus_log2):
@@ -1550,8 +1608,8 @@ class TestPackedRowCheck:
                 diagonal, "_preservation_congruences", lambda *args: (rows, [], 0)
             )
         monkeypatch.setattr(diagonal, "kernel_mod_power_of_two", lambda *args: gens)
-        got, preserving, _, vectors, _ = diagonal._linear_survey(code, m)
-        assert got == gens and len(vectors) == len(gens)
+        got, preserving, levels = diagonal._linear_survey(code, m)
+        assert got == gens and len(levels) == len(gens)
         return preserving
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])

@@ -109,6 +109,19 @@ class TestKernel:
             m = random_matrix(rng, rows, cols, density=rng.uniform(0.1, 0.9))
             assert f2la.rank(m) + f2la.kernel_basis(m).rows == cols
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 8), st.integers(0, 10), st.data())
+    def test_within_a_mask_keeps_the_rows_that_meet_it(self, rows, cols, data):
+        # a masked-out column is free with a unit row outside the mask; the
+        # other rows are the whole kernel's that meet the mask, in its order
+        words = data.draw(st.lists(st.integers(0, (1 << cols) - 1), min_size=rows, max_size=rows))
+        mask = data.draw(st.integers(0, (1 << cols) - 1))
+        masked = f2la.mask_columns(BinaryMatrix(rows, cols, words), mask)
+        whole = f2la.kernel_basis(masked)
+        inside = f2la.kernel_basis(masked, within=mask)
+        assert list(inside.bits) == [v for v in whole.bits if v & mask]
+        assert inside.cols == cols and inside.rows == whole.rows - (cols - mask.bit_count())
+
 
 class TestProducts:
     def test_matmul_basic(self):
