@@ -76,14 +76,16 @@ def _emit(command: str, inputs: dict, results: dict, status: str) -> bool:
 def _read_input(path: str) -> str:
     """The ASCII text of an input file, with universal newlines as a
     text-mode open reads it; the sha256 of the bytes read is recorded in
-    `_input_digests`."""
+    `_input_digests`.  A file that cannot be read, or is not ASCII, is
+    reported as `cannot read PATH: ...`."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
-    except OSError as exc:
+        text = data.decode("ascii")
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
     _input_digests[path] = hashlib.sha256(data).hexdigest()
-    return data.decode("ascii").replace("\r\n", "\n").replace("\r", "\n")
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _write_output(path: str, text: str) -> None:
@@ -216,6 +218,10 @@ def _parse_region(text: str) -> list[int]:
 
 
 def cmd_build(args) -> tuple[dict, bool]:
+    if len(args.seeds) < 2:
+        raise CliError("build needs at least two seeds: one seed (t=1) has no level in [1, t-1]")
+    if len(args.seeds) > product.MAX_DIMENSION:
+        raise CliError(f"build takes at most {product.MAX_DIMENSION} seeds, not {len(args.seeds)}")
     # a seed file named twice is read and parsed once; a file is parsed
     # before the next is read, so the first bad seed is the one reported
     parsed = {p: f2la.parse_matrix_text(_read_input(p)) for p in dict.fromkeys(args.seeds)}

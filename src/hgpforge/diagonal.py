@@ -57,9 +57,8 @@ import itertools
 import math
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
-from . import f2la
+from . import correctability, f2la
 from ._record import SlotRecord
-from .correctability import Region, is_correctable
 from .css import CssCode, LogicalRep, PauliOperator, canonical_logical_basis
 
 # A monomial is the ascending tuple of its variables; () is the constant.
@@ -820,7 +819,7 @@ def bk_cascade(
             current = model.image(support)
         else:
             current = commutator_support_bound(current, support, model)
-        correctable = bool(is_correctable(code, Region.of(current)))
+        correctable = bool(correctability.is_correctable(code, correctability.Region.of(current)))
         steps.append(CascadeStep(j, tuple(sorted(current)), correctable))
         if correctable:
             return CascadeReport(tuple(steps), j)

@@ -28,10 +28,16 @@ QUBIT_LEVEL = 1
 MAX_GATES = 1 << 20
 
 
+def _check_dimension(t: int) -> None:
+    if not 2 <= t <= product.MAX_DIMENSION:
+        raise ValueError(
+            f"need a product dimension t >= 2 and <= {product.MAX_DIMENSION}, not {t}"
+        )
+
+
 def build_toric(t: int, length: int) -> CssCode:
     """Toric code from t circulant repetition seeds of the given length."""
-    if t < 2:
-        raise ValueError("need a product dimension t >= 2")
+    _check_dimension(t)
     if length < 2:
         raise ValueError("need lattice length >= 2")
     seeds = [classical.cyclic_repetition_check(length) for _ in range(t)]
@@ -51,8 +57,7 @@ def build_cnz_circuit(t: int, length: int, pc: Optional[ProductComplex] = None) 
     of sigma(i) plus the position of cell + e_S with S = sigma(0..i), read off
     a per-cell table over all 2^t subsets S.
     """
-    if t < 2:
-        raise ValueError("need a product dimension t >= 2")
+    _check_dimension(t)
     if length < 1:
         raise ValueError("need lattice length >= 1")
     if pc is None:
@@ -99,10 +104,11 @@ class ToricBundle(NamedTuple):
 
 
 def build_bundle(t: int, length: int) -> ToricBundle:
-    """Toric code and its C^(t-1)Z layer; refused above MAX_GATES gates
-    before anything is built."""
-    # Any t > 20 exceeds the cap, so the count is only computed while cheap.
-    if t >= 2 and length >= 2 and (t > 20 or length**t * math.factorial(t) > MAX_GATES):
+    """Toric code and its C^(t-1)Z layer; refused for t outside
+    [2, product.MAX_DIMENSION] or above MAX_GATES gates, before anything is
+    built."""
+    _check_dimension(t)
+    if length >= 2 and length**t * math.factorial(t) > MAX_GATES:
         raise ValueError(f"t={t}, L={length} exceeds the cap of {MAX_GATES} gates (L^t * t!)")
     code = build_toric(t, length)
     circuit = build_cnz_circuit(t, length, pc=code.complex)

@@ -90,6 +90,25 @@ class TestBuild:
         assert report["status"] == "error"
         assert "level" in report["results"]["error"]
 
+    @pytest.mark.parametrize("level", ["0", "2"])
+    def test_a_level_outside_the_product_is_a_usage_error(self, tmp_path, seed3, capsys, level):
+        out = str(tmp_path / "bad.json")
+        rc, report = run_json(capsys, ["build", seed3, seed3, "--level", level, "-o", out])
+        assert rc == 2 and report["status"] == "error"
+        assert report["results"]["error"] == "level must be in [1, 1] for t=2"
+
+    @pytest.mark.parametrize(
+        "count,message",
+        [(1, "build needs at least two seeds"), (product.MAX_DIMENSION + 1, "build takes at most")],
+    )
+    def test_a_seed_count_outside_the_dimensions_is_refused_before_reading(
+        self, tmp_path, capsys, count, message
+    ):
+        seeds = [str(tmp_path / "missing.txt")] * count
+        rc, report = run_json(capsys, ["build", *seeds, "--level", "1", "-o", str(tmp_path / "x")])
+        assert rc == 2 and report["status"] == "error"
+        assert report["results"]["error"].startswith(message), report
+
     def test_bad_seed_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
         bad.write_text("not a matrix\n")
@@ -804,6 +823,22 @@ class TestContract:
         assert report["status"] == "error" and "cap of 1048576 gates" in report["results"]["error"]
         assert not out.exists()
 
+    def test_toric_cnz_above_the_product_dimension_is_refused_before_building(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # t=7, L=2 is 2^7 * 7! = 645120 gates, under the gate cap
+        def no_product(*args, **kwargs):
+            raise AssertionError("a product was built")
+
+        monkeypatch.setattr(product, "build_product", no_product)
+        out = tmp_path / "c7z.txt"
+        t = product.MAX_DIMENSION + 1
+        rc, report = run_json(capsys, ["toric-cnz", "--t", str(t), "--L", "2", "-o", str(out)])
+        assert rc == 2 and report["status"] == "error"
+        error = report["results"]["error"]
+        assert f"product dimension t >= 2 and <= {product.MAX_DIMENSION}, not {t}" in error, error
+        assert not out.exists()
+
 
 def _sha256(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
@@ -936,6 +971,19 @@ class TestInputsAndOutputs:
             assert rc == 2
             errors.append(report["results"]["error"].replace(str(broken), "BUNDLE"))
         assert errors[0] == errors[1]
+
+    @pytest.mark.parametrize("command", ["correctable", "verify-diagonal"])
+    def test_an_input_that_is_not_ascii_names_the_file(
+        self, capsys, tmp_path, toric_bundle, command
+    ):
+        # a region file for correctable, a circuit file for verify-diagonal
+        binary = tmp_path / "bin.txt"
+        binary.write_bytes(b"MOD 1\nZ 0\xff\n")
+        rc, report = run_json(capsys, [command, toric_bundle, str(binary)])
+        assert rc == 2 and report["status"] == "error"
+        assert report["inputs"] == {}
+        error = report["results"]["error"]
+        assert error.startswith(f"cannot read {binary}: ") and "0xff" in error, error
 
     @pytest.mark.parametrize("output", ["file", "/dev/stdout"])
     def test_a_closed_stdout_is_a_usage_error_without_a_traceback(self, tmp_path, output):

@@ -32,6 +32,15 @@ class TestBuildToric:
         with pytest.raises(ValueError):
             toric_cnz.build_toric(2, 1)
 
+    @pytest.mark.parametrize(
+        "build", [toric_cnz.build_toric, toric_cnz.build_cnz_circuit, toric_cnz.build_bundle]
+    )
+    def test_a_dimension_above_the_product_limit_is_refused_naming_t(self, build):
+        t = product.MAX_DIMENSION + 1
+        message = f"product dimension t >= 2 and <= {product.MAX_DIMENSION}, not {t}"
+        with pytest.raises(ValueError, match=message):
+            build(t, 2)
+
 
 class TestCircuit:
     def test_counts_before_cancellation(self):
