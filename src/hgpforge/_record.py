@@ -7,6 +7,9 @@ to build it (a NamedTuple's `_make` and `_replace` skip `__new__`), a slot
 read is about three times faster than a tuple field read, and a tuple's
 own length is its field count.  Neither kind generates methods by `exec`,
 so importing the package loads neither `dataclasses` nor `inspect`.
+
+The value types `f2la.BinaryMatrix` and `diagonal.PhasePolynomial` are
+SlotRecords too, each with a repr of its own.
 """
 
 
@@ -16,7 +19,9 @@ class SlotRecord:
     A subclass sets each field once in `__init__` with `object.__setattr__`.
     Equality and hashing go by the field values, equality only between
     records of the same class; the repr is `Name(field=value, ...)`; any
-    later assignment or deletion raises AttributeError.
+    later assignment or deletion raises AttributeError.  The fields are the
+    `__init__` arguments in order, so copy and pickle rebuild a record by
+    calling its class on them.
     """
 
     __slots__ = ()

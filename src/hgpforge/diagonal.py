@@ -105,7 +105,7 @@ def _variables(variables: Iterable[int]) -> tuple[int, ...]:
     return variables
 
 
-class PhasePolynomial:
+class PhasePolynomial(SlotRecord):
     """Multilinear polynomial over binary variables, coefficients mod 2^m.
 
     A monomial is the ascending tuple of its variables, () the constant
@@ -119,13 +119,13 @@ class PhasePolynomial:
     `_of`, which stores it as it is.
     """
 
-    __slots__ = ("modulus_log2", "nvars", "_terms")
+    __slots__ = ("nvars", "modulus_log2", "_terms")
 
     def __init__(self, nvars: int, modulus_log2: int, terms: Optional[dict] = None):
         keyed = ((tuple(sorted(set(_variables(mono)))), c) for mono, c in (terms or {}).items())
         clean = _normalized(nvars, modulus_log2, keyed)
-        object.__setattr__(self, "modulus_log2", modulus_log2)
         object.__setattr__(self, "nvars", nvars)
+        object.__setattr__(self, "modulus_log2", modulus_log2)
         object.__setattr__(self, "_terms", clean)
 
     @classmethod
@@ -134,13 +134,10 @@ class PhasePolynomial:
         variables below nvars, each coefficient reduced mod 2^m and nonzero.
         Nothing is checked, and the dict is shared, not copied."""
         poly = object.__new__(cls)
-        object.__setattr__(poly, "modulus_log2", modulus_log2)
         object.__setattr__(poly, "nvars", nvars)
+        object.__setattr__(poly, "modulus_log2", modulus_log2)
         object.__setattr__(poly, "_terms", terms)
         return poly
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard rail
-        raise AttributeError("PhasePolynomial is immutable")
 
     @property
     def modulus(self) -> int:
@@ -162,14 +159,6 @@ class PhasePolynomial:
 
     def __len__(self) -> int:
         return len(self._terms)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, PhasePolynomial)
-            and self.modulus_log2 == other.modulus_log2
-            and self.nvars == other.nvars
-            and self._terms == other._terms
-        )
 
     def __hash__(self) -> int:
         return hash((self.modulus_log2, self.nvars, tuple(self.terms())))
@@ -676,7 +665,7 @@ def parse_circuit_text(text: str) -> PhasePolynomial:
         raise ValueError("circuit file must start with a 'MOD m' header")
     if len(head) != 2:
         raise ValueError(f"bad circuit header {lines[0]!r}")
-    m = int(head[1])
+    (m,) = _line_ints(head[1:], "header", lines[0])
     if not 1 <= m <= MAX_MODULUS_LOG2:
         raise ValueError(f"modulus exponent must be >= 1 and <= {MAX_MODULUS_LOG2}")
     cz, arity = controlled_z_coeff(m), {"CZ": 2, "CCZ": 3, "CNZ": None}
@@ -687,9 +676,10 @@ def parse_circuit_text(text: str) -> PhasePolynomial:
         if op == "PHASE":
             if len(args) != 2:
                 raise ValueError(f"PHASE needs a coefficient and a qubit: {ln!r}")
-            gates.append((int(args[0]), (int(args[1]),)))
+            coeff, qubit = _line_ints(args, "line", ln)
+            gates.append((coeff, (qubit,)))
         elif op in arity:
-            qubits = tuple(map(int, args))
+            qubits = _line_ints(args, "line", ln)
             expected = arity[op]
             if expected is not None and len(qubits) != expected:
                 raise ValueError(f"{op} needs {expected} qubits: {ln!r}")
@@ -699,6 +689,14 @@ def parse_circuit_text(text: str) -> PhasePolynomial:
         else:
             raise ValueError(f"unknown circuit line {ln!r}")
     return _gate_poly(gates, m)
+
+
+def _line_ints(tokens: Sequence[str], part: str, line: str) -> tuple[int, ...]:
+    """The tokens as ints; one that is not an int is refused with its line."""
+    try:
+        return tuple(map(int, tokens))
+    except ValueError:
+        raise ValueError(f"bad circuit {part} {line!r}") from None
 
 
 def format_circuit_text(f: PhasePolynomial, comment: Optional[str] = None) -> str:
@@ -857,6 +855,8 @@ def kernel_mod_power_of_two(
     so the generators do not depend on the packing.  For m <= 8 a residue
     is its lane's low byte, so one sliced `to_bytes` reads a generator.
     """
+    if modulus_log2 < 1:
+        raise ValueError("modulus_log2 must be >= 1")
     mod = 1 << modulus_log2
     nbytes = (modulus_log2 + 3) // 4
     w = 8 * nbytes
@@ -866,6 +866,8 @@ def kernel_mod_power_of_two(
     row_ones = ones & ((1 << u_at) - 1)
     cols = [1 << (u_at + j * w) for j in range(ncols)]
     for i, row in enumerate(rows):
+        if row and (min(row) < 0 or max(row) >= ncols):
+            raise ValueError(f"row {i} has a column outside [0, {ncols})")
         for j, x in row.items():
             cols[j] |= (x % mod) << (i * w)
     gens = []
@@ -995,9 +997,9 @@ def _linear_survey(
 @functools.cache
 def _level_table(modulus_log2: int) -> bytes:
     """The `bytes.translate` table taking a lane value c < 2^m to the level
-    m - v2(c), and 0 to 0."""
-    levels = [modulus_log2 + 1 - (c & -c).bit_length() for c in range(1, 1 << modulus_log2)]
-    return bytes([0, *levels]).ljust(256, b"\0")
+    m - v2(c), and 0 to 0: the `_level` of the single term c x_i."""
+    levels = [_level(((1, c),), modulus_log2) for c in range(1 << modulus_log2)]
+    return bytes(levels).ljust(256, b"\0")
 
 
 class NogoReport(NamedTuple):

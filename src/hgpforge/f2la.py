@@ -5,7 +5,9 @@ holding the entry in column ``j``.  Row operations are therefore single
 bignum XORs, which keeps Gaussian elimination fast enough for the desk-scale
 matrices used throughout the package without any third-party dependency.
 
-Matrices are immutable after construction and safe to share across threads.
+A `BinaryMatrix` is an immutable `SlotRecord`: safe to share across
+threads, equal and hashed by (rows, cols, bits), and copied and pickled
+through its checked constructor.
 """
 
 from __future__ import annotations
@@ -13,12 +15,14 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
+from ._record import SlotRecord
+
 
 def _full_mask(cols: int) -> int:
     return (1 << cols) - 1
 
 
-class BinaryMatrix:
+class BinaryMatrix(SlotRecord):
     """Dense matrix over GF(2) with bit-packed rows.
 
     Attributes:
@@ -42,9 +46,6 @@ class BinaryMatrix:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "bits", bits)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard rail
-        raise AttributeError("BinaryMatrix is immutable")
 
     # -- constructors ------------------------------------------------------
 
@@ -91,17 +92,6 @@ class BinaryMatrix:
         return [vector_to_string(w, self.cols) for w in self.bits]
 
     # -- dunder ------------------------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, BinaryMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.bits == other.bits
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.bits))
 
     def __repr__(self) -> str:
         if self.rows <= 8 and self.cols <= 24:

@@ -423,6 +423,27 @@ class TestVerifyDiagonal:
         assert rc == 2 and report["status"] == "error"
         assert report["results"]["error"] == "circuit file must start with a 'MOD m' header"
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("MOD x\nCZ 0 1\n", "bad circuit header 'MOD x'"),
+            ("MOD 1.5\nCZ 0 1\n", "bad circuit header 'MOD 1.5'"),
+            ("MOD 1\nPHASE 1 x\n", "bad circuit line 'PHASE 1 x'"),
+            ("MOD 1\nPHASE one 0\n", "bad circuit line 'PHASE one 0'"),
+            ("MOD 1\nCZ 0 1\nCZ 0 y\n", "bad circuit line 'CZ 0 y'"),
+            ("MOD 1\nCNZ 0 1 q2\n", "bad circuit line 'CNZ 0 1 q2'"),
+        ],
+        ids=["mod-word", "mod-fraction", "phase-qubit", "phase-coeff", "cz-qubit", "cnz-qubit"],
+    )
+    def test_a_token_that_is_not_an_integer_names_its_line(
+        self, capsys, tmp_path, toric_bundle, text, message
+    ):
+        circ = tmp_path / "c.txt"
+        circ.write_text(text)
+        rc, report = run_json(capsys, ["verify-diagonal", toric_bundle, str(circ), "--copies", "2"])
+        assert rc == 2 and report["status"] == "error"
+        assert report["results"]["error"] == message
+
 
 class TestNogoTransversal:
     def test_toric_respects_bound(self, capsys, toric_bundle):

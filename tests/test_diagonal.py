@@ -1047,6 +1047,24 @@ class TestSupportCalculus:
 
 
 class TestKernelModPowerOfTwo:
+    @pytest.mark.parametrize(
+        "rows, ncols, m, message",
+        [
+            ([{0: 1}], 1, 0, "modulus_log2 must be >= 1"),
+            ([{0: 1}], 1, -1, "modulus_log2 must be >= 1"),
+            ([{0: 1}, {2: 1}], 2, 2, r"row 1 has a column outside \[0, 2\)"),
+            ([{-1: 1}], 2, 2, r"row 0 has a column outside \[0, 2\)"),
+            ([{}, {0: 1, 5: 3}], 3, 3, r"row 1 has a column outside \[0, 3\)"),
+        ],
+        ids=["m-zero", "m-negative", "column-ncols", "column-negative", "column-beyond"],
+    )
+    def test_bad_input_is_refused(self, rows, ncols, m, message):
+        with pytest.raises(ValueError, match=message):
+            kernel_mod_power_of_two(rows, ncols, m)
+
+    def test_empty_rows_and_the_last_column_are_accepted(self):
+        assert kernel_mod_power_of_two([{}, {1: 2}], 2, 2) == [(0, 2), (1, 0)]
+
     def test_single_congruence(self):
         gens = kernel_mod_power_of_two(sparse_rows([[2]]), 1, 3)
         assert gens == [(4,)]

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import hgpforge
-from hgpforge import correctability, css, diagonal
+from hgpforge import correctability, css, diagonal, toric_cnz
 from hgpforge.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -136,15 +136,29 @@ class TestPublicApi:
         ]
         for record in records:
             assert copy.copy(record) == record and copy.deepcopy(record) == record
+        # a bundle holds a CssCode, which compares by identity, so it is
+        # compared by its circuit and check matrices
+        bundle = toric_cnz.build_bundle(2, 3)
+        for twin in (copy.copy(bundle), copy.deepcopy(bundle), pickle.loads(pickle.dumps(bundle))):
+            assert _bundle_values(twin) == _bundle_values(bundle)
         # unpickling reads the classes from submodules not yet executed there
         probe = (
             "import copy, pickle, sys, hgpforge\n"
-            "records = pickle.loads(bytes.fromhex(sys.argv[1]))\n"
+            "records, bundle = pickle.loads(bytes.fromhex(sys.argv[1]))\n"
             "assert [copy.deepcopy(r) for r in records] == records\n"
-            "print(pickle.dumps(records).hex())\n"
+            "twin = copy.deepcopy(bundle)\n"
+            "assert twin.circuit == bundle.circuit and twin.code.hx == bundle.code.hx\n"
+            "print(pickle.dumps((records, twin)).hex())\n"
         )
-        out = _fresh(probe, pickle.dumps(records).hex())
-        assert pickle.loads(bytes.fromhex(out)) == records
+        out = _fresh(probe, pickle.dumps((records, bundle)).hex())
+        back, twin = pickle.loads(bytes.fromhex(out))
+        assert back == records
+        assert _bundle_values(twin) == _bundle_values(bundle)
+
+
+def _bundle_values(bundle: toric_cnz.ToricBundle) -> tuple:
+    code = bundle.code
+    return (bundle.t, bundle.length, bundle.copies, bundle.circuit, code.hx, code.hz, code.k)
 
 
 @pytest.fixture(scope="module")

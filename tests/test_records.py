@@ -3,7 +3,9 @@
 Plain records are `typing.NamedTuple` types; records that check their fields
 on construction, are read in loops or have a length of their own are
 `__slots__` classes.  Either way a record compares and hashes by its
-fields, refuses assignment and has the `Name(field=value, ...)` repr.
+fields, refuses assignment and has the `Name(field=value, ...)` repr.  The
+value types `BinaryMatrix` and `PhasePolynomial` are slot records with a
+repr of their own.
 """
 
 import copy
@@ -144,6 +146,50 @@ def test_lengths_and_truth():
 def test_slot_records_pickle():
     for record in (_pauli(), product.Hyperplane(1, 0, (0,), (2,)), product.Sector((1,), (2,), 0)):
         assert pickle.loads(pickle.dumps(record)) == record
+
+
+# The two value types the verdicts are computed on: SlotRecords with a
+# checked __init__ and a repr of their own
+VALUES = [
+    BinaryMatrix(2, 3, [0b101, 0b011]),
+    BinaryMatrix.zeros(0, 4),
+    diagonal.PhasePolynomial(3, 2, {(0, 2): 2, (1,): 3, (): 1}),
+    diagonal.PhasePolynomial(2, 1),
+]
+
+
+@pytest.mark.parametrize(
+    "value", VALUES, ids=["matrix", "empty-matrix", "polynomial", "zero-polynomial"]
+)
+class TestValueTypes:
+    def test_assignment_and_deletion_raise(self, value):
+        fields = [getattr(value, name) for name in value.__slots__]
+        for name in value.__slots__:
+            with pytest.raises(AttributeError, match="is immutable"):
+                setattr(value, name, 0)
+            with pytest.raises(AttributeError, match="is immutable"):
+                delattr(value, name)
+        with pytest.raises(AttributeError):
+            value.extra = 0
+        assert [getattr(value, name) for name in value.__slots__] == fields
+
+    def test_copy_deepcopy_and_pickle_give_equal_values_with_equal_hashes(self, value):
+        for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert type(twin) is type(value)
+            assert twin == value and hash(twin) == hash(value)
+            assert repr(twin) == repr(value)
+
+
+def test_a_value_copies_and_unpickles_through_its_checked_init():
+    # a matrix forged past __init__, with a bit outside its one column
+    forged = object.__new__(BinaryMatrix)
+    for name, field in zip(BinaryMatrix.__slots__, (1, 1, (0b10,))):
+        object.__setattr__(forged, name, field)
+    for rebuild in (copy.copy, lambda m: pickle.loads(pickle.dumps(m))):
+        with pytest.raises(ValueError, match="row 0 has bits outside 1 columns"):
+            rebuild(forged)
+    f = diagonal.PhasePolynomial(2, 1, {(0, 1): 1})
+    assert f.__reduce__() == (diagonal.PhasePolynomial, (2, 1, {(0, 1): 1}))
 
 
 class TestChecks:
